@@ -1,30 +1,18 @@
 """E1 — the batched multi-source walk engine vs the seed per-source loop.
 
-Claims (engine subsystem):
-
-1. computing ``τ(β,ε) = max_v τ_v(β,ε)`` over *all* sources of a ~400-node
-   regular graph is ≥ 5× faster on the batch engine (one block trajectory +
-   one batched deviation oracle per step) than the seed per-source loop,
-   with **identical** per-source results — same times, set sizes, bitwise-
-   equal deviations and bookkeeping counters;
-2. the fused ``_solve_chunk`` kernels (one search-free
-   ``deviation_lower_bounds`` call per step for the whole ``(R, column)``
-   grid, ported from the dynamic tracker) beat the PR-2 per-``R`` bracket
-   search baseline (``prefilter="per_size"``), again with identical
-   results.
-
-3. every registered compute backend (``available_backends()``) produces
-   results identical to the per-source loop — asserted unconditionally —
-   and the mixed-precision ``float32`` screening path's measured speedup
-   over the ``reference`` backend is reported (reported, not gated: the
-   win is instance- and BLAS-dependent, the identity is not).
+Claim (engine subsystem): computing ``τ(β,ε) = max_v τ_v(β,ε)`` over *all*
+sources of a ~400-node regular graph is ≥ 5× faster on the batch engine
+(one block trajectory, one fused search-free ``deviation_lower_bounds``
+screen per step, exact verification of flagged pairs) than the seed
+per-source loop, with **identical** per-source results — same times, set
+sizes, bitwise-equal deviations and bookkeeping counters.
 
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke) shrinks the instance and
-only asserts exactness plus nominal speedups, since shared runners time
+only asserts exactness plus a nominal speedup, since shared runners time
 unreliably.
 """
 
-from repro.engine import available_backends, batched_local_mixing_times
+from repro.engine import batched_local_mixing_times
 from repro.graphs import random_regular
 from repro.obs import BenchReporter
 from repro.utils import format_table
@@ -38,75 +26,37 @@ def run_compare(n: int, d: int, seed: int = 1, reporter=None):
     g = random_regular(n, d, seed=seed)
     with rep.section("batch"):
         batch = batched_local_mixing_times(g, BETA)
-    with rep.section("per_size"):
-        baseline = batched_local_mixing_times(g, BETA, prefilter="per_size")
     with rep.section("loop"):
         loop = [local_mixing_time(g, s, BETA) for s in range(g.n)]
-    return g, batch, baseline, loop, rep
+    return g, batch, loop, rep
 
 
 def test_e1_batch_engine(record_table, quick_mode):
     n, d = (120, 6) if quick_mode else (400, 8)
     rep = BenchReporter("e1_batch_engine")
-    g, batch, baseline, loop, _ = run_compare(n, d, reporter=rep)
+    g, batch, loop, _ = run_compare(n, d, reporter=rep)
     t_batch = rep.seconds("batch")
-    t_baseline = rep.seconds("per_size")
     t_loop = rep.seconds("loop")
 
     # Identical per-source outputs (LocalMixingResult equality covers time,
-    # set_size, bitwise deviation, threshold and both counters) — for the
-    # fused default AND the PR-2 per-size prefilter baseline.
+    # set_size, bitwise deviation, threshold and both counters).
     assert batch == loop
-    assert baseline == loop
 
     speedup = t_loop / t_batch
     assert speedup >= (1.5 if quick_mode else 5.0), (
         f"batch engine speedup {speedup:.1f}x below target "
         f"(loop {t_loop:.2f}s, engine {t_batch:.2f}s)"
     )
-    fused_speedup = t_baseline / t_batch
-    assert fused_speedup >= (1.1 if quick_mode else 1.3), (
-        f"fused _solve_chunk kernels {fused_speedup:.2f}x vs the per-size "
-        f"bracket baseline (per_size {t_baseline:.2f}s, fused {t_batch:.2f}s)"
-    )
 
     tau = max(r.time for r in batch)
     table = format_table(
-        ["n", "d", "sources", "tau(beta=4)", "loop s", "per-size s",
-         "fused s", "vs loop", "vs per-size"],
-        [[g.n, d, g.n, tau, f"{t_loop:.2f}", f"{t_baseline:.2f}",
-          f"{t_batch:.2f}", f"{speedup:.1f}x", f"{fused_speedup:.1f}x"]],
+        ["n", "d", "sources", "tau(beta=4)", "loop s", "engine s",
+         "vs loop"],
+        [[g.n, d, g.n, tau, f"{t_loop:.2f}", f"{t_batch:.2f}",
+          f"{speedup:.1f}x"]],
         title=(
-            "E1: batched multi-source engine — fused kernels vs the PR-2 "
-            "per-size prefilter vs the seed per-source loop (identical "
-            "per-source results asserted for all three)"
+            "E1: batched multi-source engine vs the seed per-source loop "
+            "(identical per-source results asserted)"
         ),
     )
     record_table("e1_batch_engine", table, metrics=rep.snapshot())
-
-    # Per-backend comparison: identity is asserted for every registered
-    # backend unconditionally; speedups vs the reference backend are
-    # reported only.
-    backend_times = {}
-    for name in available_backends():
-        with rep.section(f"backend:{name}"):
-            res = batched_local_mixing_times(g, BETA, backend=name)
-        backend_times[name] = rep.seconds(f"backend:{name}")
-        assert res == loop, (
-            f"backend {name!r} diverged from the per-source loop"
-        )
-    t_ref = backend_times["reference"]
-    backend_rows = [
-        [name, f"{dt:.2f}", f"{t_ref / dt:.2f}x"]
-        for name, dt in backend_times.items()
-    ]
-    backend_table = format_table(
-        ["backend", "wall s", "vs reference"],
-        backend_rows,
-        title=(
-            f"E1b: compute backends on the all-sources workload (n={g.n}) "
-            f"— per-source results asserted identical to the loop for "
-            f"every backend"
-        ),
-    )
-    record_table("e1_backends", backend_table, metrics=rep.snapshot())

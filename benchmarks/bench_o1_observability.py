@@ -16,7 +16,7 @@ Claims (observability subsystem):
    minimum is robust to scheduler noise, which is what a shared CI
    runner contributes.
 3. **Coverage** — the enabled runs actually produce the telemetry the
-   overhead pays for: the kernel profiler holds per-backend call counts
+   overhead pays for: the kernel profiler holds per-kernel call counts
    and the process registry renders ``repro_engine_solve_seconds`` and
    ``repro_kernel_seconds_total`` in Prometheus text form.
 
@@ -78,8 +78,8 @@ def test_o1_observability(record_table, quick_mode):
     g = random_regular(n, d, seed=1)
     rep = BenchReporter("o1_observability")
 
-    # Warm-up: shared caches (walk bounds, backend singletons, thread
-    # pools) are setup cost, not instrumentation cost.
+    # Warm-up: shared caches (walk bounds, thread pools) are setup
+    # cost, not instrumentation cost.
     with observability(False):
         batched_local_mixing_times(g, BETA)
 
@@ -147,7 +147,7 @@ def test_o1_flight_recorder_service_overhead(record_table, quick_mode):
     rep = BenchReporter("o1_flight")
     direct = batched_local_mixing_times(g, BETA)
 
-    serve_all_sources(g, 0)  # warm-up: caches, pools, backend singletons
+    serve_all_sources(g, 0)  # warm-up: caches, pools
 
     # The per-query service path is short (~ms) and dominated by event
     # loop + worker handoff, so this gate needs more repeats than the

@@ -17,18 +17,13 @@ Claims (parallel subsystem):
    and skipped in quick mode: a single-core CI runner cannot express
    parallelism, but the identity claims still run there.
 
-4. the compute-backend knob survives the process boundary: for every
-   registered backend, the sharded solve with ``backend=<name>`` is
-   identical to the serial engine (asserted unconditionally; the
-   per-backend wall times are reported for comparison).
-
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke) shrinks the instance
 and asserts exactness plus clean teardown only.
 """
 
 import os
 
-from repro.engine import available_backends, batched_local_mixing_times
+from repro.engine import batched_local_mixing_times
 from repro.graphs import random_regular
 from repro.obs import BenchReporter
 from repro.parallel import ShardExecutor, parallel_local_mixing_times
@@ -69,29 +64,13 @@ def run_compare(n: int, d: int, seed: int = 1, reporter=None):
             rows.append(
                 (w, rep.seconds(f"W={w}"), st["last_shard_sizes"], split)
             )
-    # Per-backend pass at a fixed worker count: the backend name crosses
-    # the process boundary with each call's kwargs, so one warm pool
-    # serves every backend.
-    backend_rows = []
-    with ShardExecutor(2) as ex:
-        parallel_local_mixing_times(g, BETA, sources=[0], executor=ex)
-        for name in available_backends():
-            with rep.section(f"backend:{name}"):
-                res = parallel_local_mixing_times(
-                    g, BETA, executor=ex, backend=name
-                )
-            backend_rows.append(
-                (name, rep.seconds(f"backend:{name}"), res)
-            )
-    return g, serial, results, rep.seconds("serial"), rows, backend_rows
+    return g, serial, results, rep.seconds("serial"), rows
 
 
 def test_s1_sharded_engine(record_table, quick_mode):
     n, d = (120, 6) if quick_mode else (1200, 8)
     rep = BenchReporter("s1_sharded_engine")
-    g, serial, results, t_serial, rows, backend_rows = run_compare(
-        n, d, reporter=rep
-    )
+    g, serial, results, t_serial, rows = run_compare(n, d, reporter=rep)
 
     # Identity at every worker count (LocalMixingResult equality covers
     # time, set_size, bitwise deviation, threshold and both counters).
@@ -133,20 +112,3 @@ def test_s1_sharded_engine(record_table, quick_mode):
         ),
     )
     record_table("s1_sharded_engine", table, metrics=rep.snapshot())
-
-    # Per-backend identity through the worker pool, asserted
-    # unconditionally; wall times reported for comparison only.
-    for name, _, res in backend_rows:
-        assert res == serial, (
-            f"backend {name!r} diverged from the serial engine through "
-            f"the sharded executor"
-        )
-    backend_table = format_table(
-        ["backend", "wall s (W=2)"],
-        [[name, f"{dt:.2f}"] for name, dt, _ in backend_rows],
-        title=(
-            "S1b: compute backends through the sharded executor — "
-            "serial-identical results asserted for every backend"
-        ),
-    )
-    record_table("s1_backends", backend_table, metrics=rep.snapshot())

@@ -6,19 +6,8 @@ isolation) cannot build editable wheels.  Keeping this file and omitting the
 ``[build-system]`` table lets pip use the legacy ``setup.py develop`` code
 path; all metadata still lives in pyproject.toml's ``[project]`` table, which
 setuptools reads directly.
-
-The ``fast`` extra pulls in numba, which auto-registers the jitted compute
-backend (see :mod:`repro.engine.backends`); the library runs fully — and
-bitwise identically — without it.
 """
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        # Optional JIT backend: `pip install .[fast]` registers the
-        # "numba" compute backend; absence degrades cleanly (the backend
-        # simply is not listed).
-        "fast": ["numba"],
-    },
-)
+setup()

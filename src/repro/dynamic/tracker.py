@@ -209,12 +209,6 @@ class MixingTracker:
         against.
     memo_size:
         How many distinct solved structures to remember.
-    backend:
-        Optional compute-backend *name* (see :mod:`repro.engine.backends`)
-        every tracker solve — full, partial and sharded — runs under.
-        Validated at construction; results are bitwise identical for every
-        registered backend, so the incremental-equals-from-scratch
-        guarantee is backend-independent.
     executor:
         Optional :class:`~repro.parallel.ShardExecutor`: after each event
         the dirty-source set (the sources locality pruning could not keep)
@@ -244,7 +238,6 @@ class MixingTracker:
         target: str = "uniform",
         method: str = "incremental",
         memo_size: int = 32,
-        backend: str | None = None,
         executor=None,
         n_workers: int | None = None,
     ):
@@ -258,18 +251,6 @@ class MixingTracker:
             raise ValueError(f"unknown method {method!r}")
         if memo_size < 0:
             raise ValueError("memo_size must be >= 0")
-        if backend is not None:
-            # Fail fast at construction (same front-door discipline as the
-            # other knobs); keep the *name* so the knob stays picklable for
-            # the sharded re-solve path.
-            from repro.engine import get_backend
-
-            if not isinstance(backend, str):
-                raise TypeError(
-                    "backend must be a registered backend name, "
-                    f"got {backend!r}"
-                )
-            backend = get_backend(backend).name
         self.beta = beta
         self.eps = eps
         self.sizes = sizes
@@ -282,7 +263,6 @@ class MixingTracker:
         self.target = target
         self.method = method
         self.memo_size = memo_size
-        self.backend = backend
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if executor is not None and n_workers is not None:
@@ -411,7 +391,6 @@ class MixingTracker:
             lazy=self.lazy,
             require_source=self.require_source,
             target=self.target,
-            backend=self.backend,
         )
         ex = self._get_executor()
         k = g.n if sources is None else len(sources)

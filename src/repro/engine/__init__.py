@@ -16,7 +16,7 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
   columns at once and answers ``min_{|S|=R} Σ|p − 1/R|`` for every source per
   ``(t, R)`` grid point in ``O(k log n)`` via a unimodal bracket search —
   or, fused, bounds the whole ``(R, column)`` grid search-free in ``O(1)``
-  per pair (``deviation_lower_bounds``, the default driver prefilter).
+  per pair (``deviation_lower_bounds``, the drivers' prefilter).
   :class:`~repro.engine.oracle.BatchedDegreeDeviationOracle` is the
   degree-proportional-target companion: a column-vectorized, bitwise-equal
   transcript of the per-source fixed-point heuristic for irregular graphs.
@@ -33,12 +33,10 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
   :func:`~repro.engine.batch.batched_local_mixing_profiles` (deviation
   profiles behind ``local_mixing_profile``) follow the same contract.
 
-Both hot loops — block propagation and the sorted deviation scan — are
-dispatched through a pluggable :mod:`repro.engine.backends` seam: pass
-``backend="float32"`` (or set the ``REPRO_BACKEND`` environment variable)
-to run the screening scan in mixed precision while every near-threshold
-decision is re-verified by the exact float64 oracle, keeping results
-bitwise identical to the reference path for every backend.
+Both hot loops — block propagation (``A @ P``) and the float64 sorted
+deviation scan of :mod:`repro.engine.oracle` — are plain functions the
+drivers call directly; while observability is enabled each driver call
+binds them once to :class:`~repro.obs.KernelProfiler` timing closures.
 
 The shared spectral cache is controllable — dynamic-network workloads
 (:mod:`repro.dynamic`) stream many snapshots through the engine, and each
@@ -48,14 +46,6 @@ cached entry pins a dense ``n × n`` eigenbasis:
 :func:`~repro.engine.propagator.propagator_cache_info` bound and inspect it.
 """
 
-from repro.engine.backends import (
-    BACKEND_ENV,
-    KernelBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
-)
 from repro.engine.propagator import (
     BlockPropagator,
     block_distribution_at,
@@ -79,12 +69,6 @@ from repro.engine.batch import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "set_default_backend",
     "BlockPropagator",
     "block_distribution_at",
     "shared_spectral_propagator",

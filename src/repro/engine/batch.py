@@ -8,20 +8,18 @@ same bookkeeping counters.  Exactness is preserved by a two-phase check per
 ``(t, R)`` grid point:
 
 1. a fast batched prefilter bounds every live column's best deviation from
-   below — the default is one fused, search-free
+   below — one fused, search-free
    :meth:`~repro.engine.oracle.BatchedUniformDeviationOracle.deviation_lower_bounds`
    call per step covering the entire ``(R, column)`` grid in ``O(1)`` per
-   pair (``prefilter="per_size"`` keeps the per-``R`` ``O(k log n)``
-   bracket search as a reference);
+   pair;
 2. only ``(R, column)`` pairs whose bound falls below
    ``threshold · (1 + 1e-9)`` are re-examined with the exact single-source
    arithmetic (:class:`~repro.walks.local_mixing.UniformDeviationOracle` /
    ``_degree_target_best``), whose verdict — and reported deviation — is
    what the per-source loop computes.  A lower bound can over-flag but
-   never under-flag, and the bracket prefilter can exceed the exact scan
-   minimum only by floating-point tie noise — orders of magnitude below the
-   ``1e-9`` relative slack — so a source can never stop earlier or later
-   than its per-source run.
+   never under-flag — its deviation from the exact minimum is summation
+   roundoff, orders of magnitude below the ``1e-9`` relative slack — so a
+   source can never stop earlier or later than its per-source run.
 
 The drivers cover the **full** knob space of the per-source functions:
 ``require_source=True`` is handled in-block (the unconstrained lower bound
@@ -31,11 +29,18 @@ runs on the bitwise-equal vectorized transcript of the per-source
 fixed-point heuristic
 (:class:`~repro.engine.oracle.BatchedDegreeDeviationOracle`).  Nothing
 falls back to a per-source trajectory loop.
+
+Every driver runs the float64 kernels of :mod:`repro.engine.oracle` and
+the ``A @ P`` block step directly.  While observability is enabled, each
+driver call binds them once to :class:`~repro.obs.KernelProfiler` timing
+closures (:func:`_kernels`), so the disabled cost is one boolean check per
+call.
 """
 
 from __future__ import annotations
 
 import math
+from operator import matmul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,16 +48,17 @@ import numpy as np
 from repro.constants import DEFAULT_EPS
 from repro.errors import ConvergenceError
 from repro.graphs.base import Graph
-from repro.engine.backends import get_backend
 from repro.engine.oracle import (
     BatchedDegreeDeviationOracle,
     BatchedUniformDeviationOracle,
+    deviation_lower_bounds_kernel,
+    sorted_scan_arrays,
+    split_points_kernel,
 )
 from repro.engine.propagator import BlockPropagator, block_distribution_at
 from repro.obs import (
     default_registry,
     kernel_profiler,
-    maybe_profile,
     observability_enabled,
     trace,
 )
@@ -71,25 +77,56 @@ __all__ = [
 _VERIFY_SLACK = 1e-9
 
 
-def _engine_hist():
-    """The per-driver-call latency histogram on the process-global
-    registry (``repro_engine_solve_seconds{backend,kind}``); recorded
-    only while observability is enabled."""
-    return default_registry().histogram(
-        "repro_engine_solve_seconds",
-        "Wall seconds per batched engine driver call.",
-        labels=("backend", "kind"),
+class _Kernels(NamedTuple):
+    """The hot kernels one driver call runs: the plain float64
+    functions, or :class:`~repro.obs.KernelProfiler` timing closures
+    around them while observability is enabled."""
+
+    step_block: object
+    sorted_scan: object
+    split_points: object
+    deviation_lower_bounds: object
+    #: ``(pairs, flagged)`` screening-volume recorder, ``None`` when
+    #: observability is disabled.
+    screen: object
+
+
+_PLAIN_KERNELS = _Kernels(
+    matmul,
+    sorted_scan_arrays,
+    split_points_kernel,
+    deviation_lower_bounds_kernel,
+    None,
+)
+
+
+def _kernels() -> _Kernels:
+    """The kernels for one driver call, bound once to the profiler when
+    observability is enabled (results are bitwise identical either way:
+    the timing closures only read the clock around the call)."""
+    if not observability_enabled():
+        return _PLAIN_KERNELS
+    prof = kernel_profiler()
+    return _Kernels(
+        prof.timed("step_block", matmul),
+        prof.timed("sorted_scan", sorted_scan_arrays),
+        prof.timed("split_points", split_points_kernel),
+        prof.timed("deviation_lower_bounds", deviation_lower_bounds_kernel),
+        prof.record_screen,
     )
 
 
-def _observe_engine_span(span, backend_name: str, kind: str) -> None:
-    """Feed a finished ``engine_solve`` span's duration into the driver
-    latency histogram (no-op when observability was disabled and the
-    span is ``None``)."""
+def _observe_engine_span(span, kind: str) -> None:
+    """Feed a finished ``engine_solve`` span's duration into the
+    per-driver-call latency histogram
+    (``repro_engine_solve_seconds{kind}``; no-op when observability was
+    disabled and the span is ``None``)."""
     if span is not None and span.duration is not None:
-        _engine_hist().labels(backend=backend_name, kind=kind).observe(
-            span.duration
-        )
+        default_registry().histogram(
+            "repro_engine_solve_seconds",
+            "Wall seconds per batched engine driver call.",
+            labels=("kind",),
+        ).labels(kind=kind).observe(span.duration)
 
 
 def _exact_best_sum(z: np.ndarray, pre: np.ndarray, R: int) -> float:
@@ -138,15 +175,13 @@ def _prepare_times_call(
     target: str,
     method: str,
     batch_size: int | None,
-    prefilter: str,
-    backend=None,
 ) -> tuple[list[int], list[int], int]:
     """Shared fail-fast validation head of the multi-source τ drivers
     (:func:`batched_local_mixing_times` and the sharded
     :func:`~repro.parallel.parallel_local_mixing_times`).
 
-    Every knob — scalars, ``t_schedule``, ``batch_size``, ``backend`` and
-    the ``sizes`` grid — is validated *before* sources are normalized or
+    Every knob — scalars, ``t_schedule``, ``batch_size`` and the ``sizes``
+    grid — is validated *before* sources are normalized or
     any candidate structure is built, so a bad call fails fast with the
     same message from every driver.  Returns
     ``(sources, candidate_sizes, t_max)``.
@@ -163,9 +198,6 @@ def _prepare_times_call(
         raise ValueError(f"unknown method {method!r}")
     if target not in ("uniform", "degree"):
         raise ValueError(f"unknown target {target!r}")
-    if prefilter not in ("fused", "per_size"):
-        raise ValueError(f"unknown prefilter {prefilter!r}")
-    get_backend(backend)  # unknown backend names fail before normalization
     _validate_schedule(t_schedule)
     if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -186,8 +218,8 @@ class TimesKey(NamedTuple):
     (``eps · threshold_factor``), the step schedule / resolved ``t_max``,
     the walk operator (``lazy``) and the semantics flags — not through the
     raw ``(beta, eps, sizes, grid_factor, …)`` spellings, nor through the
-    execution-only knobs ``batch_size`` and ``prefilter`` (which the
-    loop-equivalence contract guarantees cannot change any output).  The
+    execution-only knob ``batch_size`` (which the loop-equivalence
+    contract guarantees cannot change any output).  The
     serving layer's :class:`~repro.service.ResultCache` keys on
     ``(graph, source, TimesKey)`` for exactly this reason.
     """
@@ -217,8 +249,6 @@ def canonical_times_key(
     target: str = "uniform",
     method: str = "iterative",
     batch_size: int | None = None,
-    prefilter: str = "fused",
-    backend: str | None = None,
 ) -> TimesKey:
     """Validate a full :func:`batched_local_mixing_times` knob set against
     ``g`` and collapse it to its canonical :class:`TimesKey`.
@@ -228,12 +258,10 @@ def canonical_times_key(
     message it would raise from the engine), then resolves every
     graph-dependent default: ``sizes``/``beta``/``grid_factor`` become the
     explicit candidate-size tuple, ``eps``/``threshold_factor`` the stopping
-    threshold, and ``t_max`` its resolved walk bound.  ``batch_size``,
-    ``prefilter`` and ``backend`` are validated but deliberately *absent*
-    from the key — they partition work, never change results (for
-    ``backend`` that is the loop-equivalence contract of
-    :mod:`repro.engine.backends`), so they must never fragment cache
-    lines keyed by this identity.
+    threshold, and ``t_max`` its resolved walk bound.  ``batch_size`` is
+    validated but deliberately *absent* from the key — it partitions work,
+    never changes results, so it must never fragment cache lines keyed by
+    this identity.
     """
     # sources=[0]: the key is source-independent, and normalizing the
     # default all-sources list would cost O(n) per key computation (the
@@ -252,8 +280,6 @@ def canonical_times_key(
         target=target,
         method=method,
         batch_size=batch_size,
-        prefilter=prefilter,
-        backend=backend,
     )
     return TimesKey(
         sizes=tuple(int(r) for r in candidates),
@@ -275,18 +301,16 @@ def _prepare_profiles_call(
     sizes,
     grid_factor: float,
     t_max: int,
-    backend=None,
 ) -> tuple[list[int], list[int]]:
     """Fail-fast validation head of the profile drivers (batched and
-    parallel): ``beta``, the ``sizes`` grid, ``t_max`` and ``backend`` are
-    checked before sources are normalized.  Returns
+    parallel): ``beta``, the ``sizes`` grid and ``t_max`` are checked
+    before sources are normalized.  Returns
     ``(sources, candidate_sizes)``.
     """
     from repro.walks.local_mixing import _candidate_sizes
 
     if beta < 1:
         raise ValueError("beta must be >= 1 (sets of size at least n/beta)")
-    get_backend(backend)
     candidates = _candidate_sizes(g.n, beta, sizes, grid_factor)
     if t_max < 0:
         raise ValueError("t_max must be non-negative")
@@ -304,11 +328,10 @@ def _prepare_spectra_call(
     t_max: int | None,
     lazy: bool,
     method: str,
-    backend=None,
 ) -> tuple[list[int], list[int], int]:
     """Fail-fast validation head of the spectrum drivers (batched and
-    parallel): knobs — including the explicit ``sizes`` list and the
-    ``backend`` — are checked before sources are normalized.  Returns
+    parallel): knobs — including the explicit ``sizes`` list — are checked
+    before sources are normalized.  Returns
     ``(sources, sizes, t_max)``."""
     from repro.walks.local_mixing import _resolve_walk_bounds, size_grid
 
@@ -316,7 +339,6 @@ def _prepare_spectra_call(
         raise ValueError("eps must be in (0,1)")
     if method not in ("iterative", "spectral"):
         raise ValueError(f"unknown method {method!r}")
-    get_backend(backend)
     if sizes is None:
         sizes = size_grid(g.n, g.n, eps if grid_factor is None else grid_factor)
     else:
@@ -344,8 +366,6 @@ def batched_local_mixing_times(
     target: str = "uniform",
     method: str = "iterative",
     batch_size: int | None = None,
-    prefilter: str = "fused",
-    backend: str | None = None,
 ) -> list["LocalMixingResult"]:
     """``τ_s(β,ε)`` for every source in ``sources`` (default: all nodes).
 
@@ -369,25 +389,6 @@ def batched_local_mixing_times(
     batch_size:
         Maximum number of source columns propagated at once (memory control
         for large graphs).  Default: all sources in one block.
-    prefilter:
-        How uniform-target candidate ``(t, R)`` pairs are screened before
-        exact verification.  ``"fused"`` (default) uses one search-free
-        :meth:`~repro.engine.oracle.BatchedUniformDeviationOracle.deviation_lower_bounds`
-        call per step for the whole size grid (``O(1)`` per pair);
-        ``"per_size"`` keeps the per-``R`` ``O(k log n)`` bracket search
-        (the pre-fusion engine, retained as a benchmark baseline).  Both
-        produce identical results — every near-threshold hit is re-decided
-        by the exact per-source arithmetic either way.
-    backend:
-        Which :mod:`~repro.engine.backends` kernel backend runs the hot
-        loops: a registered name (``"reference"``, ``"float32"``,
-        ``"numba"`` when installed), a
-        :class:`~repro.engine.backends.KernelBackend` instance, or
-        ``None`` for the process default
-        (:func:`~repro.engine.backends.set_default_backend` /
-        ``REPRO_BACKEND`` / ``"reference"``).  Result-neutral by the
-        loop-equivalence contract: every backend yields bitwise the
-        reference results.
 
     Returns the results in ``sources`` order; every result is identical —
     same time, set size, bitwise-equal deviation and same bookkeeping
@@ -410,18 +411,14 @@ def batched_local_mixing_times(
         target=target,
         method=method,
         batch_size=batch_size,
-        prefilter=prefilter,
-        backend=backend,
     )
     threshold = eps * threshold_factor
-    be = maybe_profile(get_backend(backend))
+    kernels = _kernels()
 
     results: list[LocalMixingResult | None] = [None] * len(src)
     if batch_size is None:
         batch_size = len(src)
-    with trace(
-        "engine_solve", backend=be.name, kind="times", sources=len(src)
-    ) as _sp:
+    with trace("engine_solve", kind="times", sources=len(src)) as _sp:
         for lo in range(0, len(src), batch_size):
             chunk = src[lo : lo + batch_size]
             for pos, res in _solve_chunk(
@@ -435,11 +432,10 @@ def batched_local_mixing_times(
                 method,
                 target=target,
                 require_source=require_source,
-                prefilter=prefilter,
-                backend=be,
+                kernels=kernels,
             ):
                 results[lo + pos] = res
-    _observe_engine_span(_sp, be.name, "times")
+    _observe_engine_span(_sp, "times")
     missing = [src[i] for i, r in enumerate(results) if r is None]
     if missing:
         raise ConvergenceError(
@@ -463,27 +459,20 @@ def _solve_chunk(
     *,
     target: str = "uniform",
     require_source: bool = False,
-    prefilter: str = "fused",
-    backend=None,
+    kernels: _Kernels,
 ):
     """Yield ``(position_in_chunk, LocalMixingResult)`` as sources resolve.
 
     Per scheduled step: one batched prefilter over the whole
     ``(R, live column)`` grid (a valid lower bound for every target /
     constraint combination — the fused D1-style
-    ``deviation_lower_bounds`` kernel by default, dispatched through the
-    resolved kernel backend), then exact per-source verification of the
-    flagged pairs in ascending-``R`` order, so the first verified hit per
-    column is exactly the per-source loop's stopping point and every
-    counter reconstructs the loop's bookkeeping.
-
-    Backend seam: the screening scan runs in the backend's precision with
-    the verification cutoff widened by ``backend.screen_slack(n)``, so a
-    lower-precision screen can over-flag but never under-flag; flagged
-    pairs are decided on the exact float64 block either way (off the scan
-    arrays when ``backend.exact_scan``, else through a fresh per-column
-    float64 oracle).  The degree target's prefilter is already the exact
-    fixed-point transcript, so it is backend-independent.
+    ``deviation_lower_bounds`` kernel), then exact per-source verification
+    of the flagged pairs in ascending-``R`` order, so the first verified
+    hit per column is exactly the per-source loop's stopping point and
+    every counter reconstructs the loop's bookkeeping.  Unconstrained
+    uniform-target pairs are decided straight off the float64 scan arrays;
+    the degree target's prefilter is already the exact fixed-point
+    transcript.
     """
     from repro.walks.local_mixing import (
         LocalMixingResult,
@@ -492,26 +481,20 @@ def _solve_chunk(
         _t_iter,
     )
 
-    be = backend if backend is not None else get_backend(None)
-    # Pre-bind the screening-volume recorder once per chunk so the
-    # per-step cost is two counter increments (None when observability
-    # is disabled or the degree transcript — an exact prefilter, not a
-    # screen — is in use).
-    screen_record = (
-        kernel_profiler().screen_recorder(be.name)
-        if observability_enabled() and target != "degree"
-        else None
-    )
+    # The degree transcript is an exact prefilter, not a screen, so it
+    # records no screening volume.
+    screen_record = kernels.screen if target != "degree" else None
     cutoff = threshold * (1.0 + _VERIFY_SLACK)
-    screen_cutoff = cutoff + be.screen_slack(g.n)
     n_cand = len(candidates)
     Rs = np.asarray(candidates, dtype=np.int64)
-    inv_r = be.inverse_sizes(Rs)
+    inv_r = 1.0 / Rs
     degrees = g.degrees.astype(np.float64) if target == "degree" else None
     col_pos = np.arange(len(chunk))  # chunk position per live column
     prop = None
     if method == "iterative":
-        prop = BlockPropagator(g, chunk, lazy=lazy, backend=be)
+        prop = BlockPropagator(
+            g, chunk, lazy=lazy, step_block=kernels.step_block
+        )
     for steps, t in enumerate(_t_iter(t_schedule, t_max), start=1):
         if col_pos.size == 0:
             return
@@ -522,7 +505,7 @@ def _solve_chunk(
                 g, [chunk[i] for i in col_pos], t, lazy=lazy
             )
         live_nodes = [chunk[int(i)] for i in col_pos]
-        scan = None
+        S = pre = None  # free the previous step's scan before the next sort
         if target == "degree":
             doracle = BatchedDegreeDeviationOracle(
                 P, degrees, sources=live_nodes
@@ -531,24 +514,16 @@ def _solve_chunk(
             # (bitwise), so they prefilter exactly; flagged pairs are still
             # re-decided by the scalar reference below.
             bounds = doracle.best_sums_grid(Rs, require_source=require_source)
-            hits = bounds < cutoff
         else:
-            scan = be.sorted_scan(P)
-            k0_all = be.split_points(scan, inv_r)
-            if prefilter == "fused":
-                # One search-free kernel call for the whole (R, column)
-                # grid; valid for the constrained minimum too (pinning the
-                # source can only increase it).
-                bounds = be.deviation_lower_bounds(scan, Rs, k0=k0_all)
-            else:
-                bounds = np.empty((n_cand, P.shape[1]), dtype=np.float64)
-                for r_idx in range(n_cand):
-                    bounds[r_idx], _ = be.best_sums(
-                        scan, int(Rs[r_idx]), k0=k0_all[r_idx]
-                    )
-            hits = bounds < screen_cutoff
-            if screen_record is not None:
-                screen_record(hits.size, int(np.count_nonzero(hits)))
+            S, pre = kernels.sorted_scan(P)
+            k0_all = kernels.split_points(S, inv_r)
+            # One search-free kernel call for the whole (R, column) grid;
+            # valid for the constrained minimum too (pinning the source
+            # can only increase it).
+            bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
+        hits = bounds < cutoff
+        if screen_record is not None:
+            screen_record(hits.size, int(np.count_nonzero(hits)))
         exact: dict[int, UniformDeviationOracle] = {}
         resolved: list[int] = []
         for col in map(int, np.flatnonzero(hits.any(axis=0))):
@@ -565,19 +540,8 @@ def _solve_chunk(
                         uo = UniformDeviationOracle(P[:, col], source=node)
                         exact[col] = uo
                     s_exact, _ = uo.best_sum(R, require_source=True)
-                elif be.exact_scan:
-                    s_exact = _exact_best_sum(
-                        scan.sorted[:, col], scan.prefix[:, col], R
-                    )
                 else:
-                    # Lower-precision scan: rebuild the exact per-column
-                    # float64 oracle (bitwise the per-source loop's
-                    # arithmetic) for the flagged column.
-                    uo = exact.get(col)
-                    if uo is None:
-                        uo = UniformDeviationOracle(P[:, col])
-                        exact[col] = uo
-                    s_exact, _ = uo.best_sum(R)
+                    s_exact = _exact_best_sum(S[:, col], pre[:, col], R)
                 if s_exact < threshold:
                     yield int(col_pos[col]), LocalMixingResult(
                         time=t,
@@ -608,16 +572,9 @@ def batched_local_mixing_profiles(
     t_max: int = 100,
     lazy: bool = False,
     require_source: bool = False,
-    backend: str | None = None,
 ) -> np.ndarray:
     """The best achievable deviation ``min_R min_S Σ|p_t − 1/R|`` for every
     source at every ``t = 0..t_max``, as a ``(k, t_max + 1)`` array.
-
-    ``backend`` selects the :mod:`~repro.engine.backends` kernel backend
-    driving block propagation.  Profile *values* feed plots and fits, so
-    there is no verification threshold for a lower-precision screen to
-    hide behind: every backend shares the exact float64 scan here, and
-    the knob is result-neutral by construction.
 
     One block trajectory replaces ``k`` independent
     :func:`~repro.walks.local_mixing.local_mixing_profile` runs; each row is
@@ -640,15 +597,15 @@ def batched_local_mixing_profiles(
 
     src, candidates = _prepare_profiles_call(
         g, beta, sources=sources, sizes=sizes, grid_factor=grid_factor,
-        t_max=t_max, backend=backend,
+        t_max=t_max,
     )
-    be = maybe_profile(get_backend(backend))
+    kernels = _kernels()
     starts = {R: np.arange(g.n - R + 1) for R in candidates}
     out = np.empty((len(src), t_max + 1), dtype=np.float64)
-    with trace(
-        "engine_solve", backend=be.name, kind="profiles", sources=len(src)
-    ) as _sp:
-        prop = BlockPropagator(g, src, lazy=lazy, backend=be)
+    with trace("engine_solve", kind="profiles", sources=len(src)) as _sp:
+        prop = BlockPropagator(
+            g, src, lazy=lazy, step_block=kernels.step_block
+        )
         for t in range(t_max + 1):
             P = prop.advance_to(t)
             if require_source:
@@ -670,7 +627,7 @@ def batched_local_mixing_profiles(
                     )
                     best = min(best, float(sums[int(np.argmin(sums))]))
                 out[j, t] = best
-    _observe_engine_span(_sp, be.name, "profiles")
+    _observe_engine_span(_sp, "profiles")
     return out
 
 
@@ -815,7 +772,6 @@ def batched_local_mixing_spectra(
     lazy: bool = False,
     require_source: bool = False,
     method: str = "iterative",
-    backend: str | None = None,
 ) -> list[dict[int, int | float]]:
     """The multi-source local-mixing *spectrum*: for every source, for each
     candidate set size ``R``, the first ``t`` with
@@ -825,11 +781,7 @@ def batched_local_mixing_spectra(
     exactly for every knob, including ``require_source=True`` (screened by
     the unconstrained fused lower bounds — valid for the pinned minimum too
     — and decided by the exact constrained oracle on the column); sizes
-    that never mix within ``t_max`` map to ``math.inf``.  ``backend``
-    selects the :mod:`~repro.engine.backends` kernel backend for the
-    screening scan (cutoff widened by its slack; every hit is still
-    decided by the exact per-column oracle, so results are
-    backend-independent).
+    that never mix within ``t_max`` map to ``math.inf``.
     """
     from repro.walks.local_mixing import UniformDeviationOracle
 
@@ -842,27 +794,19 @@ def batched_local_mixing_spectra(
         t_max=t_max,
         lazy=lazy,
         method=method,
-        backend=backend,
     )
 
-    be = maybe_profile(get_backend(backend))
-    cutoff = eps * (1.0 + _VERIFY_SLACK) + be.screen_slack(g.n)
-    screen_record = (
-        kernel_profiler().screen_recorder(be.name)
-        if observability_enabled()
-        else None
-    )
+    kernels = _kernels()
+    cutoff = eps * (1.0 + _VERIFY_SLACK)
     Rs = np.asarray(sizes, dtype=np.int64)
-    inv_r = be.inverse_sizes(Rs)
+    inv_r = 1.0 / Rs
     out: list[dict[int, int | float]] = [{} for _ in src]
     col_pos = np.arange(len(src))
     # unresolved[c, r]: column c has not yet mixed at sizes[r].
     unresolved = np.ones((len(src), len(sizes)), dtype=bool)
-    with trace(
-        "engine_solve", backend=be.name, kind="spectra", sources=len(src)
-    ) as _sp:
+    with trace("engine_solve", kind="spectra", sources=len(src)) as _sp:
         prop = (
-            BlockPropagator(g, src, lazy=lazy, backend=be)
+            BlockPropagator(g, src, lazy=lazy, step_block=kernels.step_block)
             if method == "iterative"
             else None
         )
@@ -875,14 +819,14 @@ def batched_local_mixing_spectra(
                 P = block_distribution_at(
                     g, [src[i] for i in col_pos], t, lazy=lazy
                 )
-            scan = be.sorted_scan(P)
-            k0_all = be.split_points(scan, inv_r)
-            bounds = be.deviation_lower_bounds(scan, Rs, k0=k0_all)
+            S, pre = kernels.sorted_scan(P)
+            k0_all = kernels.split_points(S, inv_r)
+            bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
             exact: dict[int, UniformDeviationOracle] = {}
             live = unresolved[col_pos]
             hits = live.T & (bounds < cutoff)
-            if screen_record is not None:
-                screen_record(hits.size, int(np.count_nonzero(hits)))
+            if kernels.screen is not None:
+                kernels.screen(hits.size, int(np.count_nonzero(hits)))
             for col in map(int, np.flatnonzero(hits.any(axis=0))):
                 uo = exact.get(col)
                 if uo is None:
@@ -907,7 +851,7 @@ def batched_local_mixing_spectra(
                 col_pos = col_pos[keep]
                 if prop is not None:
                     prop.drop_columns(keep)
-    _observe_engine_span(_sp, be.name, "spectra")
+    _observe_engine_span(_sp, "spectra")
     for pos in range(len(src)):
         for R in sizes:
             out[pos].setdefault(R, math.inf)

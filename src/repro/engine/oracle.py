@@ -51,34 +51,27 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# Dtype-generic kernels
+# Kernels
 #
-# The oracle's hot arithmetic lives in these module-level functions so the
-# pluggable compute backends (:mod:`repro.engine.backends`) can run the
-# *screening* scan in a different precision while the oracle class keeps
-# the float64 semantics documented above.  Every kernel casts its integer
-# operands to the scan dtype explicitly; for float64 inputs that cast is
-# exact (values are bounded by ``n``), so the float64 path is bitwise
-# identical to the pre-extraction inline arithmetic — the grid-kernel
-# equivalence tests pin this down.
+# The oracle's hot arithmetic lives in these module-level float64
+# functions so the batch drivers can call them directly on a block's scan
+# arrays (and time them with the kernel profiler while observability is
+# enabled).  Integer operands promote to float64 exactly (values are
+# bounded by ``n``), and the grid-kernel equivalence tests pin the values
+# against the oracle class.
 # --------------------------------------------------------------------- #
 
 
-def sorted_scan_arrays(
-    P: np.ndarray, dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
+def sorted_scan_arrays(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise ascending sort of ``P`` plus prefix sums with a leading
-    zero row, as ``(sorted, prefix)`` of shapes ``(n, k)`` / ``(n+1, k)``.
-
-    With ``dtype=np.float64`` (the default) this is exactly the scan the
-    batched oracle builds; a lower-precision dtype casts the block once
-    before sorting (the mixed-precision backends' screening scan)."""
-    P = np.asarray(P, dtype=dtype)
+    zero row, as ``(sorted, prefix)`` of shapes ``(n, k)`` / ``(n+1, k)`` —
+    exactly the scan the batched oracle builds."""
+    P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError("P must be an (n, k) block, one column per source")
     S = np.sort(P, axis=0)
     prefix = np.vstack(
-        [np.zeros((1, P.shape[1]), dtype=dtype), np.cumsum(S, axis=0)]
+        [np.zeros((1, P.shape[1])), np.cumsum(S, axis=0)]
     )
     return S, prefix
 
@@ -87,8 +80,8 @@ def split_points_kernel(S: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Per target value and column, the number of sorted entries strictly
     below the target: entry ``[i, j]`` is
     ``searchsorted(S[:, j], cs[i])`` — the split the window formula pivots
-    on.  ``cs`` is cast to the scan dtype so comparisons stay uniform."""
-    cs = np.asarray(cs, dtype=S.dtype)
+    on."""
+    cs = np.asarray(cs, dtype=np.float64)
     out = np.empty((cs.size, S.shape[1]), dtype=np.int64)
     for j in range(S.shape[1]):
         out[:, j] = np.searchsorted(S[:, j], cs)
@@ -107,8 +100,6 @@ def best_sums_kernel(
     ``(sums, starts)`` (see
     :meth:`BatchedUniformDeviationOracle.best_sums`)."""
     n, k = S.shape
-    dt = S.dtype.type
-    c = dt(c)
     cols = np.arange(k)
     if k0 is None:
         k0 = (S < c).sum(axis=0)
@@ -118,7 +109,7 @@ def best_sums_kernel(
     W = n - R + 1
     lo = np.zeros(k, dtype=np.int64)
     hi = np.full(k, W - 1, dtype=np.int64)
-    two_c = dt(2.0) * c
+    two_c = 2.0 * c
     while True:
         active = lo < hi
         if not active.any():
@@ -136,8 +127,8 @@ def best_sums_kernel(
     gather = pre[kk, cols]
     p_lo = pre[start, cols]
     p_hi = pre[start + R, cols]
-    below = c * (kk - start).astype(dt) - (gather - p_lo)
-    above = (p_hi - gather) - c * (R - (kk - start)).astype(dt)
+    below = c * (kk - start) - (gather - p_lo)
+    above = (p_hi - gather) - c * (R - (kk - start))
     return below + above, start
 
 
@@ -153,13 +144,12 @@ def best_sums_grid_kernel(
     the per-``R`` kernel (see
     :meth:`BatchedUniformDeviationOracle.best_sums_grid`)."""
     n, k = S.shape
-    dt = S.dtype.type
     cols = np.arange(k)[None, :]
     R_col = np.asarray(Rs, dtype=np.int64)[:, None]
-    c_col = np.asarray(cs, dtype=S.dtype)[:, None]
+    c_col = np.asarray(cs, dtype=np.float64)[:, None]
     lo = np.zeros((R_col.size, k), dtype=np.int64)
     hi = np.broadcast_to(n - R_col, lo.shape).copy()  # W - 1 per row
-    two_c = dt(2.0) * c_col
+    two_c = 2.0 * c_col
     while True:
         active = lo < hi
         if not active.any():
@@ -177,8 +167,8 @@ def best_sums_grid_kernel(
     gather = pre[kk, cols]
     p_lo = pre[start, cols]
     p_hi = pre[start + R_col, cols]
-    below = c_col * (kk - start).astype(dt) - (gather - p_lo)
-    above = (p_hi - gather) - c_col * (R_col - (kk - start)).astype(dt)
+    below = c_col * (kk - start) - (gather - p_lo)
+    above = (p_hi - gather) - c_col * (R_col - (kk - start))
     return below + above, start
 
 
@@ -191,25 +181,24 @@ def deviation_lower_bounds_kernel(
     three bounds being combined and why they are valid)."""
     n = pre.shape[0] - 1
     k = pre.shape[1]
-    dt = pre.dtype.type
     cols = np.arange(k)[None, :]
     R_col = np.asarray(Rs, dtype=np.int64)[:, None]
-    c_col = np.asarray(cs, dtype=pre.dtype)[:, None]
-    target = c_col * R_col.astype(dt)  # cR (≈ 1, kept in float for safety)
+    c_col = np.asarray(cs, dtype=np.float64)[:, None]
+    target = c_col * R_col  # cR (≈ 1, kept in float for safety)
     top = pre[n][None, :] - pre[n - R_col, cols]  # heaviest window mass
     bot = pre[R_col, cols]  # lightest window mass
     # (a) |mass − cR| over the feasible mass range.
     b_mass = np.maximum(target - top, bot - target)
     # (b) below-c part of the rightmost window.
     m2 = np.clip(k0 - (n - R_col), 0, R_col)
-    b_below = c_col * m2.astype(dt) - (
+    b_below = c_col * m2 - (
         pre[(n - R_col) + m2, cols] - pre[n - R_col, cols]
     )
     # (c) above-c part of the leftmost window.
     a3 = np.minimum(k0, R_col)
-    b_above = (bot - pre[a3, cols]) - c_col * (R_col - a3).astype(dt)
+    b_above = (bot - pre[a3, cols]) - c_col * (R_col - a3)
     out = np.maximum(b_mass, np.maximum(b_below, b_above))
-    return np.maximum(out, dt(0.0))
+    return np.maximum(out, 0.0)
 
 
 class BatchedUniformDeviationOracle:
@@ -341,7 +330,7 @@ class BatchedDegreeDeviationOracle:
         Block of ``k`` distributions, one per column (non-negative).
     degrees:
         Degree vector of the graph, ``float64`` (the reference loop casts
-        with ``g.degrees.astype(np.float64)`` — pass the same cast).
+        with ``g.degrees`` — pass the same cast).
     sources:
         Optional source node per column; required for
         ``require_source=True`` queries (the constraint pins each column's

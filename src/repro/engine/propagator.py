@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from operator import matmul
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -202,12 +203,10 @@ class BlockPropagator:
         Source node per column.
     lazy:
         Use the lazy operator ``(I + A)/2``.
-    backend:
-        Optional :class:`~repro.engine.backends.KernelBackend` whose
-        ``step_block`` advances the block (the compute seam); ``None``
-        keeps the plain float64 ``A @ P``.  Every shipped backend's
-        ``step_block`` is the same float64 mat-mat, so the trajectory is
-        bitwise identical either way.
+    step_block:
+        The ``(A, P) -> A @ P`` step (default :func:`operator.matmul`);
+        the engine drivers pass the kernel profiler's timing closure
+        around it while observability is enabled.
     """
 
     def __init__(
@@ -216,7 +215,7 @@ class BlockPropagator:
         sources: Sequence[int],
         *,
         lazy: bool = False,
-        backend=None,
+        step_block=None,
     ):
         src = np.asarray(list(sources), dtype=np.int64)
         if src.ndim != 1 or src.size == 0:
@@ -227,7 +226,7 @@ class BlockPropagator:
         self.lazy = lazy
         self.sources = src
         self._A = walk_operator(g, lazy=lazy)
-        self._backend = backend
+        self._step_block = matmul if step_block is None else step_block
         self._P = _one_hot_block(g.n, src)
         self.t = 0
 
@@ -243,10 +242,7 @@ class BlockPropagator:
 
     def step(self) -> np.ndarray:
         """Advance one walk step (one sparse mat-mat) and return the block."""
-        if self._backend is not None:
-            self._P = self._backend.step_block(self._A, self._P)
-        else:
-            self._P = self._A @ self._P
+        self._P = self._step_block(self._A, self._P)
         self.t += 1
         return self._P
 

@@ -17,9 +17,8 @@ tracker, benchmarks):
   ``MixingService.submit`` → coalescer flush → cache lookup → batched
   engine → kernel calls, with shard workers' timelines shipped back over
   the executor's task-return channel into the parent trace.
-* :mod:`repro.obs.kernels` — per-backend per-kernel call counts and
-  wall seconds on the :class:`~repro.engine.backends.KernelBackend`
-  seam, plus the ``float32`` screening re-verification rate.
+* :mod:`repro.obs.kernels` — per-kernel call counts and wall seconds of
+  the engine's hot loops, plus the screening re-verification volume.
 * :mod:`repro.obs.flight` — the always-on bounded flight recorder of
   completed query records (plus the slow-query log), fed by
   ``MixingService.submit`` and exported over the wire debug endpoints.
@@ -30,7 +29,7 @@ tracker, benchmarks):
   files and the regression comparator behind ``tools/bench_track.py``.
 * :mod:`repro.obs.reporting` — the shared benchmark reporter.
 * :mod:`repro.obs.live` — live telemetry: the bucketed
-  :class:`RollingWindow` of per-(graph, backend, outcome) rates and
+  :class:`RollingWindow` of per-(graph, outcome) rates and
   streaming latency quantiles fed from the service completion path,
   plus the :class:`ResourceSampler` background task (event-loop lag,
   RSS, GC, queue depth, executor occupancy).
@@ -79,11 +78,10 @@ from .history import (
 )
 from .history import compare as compare_history_entry
 from .kernels import (
+    KERNEL_LABEL,
     KernelProfiler,
-    ProfiledBackend,
     diff_kernel_snapshots,
     kernel_profiler,
-    maybe_profile,
 )
 from .live import (
     ResourceSampler,
@@ -122,10 +120,10 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
+    "KERNEL_LABEL",
     "KernelProfiler",
     "MetricsRegistry",
     "OBS_ENV",
-    "ProfiledBackend",
     "QueryRecord",
     "ResourceSampler",
     "RollingWindow",
@@ -148,7 +146,6 @@ __all__ = [
     "kernels_from_span",
     "load_history",
     "machine_fingerprint",
-    "maybe_profile",
     "observability",
     "observability_enabled",
     "recent_traces",

@@ -17,10 +17,9 @@ different policies:
 
 Enable per process with :func:`set_observability`, per scope with the
 :func:`observability` context manager, or per environment with
-``REPRO_OBS=1`` (read once at import — the same pattern as
-``REPRO_BACKEND``).  The switch only ever changes *what is recorded*:
-every result-producing path is bitwise identical with observability
-enabled, disabled, or never imported (pinned by
+``REPRO_OBS=1`` (read once at import).  The switch only ever changes
+*what is recorded*: every result-producing path is bitwise identical with
+observability enabled, disabled, or never imported (pinned by
 ``tests/test_obs.py``).
 """
 

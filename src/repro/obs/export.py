@@ -43,7 +43,8 @@ __all__ = [
 #: Version tag carried by every export envelope; bump on schema change.
 #: v2: record ``wall_time`` renamed to ``unix_ts`` (wall-clock
 #: completion time for external-log correlation).
-EXPORT_VERSION = 2
+#: v3: record ``backend`` field removed (the engine has one kernel path).
+EXPORT_VERSION = 3
 
 #: Hard server-side bound on records per export payload (a request may
 #: ask for fewer, never more).
@@ -55,7 +56,8 @@ DEFAULT_EXPORT_RECORDS = 64
 #: Version tag of the ``/v1/debug/stream`` telemetry delta frames
 #: (independent of :data:`EXPORT_VERSION` — the stream can evolve
 #: without invalidating stored flight exports).
-TELEMETRY_VERSION = 1
+#: v2: window ``keys`` rows dropped their ``backend`` column.
+TELEMETRY_VERSION = 2
 
 
 def knobs_to_dict(knobs) -> dict | None:
@@ -85,7 +87,6 @@ def record_to_dict(rec: QueryRecord, *, spans: bool = False) -> dict:
         "outcome": rec.outcome,
         "duration": float(rec.duration),
         "knobs": knobs_to_dict(rec.knobs),
-        "backend": rec.backend,
         "cache": rec.cache,
         "batch": dict(rec.batch) if rec.batch else None,
         "kernels": dict(rec.kernels),
@@ -110,14 +111,13 @@ def flight_payload(
     *,
     limit: int | None = None,
     graph: str | None = None,
-    backend: str | None = None,
     outcome: str | None = None,
 ) -> dict:
     """The ``GET /v1/debug/flight`` envelope: the most recent retained
     records (newest first, filtered, bounded) plus the recorder's own
     counters, so the reader can tell "64 records" from "64 of 40000"."""
     records = recorder.records(
-        _clamp_limit(limit), graph=graph, backend=backend, outcome=outcome
+        _clamp_limit(limit), graph=graph, outcome=outcome
     )
     return {
         "v": EXPORT_VERSION,
@@ -132,14 +132,11 @@ def slow_payload(
     *,
     limit: int | None = None,
     graph: str | None = None,
-    backend: str | None = None,
 ) -> dict:
     """The ``GET /v1/debug/slow`` envelope: the slowest-N retained slow
-    records (descending duration, filtered per graph / per backend,
-    bounded) plus recorder counters."""
-    records = recorder.slow_records(
-        _clamp_limit(limit), graph=graph, backend=backend
-    )
+    records (descending duration, filtered per graph, bounded) plus
+    recorder counters."""
+    records = recorder.slow_records(_clamp_limit(limit), graph=graph)
     return {
         "v": EXPORT_VERSION,
         "kind": "slow",

@@ -10,7 +10,7 @@ misbehaves: *what exactly happened to the query that just came back slow
 completion:
 
 * every record carries the query's trace id, the graph's structural key,
-  the canonical knob identity, the resolved backend, the outcome (or
+  the canonical knob identity, the outcome (or
   typed error code — a :class:`~repro.service.errors.DeadlineExceededError`
   or a wire-aborted query leaves a record like any success), the cache /
   coalescer disposition, and the end-to-end duration;
@@ -22,7 +22,7 @@ completion:
   :func:`kernels_from_span`);
 * a second, smaller ring — the **slow-query log** — admits only records
   whose duration crosses a configurable threshold, with slowest-N
-  retrieval filterable per graph and per backend.
+  retrieval filterable per graph.
 
 Cost contract (the same one :mod:`repro.obs.config` documents): a record
 is an O(1) append of numbers the serving path already computed — two
@@ -99,7 +99,7 @@ def kernels_from_span(span) -> dict:
     span tree: every ``shard_solve`` span carries the delta of exactly
     its solve in ``meta["kernels"]`` (shipped back over the
     :class:`~repro.parallel.ShardExecutor` task-return channel), and this
-    merges them into one ``{"backend/kernel": {"calls", "seconds"}}``
+    merges them into one ``{"float64/<kernel>": {"calls", "seconds"}}``
     dict for the flight record.  ``{}`` when tracing was off or the solve
     never sharded."""
     merged: dict = {}
@@ -148,8 +148,6 @@ class QueryRecord:
     #: Canonical knob identity (``TimesKey``), ``None`` before
     #: canonicalization succeeded.
     knobs: object = None
-    #: Resolved backend name for the execution group.
-    backend: str | None = None
     #: Cache disposition: ``"hit"`` / ``"miss"`` / ``"inflight_dedup"``
     #: (``"miss"`` means the query cost — or joined — a coalesced solve).
     cache: str | None = None
@@ -263,10 +261,8 @@ class FlightRecorder:
             self._errors_total.inc()
 
     @staticmethod
-    def _matches(rec: QueryRecord, graph, backend, outcome) -> bool:
+    def _matches(rec: QueryRecord, graph, outcome) -> bool:
         if graph is not None and rec.graph != graph:
-            return False
-        if backend is not None and rec.backend != backend:
             return False
         if outcome is not None and rec.outcome != outcome:
             return False
@@ -277,17 +273,15 @@ class FlightRecorder:
         limit: int | None = None,
         *,
         graph: str | None = None,
-        backend: str | None = None,
         outcome: str | None = None,
     ) -> list[QueryRecord]:
         """The retained records, most recent first, optionally filtered
-        by graph structural key, backend name and/or outcome, truncated
-        to ``limit``."""
+        by graph structural key and/or outcome, truncated to ``limit``."""
         with self._lock:
             out = [
                 rec
                 for rec in reversed(self._ring)
-                if self._matches(rec, graph, backend, outcome)
+                if self._matches(rec, graph, outcome)
             ]
         return out[:limit] if limit is not None else out
 
@@ -296,16 +290,15 @@ class FlightRecorder:
         limit: int | None = None,
         *,
         graph: str | None = None,
-        backend: str | None = None,
     ) -> list[QueryRecord]:
         """The slow-query log's slowest-N view: retained slow records
         sorted by descending duration (ties: most recent first),
-        optionally filtered per graph / per backend."""
+        optionally filtered per graph."""
         with self._lock:
             hits = [
                 (idx, rec)
                 for idx, rec in enumerate(self._slow)
-                if self._matches(rec, graph, backend, None)
+                if self._matches(rec, graph, None)
             ]
         hits.sort(key=lambda pair: (-pair[1].duration, -pair[0]))
         out = [rec for _, rec in hits]

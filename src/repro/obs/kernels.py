@@ -1,65 +1,55 @@
-"""Kernel-level profiling on the :class:`~repro.engine.backends.KernelBackend` seam.
+"""Kernel-level profiling of the engine's hot loops.
 
-:class:`ProfiledBackend` wraps any backend and times its kernel methods
-(``step_block``, ``sorted_scan``, ``split_points``, ``best_sums``,
-``best_sums_grid``, ``deviation_lower_bounds``), recording per-backend
+While observability is enabled, every batched engine driver call binds
+its kernels once with :meth:`KernelProfiler.timed` (``step_block``,
+``sorted_scan``, ``split_points``, ``deviation_lower_bounds``), recording
 per-kernel call counts and wall seconds into the process-global
 :func:`~repro.obs.metrics.default_registry`:
 
-* ``repro_kernel_calls_total{backend,kernel}``
-* ``repro_kernel_seconds_total{backend,kernel}``
-* ``repro_screen_pairs_total{backend}`` / ``repro_screen_flagged_total{backend}``
-  — how many (R, column) candidate pairs the screening scan considered
-  vs flagged for exact re-verification (the ``float32`` backend's
-  re-verification *rate* is ``flagged / pairs``).
+* ``repro_kernel_calls_total{kernel}``
+* ``repro_kernel_seconds_total{kernel}``
+* ``repro_screen_pairs_total`` / ``repro_screen_flagged_total`` — how
+  many (R, column) candidate pairs the screening scan considered vs
+  flagged for exact re-verification.
 
-The wrapper is pure delegation plus two ``perf_counter`` reads per call —
-it never touches kernel inputs or outputs, so results stay bitwise
-identical (pinned by ``tests/test_obs.py``).  The engine drivers wrap
-their resolved backend with :func:`maybe_profile`, which returns the
-backend untouched while observability is disabled — the disabled cost is
-one boolean check per *driver call*, not per kernel call.
+A timing closure is pure delegation plus two ``perf_counter`` reads per
+call — it never touches kernel inputs or outputs, so results stay
+bitwise identical (pinned by ``tests/test_obs.py``).  While
+observability is disabled the drivers call the plain kernels: the cost
+is one boolean check per *driver call*, not per kernel call.
 
 :func:`kernel_profiler` exposes snapshot/merge/reset over the same
 counters so shard workers can ship their per-solve kernel deltas back to
 the parent (see ``ShardExecutor.run_sharded``) and benchmarks can diff
-before/after a timed region.
+before/after a timed region.  Snapshot keys carry the constant
+:data:`KERNEL_LABEL` (``"float64/<kernel>"``), the one kernel path the
+engine has.
 """
 
 from __future__ import annotations
 
 import time
 
-from .config import observability_enabled
 from .metrics import default_registry
 
 __all__ = [
+    "KERNEL_LABEL",
     "KernelProfiler",
-    "ProfiledBackend",
     "diff_kernel_snapshots",
     "kernel_profiler",
-    "maybe_profile",
 ]
 
-#: The kernel methods ProfiledBackend times (everything on the seam
-#: that does per-call numerical work; cheap attribute-like methods
-#: ``screen_slack``/``inverse_sizes`` are delegated untimed).
-PROFILED_KERNELS = (
-    "step_block",
-    "sorted_scan",
-    "split_points",
-    "best_sums",
-    "best_sums_grid",
-    "deviation_lower_bounds",
-)
+#: The label every snapshot key carries: ``{"kernels":
+#: {"float64/<kernel>": …}, "screen": {"float64": …}}``.
+KERNEL_LABEL = "float64"
 
 
 class KernelProfiler:
     """Registry-backed accounting of kernel calls, kernel seconds, and
-    screening volumes, keyed by (backend, kernel) labels.
+    screening volumes, keyed by kernel name.
 
     One process-wide instance (:func:`kernel_profiler`) backs every
-    :class:`ProfiledBackend`; its :meth:`snapshot`/:meth:`merge`/
+    driver's timing closures; its :meth:`snapshot`/:meth:`merge`/
     :meth:`reset` views are how per-solve deltas cross process
     boundaries (shard workers snapshot around one solve and ship the
     diff) and how benchmarks attribute a timed region to kernels."""
@@ -69,96 +59,85 @@ class KernelProfiler:
         self.registry = registry
         self._calls = registry.counter(
             "repro_kernel_calls_total",
-            "Kernel invocations on the backend seam.",
-            labels=("backend", "kernel"),
+            "Engine kernel invocations.",
+            labels=("kernel",),
         )
         self._seconds = registry.counter(
             "repro_kernel_seconds_total",
-            "Wall seconds spent inside backend kernels.",
-            labels=("backend", "kernel"),
+            "Wall seconds spent inside engine kernels.",
+            labels=("kernel",),
         )
         self._screen_pairs = registry.counter(
             "repro_screen_pairs_total",
             "Candidate (R, column) pairs considered by the screening scan.",
-            labels=("backend",),
         )
         self._screen_flagged = registry.counter(
             "repro_screen_flagged_total",
             "Screened pairs flagged for exact re-verification.",
-            labels=("backend",),
         )
 
-    def record(self, backend: str, kernel: str, seconds: float) -> None:
-        """Account one kernel call of ``seconds`` wall time to
-        ``(backend, kernel)``."""
-        self._calls.labels(backend=backend, kernel=kernel).inc()
-        self._seconds.labels(backend=backend, kernel=kernel).inc(seconds)
+    def timed(self, kernel: str, fn):
+        """``fn`` wrapped to account each call's wall time to ``kernel``
+        (the per-kernel counter children are bound here, once, so each
+        call pays two increments, not two label lookups)."""
+        calls_c = self._calls.labels(kernel=kernel)
+        seconds_c = self._seconds.labels(kernel=kernel)
 
-    def record_screen(self, backend: str, pairs: int, flagged: int) -> None:
+        def _timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            dt = time.perf_counter() - t0
+            calls_c.inc()
+            seconds_c.inc(dt)
+            return out
+
+        return _timed
+
+    def record_screen(self, pairs: int, flagged: int) -> None:
         """Account one screening pass: ``pairs`` candidates considered,
         ``flagged`` of them sent to exact re-verification."""
-        self._screen_pairs.labels(backend=backend).inc(int(pairs))
-        self._screen_flagged.labels(backend=backend).inc(int(flagged))
-
-    def screen_recorder(self, backend: str):
-        """A pre-bound ``(pairs, flagged)`` recording callable for
-        ``backend`` — the engine chunk loop binds this once per chunk so
-        the per-step cost is two counter increments."""
-        pairs_c = self._screen_pairs.labels(backend=backend)
-        flagged_c = self._screen_flagged.labels(backend=backend)
-
-        def _record(pairs: int, flagged: int) -> None:
-            """Record one screening pass for the pre-bound backend."""
-            pairs_c.inc(int(pairs))
-            flagged_c.inc(int(flagged))
-
-        return _record
+        self._screen_pairs.inc(int(pairs))
+        self._screen_flagged.inc(int(flagged))
 
     def snapshot(self) -> dict:
         """The current kernel totals as a plain nested dict:
-        ``{"kernels": {(backend, kernel) as "backend/kernel": {"calls", "seconds"}},
-        "screen": {backend: {"pairs", "flagged"}}}`` — subtractable with
+        ``{"kernels": {"float64/<kernel>": {"calls", "seconds"}},
+        "screen": {"float64": {"pairs", "flagged"}}}`` — subtractable with
         :func:`diff_kernel_snapshots` to attribute a timed region."""
         kernels: dict = {}
-        for label_values, leaf in self._calls.series():
-            backend, kernel = label_values
-            kernels[f"{backend}/{kernel}"] = {"calls": leaf.value}
-        for label_values, leaf in self._seconds.series():
-            backend, kernel = label_values
-            kernels.setdefault(f"{backend}/{kernel}", {"calls": 0})[
+        for (kernel,), leaf in self._calls.series():
+            kernels[f"{KERNEL_LABEL}/{kernel}"] = {"calls": leaf.value}
+        for (kernel,), leaf in self._seconds.series():
+            kernels.setdefault(f"{KERNEL_LABEL}/{kernel}", {"calls": 0})[
                 "seconds"
             ] = leaf.value
         screen: dict = {}
-        for label_values, leaf in self._screen_pairs.series():
-            screen[label_values[0]] = {"pairs": leaf.value, "flagged": 0}
-        for label_values, leaf in self._screen_flagged.series():
-            screen.setdefault(label_values[0], {"pairs": 0})[
-                "flagged"
-            ] = leaf.value
+        pairs = self._screen_pairs.value
+        flagged = self._screen_flagged.value
+        if pairs or flagged:
+            screen[KERNEL_LABEL] = {"pairs": pairs, "flagged": flagged}
         return {"kernels": kernels, "screen": screen}
 
     def merge(self, delta: dict) -> None:
         """Fold a :func:`diff_kernel_snapshots` delta (typically shipped
         from a shard worker) into this process's kernel counters."""
         for key, vals in delta.get("kernels", {}).items():
-            backend, kernel = key.split("/", 1)
+            kernel = key.split("/", 1)[1]
             calls = vals.get("calls", 0)
             seconds = vals.get("seconds", 0.0)
             if calls:
-                self._calls.labels(backend=backend, kernel=kernel).inc(calls)
+                self._calls.labels(kernel=kernel).inc(calls)
             if seconds:
-                self._seconds.labels(backend=backend, kernel=kernel).inc(
-                    seconds
-                )
-        for backend, vals in delta.get("screen", {}).items():
+                self._seconds.labels(kernel=kernel).inc(seconds)
+        for vals in delta.get("screen", {}).values():
             pairs = vals.get("pairs", 0)
             flagged = vals.get("flagged", 0)
             if pairs or flagged:
-                self.record_screen(backend, pairs, flagged)
+                self.record_screen(pairs, flagged)
 
     def reset(self) -> None:
-        """Zero every kernel counter (all backends, all kernels) — a
-        windowing convenience for benchmarks and tests."""
+        """Zero every kernel counter — a windowing convenience for
+        benchmarks and tests."""
         self._calls.reset()
         self._seconds.reset()
         self._screen_pairs.reset()
@@ -177,12 +156,12 @@ def diff_kernel_snapshots(before: dict, after: dict) -> dict:
         if calls or seconds:
             kernels[key] = {"calls": calls, "seconds": seconds}
     screen: dict = {}
-    for backend, vals in after.get("screen", {}).items():
-        prev = before.get("screen", {}).get(backend, {})
+    for label, vals in after.get("screen", {}).items():
+        prev = before.get("screen", {}).get(label, {})
         pairs = vals.get("pairs", 0) - prev.get("pairs", 0)
         flagged = vals.get("flagged", 0) - prev.get("flagged", 0)
         if pairs or flagged:
-            screen[backend] = {"pairs": pairs, "flagged": flagged}
+            screen[label] = {"pairs": pairs, "flagged": flagged}
     return {"kernels": kernels, "screen": screen}
 
 
@@ -196,123 +175,3 @@ def kernel_profiler() -> KernelProfiler:
     if _profiler is None:
         _profiler = KernelProfiler()
     return _profiler
-
-
-class ProfiledBackend:
-    """A pure-delegation wrapper timing a backend's kernel calls.
-
-    Exposes the full :class:`~repro.engine.backends.KernelBackend`
-    surface (so it passes ``get_backend``'s instance check and drops
-    into ``BlockPropagator``/oracles unchanged); the profiled kernels
-    are timed with two ``perf_counter`` reads around the delegate call
-    and accounted via pre-bound per-kernel counters — inputs and outputs
-    pass through untouched, so results are bitwise identical to the
-    wrapped backend."""
-
-    def __init__(self, backend, profiler: KernelProfiler | None = None):
-        profiler = profiler if profiler is not None else kernel_profiler()
-        self._backend = backend
-        self._profiler = profiler
-        name = backend.name
-        # Pre-bind the per-kernel (calls, seconds) counter children once
-        # so each kernel call pays two increments, not two label lookups.
-        self._counters = {
-            kernel: (
-                profiler._calls.labels(backend=name, kernel=kernel),
-                profiler._seconds.labels(backend=name, kernel=kernel),
-            )
-            for kernel in PROFILED_KERNELS
-        }
-
-    @property
-    def name(self) -> str:
-        """The wrapped backend's registry name (delegated verbatim so
-        coalescer execution keys and worker forwarding see the real
-        backend)."""
-        return self._backend.name
-
-    @property
-    def dtype(self):
-        """The wrapped backend's screening dtype (delegated)."""
-        return self._backend.dtype
-
-    @property
-    def exact_scan(self) -> bool:
-        """Whether the wrapped backend's screening scan is exact
-        (delegated)."""
-        return self._backend.exact_scan
-
-    @property
-    def wrapped(self):
-        """The underlying (unprofiled) backend."""
-        return self._backend
-
-    def screen_slack(self, n: int) -> float:
-        """Delegate ``screen_slack`` untimed (it is a constant-time
-        bound computation, not a kernel)."""
-        return self._backend.screen_slack(n)
-
-    def inverse_sizes(self, Rs):
-        """Delegate ``inverse_sizes`` untimed (cheap elementwise
-        reciprocal)."""
-        return self._backend.inverse_sizes(Rs)
-
-    def _timed(self, kernel: str, fn, *args, **kwargs):
-        calls_c, seconds_c = self._counters[kernel]
-        t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
-        dt = time.perf_counter() - t0
-        calls_c.inc()
-        seconds_c.inc(dt)
-        return out
-
-    def step_block(self, A, P):
-        """Timed delegation of the walk-step kernel."""
-        return self._timed("step_block", self._backend.step_block, A, P)
-
-    def sorted_scan(self, P):
-        """Timed delegation of the column-sorted scan kernel."""
-        return self._timed("sorted_scan", self._backend.sorted_scan, P)
-
-    def split_points(self, scan, inv_r):
-        """Timed delegation of the split-point search kernel."""
-        return self._timed(
-            "split_points", self._backend.split_points, scan, inv_r
-        )
-
-    def best_sums(self, scan, R, *, k0=None):
-        """Timed delegation of the single-size best-sums kernel."""
-        return self._timed(
-            "best_sums", self._backend.best_sums, scan, R, k0=k0
-        )
-
-    def best_sums_grid(self, scan, Rs, *, k0=None):
-        """Timed delegation of the size-grid best-sums kernel."""
-        return self._timed(
-            "best_sums_grid", self._backend.best_sums_grid, scan, Rs, k0=k0
-        )
-
-    def deviation_lower_bounds(self, scan, Rs, *, k0=None):
-        """Timed delegation of the fused deviation-lower-bound kernel."""
-        return self._timed(
-            "deviation_lower_bounds",
-            self._backend.deviation_lower_bounds,
-            scan,
-            Rs,
-            k0=k0,
-        )
-
-    def __repr__(self) -> str:
-        return f"ProfiledBackend({self._backend!r})"
-
-
-def maybe_profile(backend):
-    """Wrap ``backend`` in a :class:`ProfiledBackend` when observability
-    is enabled; return it untouched (zero added cost) when disabled or
-    when it is already profiled.  The engine drivers call this once per
-    driver invocation on their resolved backend."""
-    if not observability_enabled():
-        return backend
-    if isinstance(backend, ProfiledBackend):
-        return backend
-    return ProfiledBackend(backend)

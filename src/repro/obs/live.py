@@ -10,7 +10,7 @@ climbing as we watch?*  This module closes that gap with two pieces:
 * :class:`RollingWindow` — a thread-safe, bucketed sliding window
   (default 60 buckets × 1 s) fed from the same service completion path
   as the :class:`~repro.obs.flight.FlightRecorder`.  Each time bucket
-  holds per-``(graph_key, backend, outcome)`` request counts plus a
+  holds per-``(graph_key, outcome)`` request counts plus a
   fixed-bucket latency histogram (the same bounds as
   :attr:`~repro.obs.metrics.Histogram.DEFAULT_BUCKETS`), so a
   :meth:`RollingWindow.snapshot` yields instantaneous rates, error
@@ -153,18 +153,17 @@ class RollingWindow:
         duration: float,
         *,
         graph: str | None = None,
-        backend: str | None = None,
         outcome: str = "ok",
     ) -> None:
         """Fold one completed query into the current time bucket — O(1):
         one bucket-index division, one bisect into the fixed latency
         bounds, a handful of integer adds.  ``outcome != "ok"`` counts
-        as an error; ``graph``/``backend`` key the per-combination rate
+        as an error; ``graph``/``outcome`` key the per-combination rate
         counts the stream and ``snapshot()`` group by."""
         now = self._clock()
         epoch = int((now - self._t0) / self.width)
         lat_idx = bisect.bisect_left(self.bounds, float(duration))
-        key = (graph, backend, outcome)
+        key = (graph, outcome)
         with self._lock:
             slot = self._slots[epoch % self.n_buckets]
             if slot.epoch != epoch:
@@ -212,7 +211,7 @@ class RollingWindow:
         ``count`` / ``errors`` / ``sum`` totals, ``rate`` and
         ``error_rate`` per second of covered time, non-cumulative
         ``latency`` bucket counts over :attr:`bounds`, interpolated
-        ``quantiles`` (p50/p95/p99), per-``(graph, backend, outcome)``
+        ``quantiles`` (p50/p95/p99), per-``(graph, outcome)``
         ``keys`` rows sorted by descending count, the monotonic lifetime
         ``total``, and the window geometry (``span`` / ``covered`` /
         ``width``).  ``covered`` is the seconds of window actually
@@ -254,11 +253,10 @@ class RollingWindow:
             "keys": [
                 {
                     "graph": graph,
-                    "backend": backend,
                     "outcome": outcome,
                     "count": c,
                 }
-                for (graph, backend, outcome), c in sorted(
+                for (graph, outcome), c in sorted(
                     keys.items(),
                     key=lambda kv: (-kv[1], str(kv[0])),
                 )

@@ -12,11 +12,11 @@ export views:
 
 Metric naming follows the Prometheus conventions: every metric is
 prefixed ``repro_``, counters end in ``_total``, durations are
-``_seconds``.  A metric created with ``labels=("backend",)`` is a
+``_seconds``.  A metric created with ``labels=("kind",)`` is a
 *family*: call :meth:`Counter.labels` to get (or create) the child for
 one label combination — e.g.
-``registry.histogram("repro_engine_solve_seconds", labels=("backend",))
-.labels(backend="float32").observe(dt)``.
+``registry.histogram("repro_engine_solve_seconds", labels=("kind",))
+.labels(kind="times").observe(dt)``.
 
 Threading: every metric guards its state with its own lock, so components
 may share one registry across threads (the serving layer records from the

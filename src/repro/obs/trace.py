@@ -65,8 +65,8 @@ _sink_lock = threading.Lock()
 class Span:
     """One named, timed region of a query timeline.
 
-    Carries a ``name``, a ``meta`` dict of freeform attributes (backend
-    name, batch size, worker pid, ...), a monotonic start time, a
+    Carries a ``name``, a ``meta`` dict of freeform attributes (driver
+    kind, batch size, worker pid, ...), a monotonic start time, a
     ``duration`` (seconds, set by :meth:`finish`), and child spans.
     Spans are created through :func:`trace` / :func:`start_span` rather
     than directly; :meth:`to_dict` / :meth:`from_dict` round-trip a

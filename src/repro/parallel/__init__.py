@@ -23,8 +23,8 @@ cores without giving up a single bit of exactness:
   :func:`~repro.parallel.api.parallel_local_mixing_spectra`,
   :func:`~repro.parallel.api.parallel_local_mixing_profiles` — drop-in
   counterparts of the batched drivers carrying the full knob space
-  (``target``, ``require_source``, ``method``, ``prefilter``,
-  ``backend`` — compute-backend names validated in the parent), whose
+  (``target``, ``require_source``, ``method``, schedules, grids,
+  ``batch_size`` — all validated in the parent), whose
   outputs are **identical** to the serial engine (and therefore to the
   per-source reference loop) for every knob combination and any worker
   count.  Peak dense-block memory per process is ``n × ⌈k/W⌉``.

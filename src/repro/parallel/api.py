@@ -56,26 +56,6 @@ def _resolve_executor(
     return ShardExecutor(n_workers, start_method=start_method), True
 
 
-def _resolve_backend_name(backend) -> str | None:
-    """Validate a backend selector in the parent and normalize it to a
-    registered *name* (or ``None`` for the worker-side default).
-
-    The parallel layer ships the backend across process boundaries, so
-    only names are accepted — a :class:`~repro.engine.KernelBackend`
-    *instance* is process-local state and is rejected here rather than
-    failing to unpickle (or silently re-resolving) inside a worker."""
-    if backend is None:
-        return None
-    if not isinstance(backend, str):
-        raise TypeError(
-            "parallel front doors accept backend names only (instances "
-            f"cannot cross process boundaries), got {backend!r}"
-        )
-    from repro.engine import get_backend
-
-    return get_backend(backend).name
-
-
 def parallel_local_mixing_times(
     g: Graph,
     beta: float,
@@ -92,8 +72,6 @@ def parallel_local_mixing_times(
     target: str = "uniform",
     method: str = "iterative",
     batch_size: int | None = None,
-    prefilter: str = "fused",
-    backend: str | None = None,
     n_workers: int | None = None,
     executor: ShardExecutor | None = None,
     start_method: str | None = None,
@@ -102,7 +80,7 @@ def parallel_local_mixing_times(
 
     Accepts the full knob space of
     :func:`~repro.engine.batch.batched_local_mixing_times` (``target``,
-    ``require_source``, ``method``, ``prefilter``, schedules, grids,
+    ``require_source``, ``method``, schedules, grids,
     ``batch_size`` — the latter bounds each *worker's* sub-chunks) and
     returns, in ``sources`` order, results **identical** to the serial
     batched call — and therefore to the per-source reference loop.  Peak
@@ -113,13 +91,7 @@ def parallel_local_mixing_times(
     ``executor`` to amortize worker spawn and graph publication across
     calls; otherwise a pool is created and torn down inside this call.
     ``n_workers`` doubles as the shard count when an executor is supplied.
-
-    ``backend`` selects the compute backend *by name* (validated here in
-    the parent, forwarded to every shard; instances are rejected — see
-    :mod:`repro.engine.backends`); results are bitwise identical for every
-    registered backend.
     """
-    backend = _resolve_backend_name(backend)
     src, _, _ = _prepare_times_call(
         g,
         beta,
@@ -134,8 +106,6 @@ def parallel_local_mixing_times(
         target=target,
         method=method,
         batch_size=batch_size,
-        prefilter=prefilter,
-        backend=backend,
     )
     kwargs = dict(
         beta=beta,
@@ -150,8 +120,6 @@ def parallel_local_mixing_times(
         target=target,
         method=method,
         batch_size=batch_size,
-        prefilter=prefilter,
-        backend=backend,
     )
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:
@@ -172,7 +140,6 @@ def parallel_local_mixing_spectra(
     lazy: bool = False,
     require_source: bool = False,
     method: str = "iterative",
-    backend: str | None = None,
     n_workers: int | None = None,
     executor: ShardExecutor | None = None,
     start_method: str | None = None,
@@ -180,9 +147,8 @@ def parallel_local_mixing_spectra(
     """Sharded counterpart of
     :func:`~repro.engine.batch.batched_local_mixing_spectra`: the full
     per-source spectrum ``R → first t``, in ``sources`` order, identical to
-    the serial call for every knob (``require_source``, both methods and
-    every ``backend`` name included; backend instances are rejected)."""
-    backend = _resolve_backend_name(backend)
+    the serial call for every knob (``require_source`` and both methods
+    included)."""
     src, _, _ = _prepare_spectra_call(
         g,
         eps,
@@ -192,7 +158,6 @@ def parallel_local_mixing_spectra(
         t_max=t_max,
         lazy=lazy,
         method=method,
-        backend=backend,
     )
     kwargs = dict(
         eps=eps,
@@ -202,7 +167,6 @@ def parallel_local_mixing_spectra(
         lazy=lazy,
         require_source=require_source,
         method=method,
-        backend=backend,
     )
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:
@@ -222,7 +186,6 @@ def parallel_local_mixing_profiles(
     t_max: int = 100,
     lazy: bool = False,
     require_source: bool = False,
-    backend: str | None = None,
     n_workers: int | None = None,
     executor: ShardExecutor | None = None,
     start_method: str | None = None,
@@ -231,12 +194,10 @@ def parallel_local_mixing_profiles(
     :func:`~repro.engine.batch.batched_local_mixing_profiles`: the
     ``(k, t_max + 1)`` deviation-profile block, rows in ``sources`` order
     and bitwise equal to the serial call (each worker propagates only its
-    own row block, so peak memory drops by the worker count).  ``backend``
-    is a name validated in the parent, forwarded to every shard."""
-    backend = _resolve_backend_name(backend)
+    own row block, so peak memory drops by the worker count)."""
     src, _ = _prepare_profiles_call(
         g, beta, sources=sources, sizes=sizes, grid_factor=grid_factor,
-        t_max=t_max, backend=backend,
+        t_max=t_max,
     )
     kwargs = dict(
         beta=beta,
@@ -245,7 +206,6 @@ def parallel_local_mixing_profiles(
         t_max=t_max,
         lazy=lazy,
         require_source=require_source,
-        backend=backend,
     )
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:

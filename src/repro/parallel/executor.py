@@ -136,21 +136,16 @@ _worker_graphs: "OrderedDict[str, SharedCSR]" = OrderedDict()
 _worker_eigenbases: "OrderedDict[str, SharedEigenbasis]" = OrderedDict()
 
 
-def _init_worker(
-    cache_maxsize: int | None, default_backend: str | None = None
-) -> None:
-    """Pool initializer: apply forwarded engine settings once per worker.
+def _init_worker(cache_maxsize: int | None) -> None:
+    """Pool initializer: apply the forwarded spectral-cache bound once per
+    worker.
 
-    Both settings were validated parent-side, so a bad value fails fast in
+    The setting was validated parent-side, so a bad value fails fast in
     the submitting process instead of crashing the pool on spawn."""
     if cache_maxsize is not None:
         from repro.engine import set_propagator_cache_maxsize
 
         set_propagator_cache_maxsize(cache_maxsize)
-    if default_backend is not None:
-        from repro.engine import set_default_backend
-
-        set_default_backend(default_backend)
 
 
 def _resolve_graph(handle: SharedCSRHandle) -> Graph:
@@ -287,13 +282,6 @@ class ShardExecutor:
         per-worker spectral cache obeys the same memory bound the parent
         configured (workers otherwise start with the library default).
         Validated here — a bad value raises before the pool spawns.
-    backend:
-        Default compute-backend *name* forwarded to every worker's
-        :func:`~repro.engine.set_default_backend` on spawn (the same
-        forwarding discipline as ``cache_maxsize``).  Resolved and
-        validated in the parent — an unknown name fails fast here, never
-        inside a worker.  Per-call ``backend=`` arguments on the parallel
-        front doors override this default shard-locally.
     max_published:
         How many distinct graph segments to keep published at once; least
         recently used segments beyond the bound are unlinked (safe between
@@ -312,7 +300,6 @@ class ShardExecutor:
         *,
         start_method: str | None = None,
         cache_maxsize: int | None = None,
-        backend: str | None = None,
         max_published: int = 16,
     ):
         if n_workers is None:
@@ -336,16 +323,6 @@ class ShardExecutor:
                 raise ValueError(
                     f"cache_maxsize must be >= 0, got {cache_maxsize}"
                 )
-        self._backend_name: str | None = None
-        if backend is not None:
-            from repro.engine import get_backend
-
-            if not isinstance(backend, str):
-                raise TypeError(
-                    "backend must be a registered backend name (workers "
-                    f"resolve it by name on spawn), got {backend!r}"
-                )
-            self._backend_name = get_backend(backend).name
         self.n_workers = int(n_workers)
         self.start_method = start_method or default_start_method()
         ctx = mp.get_context(self.start_method)
@@ -353,7 +330,7 @@ class ShardExecutor:
             max_workers=self.n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(cache_maxsize, self._backend_name),
+            initargs=(cache_maxsize,),
         )
         self._published: "OrderedDict[Graph, SharedCSR]" = OrderedDict()
         self._published_eigen: (

@@ -14,13 +14,11 @@ their spelling: :meth:`MixingQuery.semantic_key` delegates to the engine's
 shared canonicalization head
 (:func:`~repro.engine.batch.canonical_times_key`), so ``beta=4`` with
 ``sizes="all"`` and the explicitly enumerated equivalent size list land on
-the same cache line and in the same coalesced batch, while execution-only
-knobs (``batch_size``, ``prefilter``, ``backend`` — proven result-neutral
-by the loop-equivalence contract) are kept out of the cache key entirely.
-A float32-backend query therefore *hits* the cache line a reference-backend
-query filled (and vice versa) — the backend must never fragment the cache —
-while still splitting coalescer groups, since one engine call runs under
-exactly one backend.
+the same cache line and in the same coalesced batch, while the
+execution-only ``batch_size`` (proven result-neutral by the
+loop-equivalence contract) is kept out of the cache key entirely: it
+splits coalescer groups, since one engine call runs with one chunk size,
+but never fragments the cache.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ __all__ = ["ExecutionKey", "MixingQuery"]
 
 class ExecutionKey(NamedTuple):
     """How a batch must be *executed*: the semantic :class:`TimesKey` plus
-    the result-neutral partitioning knobs.  The
+    the result-neutral ``batch_size``.  The
     :class:`~repro.service.coalescer.QueryCoalescer` groups concurrent
     queries by ``(graph, ExecutionKey)`` — queries in one group are
     answered by a single engine call, which is only legal because every
@@ -45,11 +43,6 @@ class ExecutionKey(NamedTuple):
 
     times: TimesKey
     batch_size: int | None
-    prefilter: str
-    #: Resolved backend *name* (``get_backend(...).name``): spelling
-    #: ``backend=None`` and ``backend="reference"`` coalesce into the same
-    #: group, while distinct backends solve in distinct engine calls.
-    backend: str
 
 
 #: Field names forwarded verbatim to the batched engine driver.
@@ -66,8 +59,6 @@ _ENGINE_KNOBS = (
     "target",
     "method",
     "batch_size",
-    "prefilter",
-    "backend",
 )
 
 
@@ -98,11 +89,6 @@ class MixingQuery:
     target: str = "uniform"
     method: str = "iterative"
     batch_size: int | None = None
-    prefilter: str = "fused"
-    #: Compute-backend name (see :mod:`repro.engine.backends`); result-
-    #: neutral by the loop-equivalence contract, so it never enters the
-    #: result-cache key — only the coalescing group.
-    backend: str | None = None
     #: Relative deadline in seconds from submission (``None`` — wait
     #: forever).  A deadline never changes *what* is computed — it is
     #: excluded from both the cache key and the coalescing group — only
@@ -135,14 +121,5 @@ class MixingQuery:
         return canonical_times_key(g, **self.engine_kwargs())
 
     def execution_key(self, g: Graph) -> ExecutionKey:
-        """The coalescing group key: semantics plus partitioning knobs
-        (the backend resolved to its registered name, so ``None`` and the
-        default backend's explicit name group together)."""
-        from repro.engine import get_backend
-
-        return ExecutionKey(
-            times=self.semantic_key(g),
-            batch_size=self.batch_size,
-            prefilter=self.prefilter,
-            backend=get_backend(self.backend).name,
-        )
+        """The coalescing group key: semantics plus ``batch_size``."""
+        return ExecutionKey(self.semantic_key(g), self.batch_size)

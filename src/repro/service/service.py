@@ -48,7 +48,6 @@ import asyncio
 import threading
 import time
 
-from repro.engine.backends import get_backend
 from repro.engine.batch import batched_local_mixing_times
 from repro.errors import ConvergenceError, GraphError
 from repro.graphs.base import Graph
@@ -213,7 +212,7 @@ class MixingService:
             "End-to-end seconds per submitted query (bucket exemplars "
             "carry flight-recorder trace ids).",
         )
-        #: The live rolling window of per-(graph, backend, outcome)
+        #: The live rolling window of per-(graph, outcome)
         #: rates and streaming quantiles (``None`` when disabled) — what
         #: ``/v1/debug/stream`` and the SLO engine read.
         self.live = (
@@ -289,7 +288,7 @@ class MixingService:
     ):
         """The submit pipeline proper, running inside the query's trace
         span and flight-record window (``state`` collects what the record
-        needs as it becomes known: graph, knobs, backend, disposition)."""
+        needs as it becomes known: graph, knobs, disposition)."""
         deadline_at = None
         if query.deadline is not None:
             if query.deadline <= 0:
@@ -337,17 +336,7 @@ class MixingService:
         if cspan is not None:
             cspan.meta["outcome"] = "miss"
 
-        exec_key = ExecutionKey(
-            times=tkey,
-            batch_size=query.batch_size,
-            prefilter=query.prefilter,
-            # Resolved to its registered name so backend=None and the
-            # default backend's explicit name coalesce into one group;
-            # the semantic cache key above excludes the backend
-            # entirely (results are backend-independent by contract).
-            backend=get_backend(query.backend).name,
-        )
-        state["backend"] = exec_key.backend
+        exec_key = ExecutionKey(tkey, query.batch_size)
         fut = self._coalescer.enqueue(
             g,
             exec_key,
@@ -383,7 +372,6 @@ class MixingService:
             self.live.record(
                 dt,
                 graph=graph_key(g) if g is not None else None,
-                backend=state.get("backend"),
                 outcome=outcome,
             )
         if not self.flight.enabled:
@@ -408,7 +396,6 @@ class MixingService:
                 outcome=outcome,
                 duration=dt,
                 knobs=state.get("knobs"),
-                backend=state.get("backend"),
                 cache=state.get("cache"),
                 batch=batch,
                 kernels=kernels_from_span(qspan),

@@ -77,13 +77,12 @@ async def http_get(host: str, port: int, path: str) -> tuple[int, bytes]:
             pass
 
 
-def _debug_qs(limit=None, graph=None, backend=None, outcome=None) -> str:
+def _debug_qs(limit=None, graph=None, outcome=None) -> str:
     pairs = [
         (name, value)
         for name, value in (
             ("limit", limit),
             ("graph", graph),
-            ("backend", backend),
             ("outcome", outcome),
         )
         if value is not None
@@ -111,7 +110,6 @@ async def debug_flight(
     *,
     limit: int | None = None,
     graph: str | None = None,
-    backend: str | None = None,
     outcome: str | None = None,
 ) -> dict:
     """``GET /v1/debug/flight``: the server's most recent flight records
@@ -121,8 +119,7 @@ async def debug_flight(
         host,
         port,
         "/v1/debug/flight"
-        + _debug_qs(limit=limit, graph=graph, backend=backend,
-                    outcome=outcome),
+        + _debug_qs(limit=limit, graph=graph, outcome=outcome),
     )
 
 
@@ -132,15 +129,11 @@ async def debug_slow(
     *,
     limit: int | None = None,
     graph: str | None = None,
-    backend: str | None = None,
 ) -> dict:
     """``GET /v1/debug/slow``: the server's slowest retained queries
-    (descending duration, optionally filtered per graph / backend)."""
+    (descending duration, optionally filtered per graph)."""
     return await _debug_get(
-        host,
-        port,
-        "/v1/debug/slow"
-        + _debug_qs(limit=limit, graph=graph, backend=backend),
+        host, port, "/v1/debug/slow" + _debug_qs(limit=limit, graph=graph)
     )
 
 

@@ -42,6 +42,8 @@ __all__ = [
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
 MAX_WS_PAYLOAD = 8 * 1024 * 1024
+#: Control frames (close/ping/pong) carry at most 125 bytes (RFC 6455 §5.5).
+MAX_WS_CONTROL_PAYLOAD = 125
 
 #: The RFC 6455 handshake GUID.
 WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
@@ -247,6 +249,11 @@ async def _ws_read_frame(reader, *, require_mask: bool):
         (n,) = struct.unpack("!Q", await reader.readexactly(8))
     if n > MAX_WS_PAYLOAD:
         raise HttpError(f"WebSocket payload of {n} bytes over limit")
+    if opcode & 0x8 and n > MAX_WS_CONTROL_PAYLOAD:
+        raise HttpError(
+            f"WebSocket control frame of {n} bytes over the "
+            f"{MAX_WS_CONTROL_PAYLOAD}-byte limit (RFC 6455 §5.5)"
+        )
     if require_mask and not masked:
         raise HttpError("client frames must be masked (RFC 6455 §5.3)")
     key = await reader.readexactly(4) if masked else None

@@ -5,14 +5,14 @@ WebSocket frames carry the *same* JSON objects) and by both ends of the
 wire (:class:`~repro.service.wire.WireServer` decodes with exactly the
 functions :class:`~repro.service.wire.WireClient` encodes with):
 
-* a **request** is ``{"v": 1, "op": "query", "id": ..., "query": {...}}``
+* a **request** is ``{"v": 2, "op": "query", "id": ..., "query": {...}}``
   where the ``query`` object carries the full
   :class:`~repro.service.MixingQuery` knob space — graph *by registered
   name* (objects cannot cross the wire; the server resolves names through
   its service's :class:`~repro.service.GraphRegistry`), source, and every
   engine knob plus the serving-only ``deadline``/``priority``;
-* a **response** is ``{"v": 1, "id": ..., "ok": true, "result": {...}}``
-  or ``{"v": 1, "id": ..., "ok": false, "error": {"code": ...,
+* a **response** is ``{"v": 2, "id": ..., "ok": true, "result": {...}}``
+  or ``{"v": 2, "id": ..., "ok": false, "error": {"code": ...,
   "message": ...}}`` with one stable error code (and HTTP status) per
   failure type.
 
@@ -26,8 +26,10 @@ protocol round-trip property tests (``tests/test_wire_protocol.py``)
 pin this over the whole knob space, and golden request/response fixtures
 pin the format itself against silent drift.
 
-Versioning: requests carry ``"v": 1`` (:data:`PROTOCOL_VERSION`); the
+Versioning: requests carry ``"v": 2`` (:data:`PROTOCOL_VERSION`); the
 server rejects other versions with ``bad_request`` instead of guessing.
+Version 2 dropped the v1 ``backend`` and ``prefilter`` query fields, which
+every v1 encoder sends, so a v1 client gets that typed version error.
 Unknown fields are rejected too — a typo'd knob must fail loudly, not
 silently fall back to a default.
 """
@@ -66,7 +68,7 @@ __all__ = [
 ]
 
 #: The one protocol version this build speaks.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Stable error codes → HTTP status.  The taxonomy mirrors
 #: :mod:`repro.service.errors` plus the request-shaped failures only the

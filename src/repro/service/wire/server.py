@@ -36,7 +36,8 @@ Routes
   ``/v1/debug/trace/<id>`` — the service's flight recorder
   (:mod:`repro.obs.flight`) in the stable export schema
   (:mod:`repro.obs.export`): recent / slowest-N query records
-  (``?limit=&graph=&backend=&outcome=`` filters, response sizes
+  (``?limit=&graph=&outcome=`` filters — an unknown query parameter is
+  a 400 ``bad_request``, never silently ignored — response sizes
   bounded server-side) and one query's full span timeline by trace id.
   Debug and metrics endpoints are *observe-only*: they stay served
   while draining, and they are excluded from the query-path connection
@@ -595,22 +596,43 @@ class WireServer:
             }
         )
 
+    #: Query parameters each flight-recorder debug route reads; any
+    #: other name is rejected, like an unknown field of a wire query.
+    _DEBUG_PARAMS = {
+        "/v1/debug/flight": ("limit", "graph", "outcome"),
+        "/v1/debug/slow": ("limit", "graph"),
+    }
+
     def _route_debug(self, request: Request, path: str) -> tuple[int, bytes, str]:
         """Serve one flight-recorder debug endpoint (``/v1/debug/flight``,
         ``/v1/debug/slow``, ``/v1/debug/trace/<id>``).  Responses are
         bounded (the export layer clamps ``limit``), observe-only (served
         during drain, excluded from the connection gauge), and JSON in
-        the stable :mod:`repro.obs.export` schema."""
+        the stable :mod:`repro.obs.export` schema.  An unknown query
+        parameter is a 400 ``bad_request``: a filter the route does not
+        read must not return unfiltered records that look filtered."""
         flight = getattr(self.service, "flight", None)
         if flight is None:
             return self._debug_error(
                 404, "not_found", "service has no flight recorder"
             )
-        params = parse_qs(request.path.partition("?")[2])
+        params = parse_qs(
+            request.path.partition("?")[2], keep_blank_values=True
+        )
+        trace_prefix = self._OBSERVE_PREFIX + "trace/"
+        allowed = (
+            () if path.startswith(trace_prefix)
+            else self._DEBUG_PARAMS.get(path)
+        )
+        unknown = sorted(set(params) - set(allowed or ()))
+        if allowed is not None and unknown:
+            return self._debug_error(
+                400, "bad_request", f"unknown query parameters: {unknown}"
+            )
 
         def param(name: str) -> str | None:
             values = params.get(name)
-            return values[-1] if values else None
+            return (values[-1] or None) if values else None
 
         try:
             limit = (
@@ -626,7 +648,6 @@ class WireServer:
                 flight,
                 limit=limit,
                 graph=param("graph"),
-                backend=param("backend"),
                 outcome=param("outcome"),
             )
             return 200, protocol.dumps(payload), "application/json"
@@ -636,7 +657,6 @@ class WireServer:
                 flight,
                 limit=limit,
                 graph=param("graph"),
-                backend=param("backend"),
             )
             return 200, protocol.dumps(payload), "application/json"
         if path == self._STREAM_PATH:
@@ -650,7 +670,6 @@ class WireServer:
                 ),
                 "application/json",
             )
-        trace_prefix = self._OBSERVE_PREFIX + "trace/"
         if path.startswith(trace_prefix):
             self._debug_requests.labels(endpoint="trace").inc()
             trace_id = path[len(trace_prefix):]

@@ -2,7 +2,8 @@
 
 Three limits used to force the batched drivers back onto the per-source
 loop: ``target="degree"``, ``require_source=True``, and the per-``R``
-bracket prefilter in ``_solve_chunk``.  These tests pin the load-bearing
+bracket search in ``_solve_chunk`` (now the fused, search-free lower-bound
+prefilter).  These tests pin the load-bearing
 property of every lifted limit: **identical** outputs (LocalMixingResult
 equality — time, set size, bitwise deviation, threshold, both counters) to
 the per-source reference, on regular *and* irregular graphs, including
@@ -215,8 +216,9 @@ class TestRequireSourceEquivalence:
 
 
 class TestPrefilterEquivalence:
-    """The fused lower-bound prefilter and the PR-2 per-size bracket must
-    produce identical results (both verify hits exactly)."""
+    """The fused lower-bound prefilter over-flags but never under-flags,
+    and flagged pairs are verified exactly, so the drivers reproduce the
+    per-source loop on regular, tied and barbell spectra."""
 
     CASES = [
         (gen.random_regular(24, 4, seed=6), 3.0, False, {}),
@@ -226,15 +228,11 @@ class TestPrefilterEquivalence:
     ]
 
     @pytest.mark.parametrize("g,beta,lazy,kw", CASES, ids=lambda v: str(v))
-    def test_fused_equals_per_size(self, g, beta, lazy, kw):
-        fused = _batch(g, beta, lazy, prefilter="fused", **kw)
-        bracket = _batch(g, beta, lazy, prefilter="per_size", **kw)
-        assert fused == bracket
+    def test_fused_equals_loop(self, g, beta, lazy, kw):
+        assert _batch(g, beta, lazy, **kw) == _loop(g, beta, lazy, **kw)
 
     def test_validation(self):
         g = gen.cycle_graph(9)
-        with pytest.raises(ValueError, match="prefilter"):
-            batched_local_mixing_times(g, 2.0, prefilter="psychic")
         with pytest.raises(ValueError, match="target"):
             batched_local_mixing_times(g, 2.0, target="entropy")
 

@@ -56,14 +56,13 @@ BETA = 4.0
 EPS = 0.25
 
 
-def make_rec(i, *, duration=0.0, graph="g", backend=None, outcome="ok"):
+def make_rec(i, *, duration=0.0, graph="g", outcome="ok"):
     return QueryRecord(
         trace_id=f"q-{i}",
         graph=graph,
         source=i,
         outcome=outcome,
         duration=duration,
-        backend=backend,
     )
 
 
@@ -143,13 +142,14 @@ class TestRing:
 
     def test_filters_and_limits(self):
         fr = FlightRecorder(32)
-        fr.record(make_rec(0, graph="a", backend="reference"))
-        fr.record(make_rec(1, graph="b", backend="float32"))
-        fr.record(make_rec(2, graph="a", backend="float32",
-                           outcome="deadline_exceeded"))
+        fr.record(make_rec(0, graph="a"))
+        fr.record(make_rec(1, graph="b"))
+        fr.record(make_rec(2, graph="a", outcome="deadline_exceeded"))
         assert [r.source for r in fr.records(graph="a")] == [2, 0]
-        assert [r.source for r in fr.records(backend="float32")] == [2, 1]
         assert [r.source for r in fr.records(outcome="ok")] == [1, 0]
+        assert [
+            r.source for r in fr.records(graph="b", outcome="ok")
+        ] == [1]
         assert [r.source for r in fr.records(1, graph="a")] == [2]
         assert fr.stats()["errors"] == 1
 
@@ -258,8 +258,6 @@ class TestServiceFeed:
             assert rec.trace_id.startswith("q-")
             assert rec.knobs is not None
             assert rec.duration >= 0.0 and rec.unix_ts > 0.0
-            if rec.cache == "miss":  # only a solve resolves a backend
-                assert rec.backend is not None
         # The typed failures resolved their graph (or didn't) as far as
         # they got before raising.
         assert by_outcome["not_found"][0].graph is None
@@ -297,7 +295,7 @@ class TestServiceFeed:
         assert rec.batch is None
         assert rec.outcome == "ok" and rec.cache == "miss"
 
-    @pytest.mark.parametrize("overrides", [{}, {"backend": "float32"}])
+    @pytest.mark.parametrize("overrides", [{}, {"batch_size": 3}])
     def test_recorder_on_off_bitwise_identity(
         self, expander, expander_direct, overrides
     ):
@@ -340,10 +338,9 @@ class TestExport:
             outcome="ok",
             duration=0.1 + 0.2,  # 0.30000000000000004: repr must survive
             knobs=Knobs(beta=4.0, eps=1e-17, sizes=(1, 2, 4)),
-            backend="reference",
             cache="miss",
             batch={"sources": 2, "trigger": "window_flushes"},
-            kernels={"reference/step": {"calls": 3, "seconds": 2**-29}},
+            kernels={"float64/step": {"calls": 3, "seconds": 2**-29}},
             stages={"engine_solve": 5e-324},  # smallest subnormal
             priority=2,
             deadline=0.25,

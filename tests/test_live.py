@@ -69,10 +69,9 @@ class TestRollingWindow:
         clock = FakeClock()
         w = RollingWindow(10, width=1.0, clock=clock)
         for _ in range(20):
-            w.record(0.01, graph="gA", backend="reference", outcome="ok")
+            w.record(0.01, graph="gA", outcome="ok")
         for _ in range(5):
-            w.record(0.3, graph="gB", backend="float32",
-                     outcome="deadline_exceeded")
+            w.record(0.3, graph="gB", outcome="deadline_exceeded")
         clock.advance(4.0)
         snap = w.snapshot()
         assert snap["count"] == 25
@@ -82,11 +81,11 @@ class TestRollingWindow:
         assert snap["covered"] == 4.0
         assert snap["rate"] == 25 / 4.0
         assert snap["total"] == 25
-        rows = {(r["graph"], r["backend"], r["outcome"]): r["count"]
+        rows = {(r["graph"], r["outcome"]): r["count"]
                 for r in snap["keys"]}
         assert rows == {
-            ("gA", "reference", "ok"): 20,
-            ("gB", "float32", "deadline_exceeded"): 5,
+            ("gA", "ok"): 20,
+            ("gB", "deadline_exceeded"): 5,
         }
         # Sorted by descending count.
         assert snap["keys"][0]["count"] == 20
@@ -456,7 +455,6 @@ class TestServiceLiveTelemetry:
             row for row in snap["keys"] if row["outcome"] == "ok"
         )
         assert ok_row["graph"] is not None  # same structural key family
-        assert ok_row["backend"] is not None
         assert stats["live"]["total"] == 2
 
     def test_disabled_and_identity_on_off(self, expander, expander_direct):

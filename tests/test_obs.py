@@ -3,10 +3,9 @@
 Two contracts dominate:
 
 1. **Purity** — observability never changes results.  Every
-   result-producing path (times / profiles / spectra drivers, every
-   backend, serial and sharded) is bitwise identical with the switch
-   enabled and disabled, and the instrumentation wrappers delegate
-   kernel calls untouched.
+   result-producing path (times / profiles / spectra drivers, serial
+   and sharded) is bitwise identical with the switch enabled and
+   disabled, and the kernel timing closures delegate calls untouched.
 2. **Fidelity** — what the registry reports is exactly what happened:
    counters survive a multi-thread hammer with exact totals, histogram
    buckets follow Prometheus ``le`` (inclusive) semantics, spans nest in
@@ -28,13 +27,13 @@ from repro.engine import (
     batched_local_mixing_spectra,
     batched_local_mixing_times,
 )
-from repro.engine.backends import available_backends, get_backend
+from repro.engine import batch as engine_batch
 from repro.graphs import random_regular
 from repro.obs import (
     BenchReporter,
     CounterDict,
+    KERNEL_LABEL,
     MetricsRegistry,
-    ProfiledBackend,
     Span,
     attach_or_record,
     clear_traces,
@@ -42,7 +41,6 @@ from repro.obs import (
     default_registry,
     diff_kernel_snapshots,
     kernel_profiler,
-    maybe_profile,
     observability,
     observability_enabled,
     recent_traces,
@@ -363,15 +361,23 @@ def test_use_span_reparents_across_threads_via_to_thread():
 # --------------------------------------------------------------------- #
 
 
-def test_maybe_profile_is_identity_when_disabled():
-    be = get_backend("reference")
-    assert maybe_profile(be) is be
+def test_kernels_are_plain_functions_when_disabled():
+    plain = engine_batch._kernels()
+    assert plain is engine_batch._PLAIN_KERNELS
+    assert plain.sorted_scan is engine_batch.sorted_scan_arrays
+    assert plain.screen is None
     with observability(True):
-        prof = maybe_profile(be)
-        assert isinstance(prof, ProfiledBackend)
-        assert prof.wrapped is be and prof.name == be.name
-        # Already-profiled backends are not wrapped twice.
-        assert maybe_profile(prof) is prof
+        timed = engine_batch._kernels()
+    assert timed.sorted_scan is not plain.sorted_scan
+    assert timed.screen is not None
+    P = np.random.default_rng(0).random((12, 3))
+    before = kernel_profiler().snapshot()
+    S, pre = timed.sorted_scan(P)
+    ref_S, ref_pre = plain.sorted_scan(P)
+    # The timing closure passes inputs and outputs through untouched.
+    assert np.array_equal(S, ref_S) and np.array_equal(pre, ref_pre)
+    delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
+    assert delta["kernels"][f"{KERNEL_LABEL}/sorted_scan"]["calls"] == 1
 
 
 def test_profiler_records_engine_kernel_calls(small_graph):
@@ -387,15 +393,13 @@ def test_profiler_records_engine_kernel_calls(small_graph):
         assert entry["calls"] > 0 and entry["seconds"] >= 0
 
 
-def test_float32_screening_rate_is_recorded(small_graph):
+def test_screening_volume_is_recorded(small_graph):
     profiler = kernel_profiler()
     before = profiler.snapshot()
     with observability(True):
-        batched_local_mixing_times(
-            small_graph, BETA, sources=range(8), backend="float32"
-        )
+        batched_local_mixing_times(small_graph, BETA, sources=range(8))
     delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
-    screen = delta["screen"]["float32"]
+    screen = delta["screen"][KERNEL_LABEL]
     assert screen["pairs"] > 0
     assert 0 <= screen["flagged"] <= screen["pairs"]
 
@@ -405,19 +409,16 @@ def test_float32_screening_rate_is_recorded(small_graph):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", sorted(available_backends()))
 @pytest.mark.parametrize("kind", ["times", "profiles", "spectra"])
-def test_results_identical_enabled_vs_disabled(small_graph, kind, backend):
+def test_results_identical_enabled_vs_disabled(small_graph, kind):
     g = small_graph
 
     def solve():
         if kind == "times":
-            return batched_local_mixing_times(g, BETA, backend=backend)
+            return batched_local_mixing_times(g, BETA)
         if kind == "profiles":
-            return batched_local_mixing_profiles(
-                g, BETA, t_max=40, backend=backend
-            )
-        return batched_local_mixing_spectra(g, t_max=40, backend=backend)
+            return batched_local_mixing_profiles(g, BETA, t_max=40)
+        return batched_local_mixing_spectra(g, t_max=40)
 
     with observability(False):
         base = solve()

@@ -76,10 +76,6 @@ class TestCanonicalKey:
         assert canonical_times_key(expander, BETA, EPS, grid_factor=EPS) == base
         # Execution-only knobs never enter the key.
         assert canonical_times_key(expander, BETA, EPS, batch_size=3) == base
-        assert (
-            canonical_times_key(expander, BETA, EPS, prefilter="per_size")
-            == base
-        )
         # threshold_factor folds into the threshold exactly like a larger
         # eps with rescaled grid would.
         assert base.threshold == EPS
@@ -103,7 +99,7 @@ class TestCanonicalKey:
         with pytest.raises(ValueError):
             canonical_times_key(expander, 0.5, EPS)
         with pytest.raises(ValueError):
-            canonical_times_key(expander, BETA, EPS, prefilter="nope")
+            canonical_times_key(expander, BETA, EPS, target="nope")
         with pytest.raises(ValueError):
             canonical_times_key(expander, BETA, EPS, batch_size=0)
 
@@ -178,7 +174,7 @@ class TestServingEquivalence:
             dict(t_schedule="doubling", t_max=T_MAX),
             dict(lazy=True),
             dict(threshold_factor=1.5),
-            dict(prefilter="per_size", batch_size=5),
+            dict(batch_size=5),
         ]
         for knobs in combos:
             direct = batched_local_mixing_times(expander, BETA, EPS, **{

@@ -587,3 +587,92 @@ class TestNoLeakedSegments:
         name = asyncio.run(main())
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+
+# --------------------------------------------------------------------- #
+# Oversized WebSocket control frames
+# --------------------------------------------------------------------- #
+
+
+class TestControlFrameLimit:
+    def test_oversized_ping_closes_without_pong(self, expander):
+        """RFC 6455 §5.5 caps control frames at 125 bytes.  A 125-byte
+        ping is answered with its pong; a 126-byte ping is refused before
+        its payload is read: the connection closes, no pong is echoed,
+        and the admission accounting stays closed."""
+        import base64
+        import os
+
+        from repro.service.wire import http as wire_http
+
+        async def open_ws(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            key = base64.b64encode(os.urandom(16)).decode("latin-1")
+            writer.write(
+                wire_http.render_request(
+                    "GET", "/v1/ws", host=f"{server.host}:{server.port}",
+                    extra_headers=(
+                        ("Connection", "Upgrade"),
+                        ("Upgrade", "websocket"),
+                        ("Sec-WebSocket-Key", key),
+                        ("Sec-WebSocket-Version", "13"),
+                    ),
+                )
+            )
+            await writer.drain()
+            response = await wire_http.read_response(reader)
+            assert response.method == "101"
+            return reader, writer
+
+        async def read_frames(reader):
+            """Every frame the server sends until it closes the socket."""
+            frames = []
+            while True:
+                try:
+                    head = await reader.readexactly(2)
+                except asyncio.IncompleteReadError:
+                    return frames
+                n = head[1] & 0x7F
+                if n == 126:
+                    n = int.from_bytes(await reader.readexactly(2), "big")
+                frames.append((head[0] & 0x0F, await reader.readexactly(n)))
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                async with WireServer(svc) as server:
+                    reader, writer = await open_ws(server)
+                    small = b"p" * 125
+                    writer.write(
+                        wire_http.ws_encode_frame(
+                            wire_http.OP_PING, small, mask=True
+                        )
+                    )
+                    await writer.drain()
+                    head = await reader.readexactly(2)
+                    pong = await reader.readexactly(head[1] & 0x7F)
+                    assert head[0] & 0x0F == wire_http.OP_PONG
+                    assert pong == small
+                    writer.write(
+                        wire_http.ws_encode_frame(
+                            wire_http.OP_PING, b"p" * 126, mask=True
+                        )
+                    )
+                    await writer.drain()
+                    frames = await asyncio.wait_for(read_frames(reader), 5)
+                    writer.close()
+                    for _ in range(100):
+                        if not server._conn_tasks:
+                            break
+                        await asyncio.sleep(0.01)
+                    stats = server.stats()
+                    assert_no_leaks(svc, server)
+            return frames, stats
+
+        frames, stats = asyncio.run(main())
+        assert wire_http.OP_PONG not in [op for op, _ in frames]
+        assert all(op == wire_http.OP_CLOSE for op, _ in frames)
+        check_accounting(stats)
+        assert stats["requests"] == 0 and stats["connections"] == 0

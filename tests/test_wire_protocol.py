@@ -65,8 +65,6 @@ _queries = st.builds(
     target=st.sampled_from(["uniform", "degree"]),
     method=st.sampled_from(["iterative", "spectral"]),
     batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=512)),
-    prefilter=st.sampled_from(["fused", "per_size"]),
-    backend=st.one_of(st.none(), st.sampled_from(["reference", "float32"])),
     deadline=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e6,
                                             allow_nan=False)),
     priority=st.integers(min_value=-100, max_value=100),
@@ -130,7 +128,7 @@ class TestRoundTrips:
         execution keys as the in-process original — same cache line,
         same coalescing group."""
         q = MixingQuery("g", 5, beta=4.0, eps=0.25, sizes=(4, 8, 12),
-                        batch_size=3, backend="reference")
+                        batch_size=3)
         rt = protocol.decode_query(protocol.encode_query(q))
         assert rt.semantic_key(expander16) == q.semantic_key(expander16)
         assert rt.execution_key(expander16) == q.execution_key(expander16)

@@ -23,6 +23,7 @@ No pytest-asyncio in the image — each test drives its own event loop via
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.obs.export import EXPORT_VERSION, MAX_EXPORT_RECORDS
 from repro.service import GraphRegistry, MixingQuery, MixingService
 from repro.service import ServiceClosedError
 from repro.service.wire import (
+    PROTOCOL_VERSION,
     WireClient,
     WireServer,
     debug_flight,
@@ -41,6 +43,8 @@ from repro.service.wire import (
     http_get,
     http_query,
 )
+from repro.service.wire import http as wire_http
+from repro.service.wire import protocol
 from test_obs import _assert_prometheus_parseable
 
 BETA = 4.0
@@ -218,6 +222,39 @@ class TestDebugEndpoints:
         assert status == 400
         assert missing == 404
 
+    def test_unknown_query_parameters_rejected(self, expander):
+        """A filter a route does not read is a 400, not an unfiltered
+        listing that looks filtered (the rule ``decode_query`` applies to
+        unknown query fields)."""
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                async with WireServer(svc) as server:
+                    await http_query(server.host, server.port, wire_query(0))
+                    out = {}
+                    for path in (
+                        "/v1/debug/flight?backend=float32",
+                        "/v1/debug/flight?graph=x&prefilter=",
+                        "/v1/debug/slow?outcome=ok",
+                        "/v1/debug/trace/q-0?limit=1",
+                        "/v1/debug/flight?limit=1&outcome=ok",
+                    ):
+                        out[path] = await http_get(
+                            server.host, server.port, path
+                        )
+            return out
+
+        out = asyncio.run(main())
+        for path, (status, body) in list(out.items())[:4]:
+            assert status == 400, path
+            err = json.loads(body)["error"]
+            assert err["code"] == "bad_request"
+            assert "unknown query parameters" in err["message"]
+        status, body = out["/v1/debug/flight?limit=1&outcome=ok"]
+        assert status == 200
+        assert len(json.loads(body)["records"]) == 1
+
     def test_debug_endpoints_served_during_drain(
         self, expander, expander_direct
     ):
@@ -253,6 +290,69 @@ class TestDebugEndpoints:
         assert health == 200
         assert len(flight["records"]) == 1
         assert flight["records"][0]["outcome"] == "ok"
+
+
+# --------------------------------------------------------------------- #
+# Protocol version
+# --------------------------------------------------------------------- #
+
+
+class TestProtocolVersion:
+    def test_v1_and_removed_knobs_get_typed_bad_request(self, expander):
+        """Every v1 encoder sent ``backend``/``prefilter``; v2 dropped
+        both.  A v1 request gets the typed version error, and a v2
+        request carrying either field gets the unknown-field error —
+        both a 400 ``bad_request`` from the live server."""
+        v2 = protocol.encode_request(wire_query(0), id=1)
+        v1 = json.loads(json.dumps(v2))
+        v1["v"] = 1
+        v1["query"].update(prefilter="fused", backend=None)
+        bodies = {"v1": v1}
+        for name, value in (("backend", "reference"), ("prefilter", "fused")):
+            req = json.loads(json.dumps(v2))
+            req["query"][name] = value
+            bodies[name] = req
+
+        async def post(server, obj):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(
+                    wire_http.render_request(
+                        "POST", "/v1/query",
+                        host=f"{server.host}:{server.port}",
+                        body=protocol.dumps(obj),
+                        extra_headers=(("Connection", "close"),),
+                    )
+                )
+                await writer.drain()
+                response = await wire_http.read_response(reader)
+            finally:
+                writer.close()
+            return int(response.method), protocol.loads(response.body)
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                async with WireServer(svc) as server:
+                    out = {k: await post(server, b) for k, b in bodies.items()}
+                    out["v2"] = await post(server, v2)
+            return out
+
+        out = asyncio.run(main())
+        for key, match in (
+            ("v1", "unsupported protocol version 1"),
+            ("backend", "unknown query fields: ['backend']"),
+            ("prefilter", "unknown query fields: ['prefilter']"),
+        ):
+            status, obj = out[key]
+            assert status == 400, key
+            assert obj["ok"] is False and obj["v"] == PROTOCOL_VERSION
+            assert obj["error"]["code"] == "bad_request"
+            assert match in obj["error"]["message"], obj
+        status, obj = out["v2"]
+        assert status == 200 and obj["ok"] is True
 
 
 # --------------------------------------------------------------------- #

@@ -366,16 +366,15 @@ class TestObsTop:
         obs_top = _load_obs_top()
         text = obs_top.render_frame(
             {
-                "v": 1, "seq": 7, "draining": True,
+                "v": 2, "seq": 7, "draining": True,
                 "window": {
                     "count": 12, "covered": 3.0, "rate": 4.0,
                     "errors": 2, "error_rate": 2 / 12,
                     "quantiles": {"p50": 0.002, "p95": 0.4, "p99": 1.2},
                     "keys": [
-                        {"count": 10, "outcome": "ok",
-                         "backend": "reference", "graph": "gA"},
+                        {"count": 10, "outcome": "ok", "graph": "gA"},
                         {"count": 2, "outcome": "deadline_exceeded",
-                         "backend": None, "graph": None},
+                         "graph": None},
                     ],
                 },
                 "slo": {
@@ -411,7 +410,7 @@ class TestObsTop:
 
     def test_render_frame_minimal(self):
         obs_top = _load_obs_top()
-        text = obs_top.render_frame({"v": 1, "seq": 0})
+        text = obs_top.render_frame({"v": 2, "seq": 0})
         assert "live telemetry disabled" in text
 
     def test_plain_mode_subprocess_smoke(self, expander):

@@ -41,7 +41,6 @@ MARKDOWN_GLOBS = ["*.md", "docs/*.md"]
 #: Packages whose public APIs must be fully documented.
 DOCSTRING_PACKAGES = [
     "repro.engine",
-    "repro.engine.backends",
     "repro.dynamic",
     "repro.obs",
     "repro.parallel",

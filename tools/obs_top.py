@@ -4,7 +4,7 @@
 Subscribes to a running :class:`~repro.service.wire.WireServer`'s
 telemetry push (``repro.service.wire.client.stream_telemetry``) and
 renders each delta frame — rolling-window rates and latency quantiles,
-per-(graph, backend, outcome) traffic rows, the SLO verdict with its
+per-(graph, outcome) traffic rows, the SLO verdict with its
 error-budget burn rate, new SLO transition alerts, wire queue/connection
 gauges and the runtime resource-sampler values — as a full-screen
 curses view, or as plain text blocks with ``--plain`` (also the
@@ -72,7 +72,7 @@ def render_frame(frame: dict) -> str:
         for row in (window.get("keys") or [])[:8]:
             lines.append(
                 f"  {row['count']:>6}  {row['outcome']:<18}"
-                f" {row['backend'] or '-':<10} {row['graph'] or '-'}"
+                f" {row['graph'] or '-'}"
             )
     else:
         lines.append("window   (live telemetry disabled on the server)")
