@@ -1,171 +1,37 @@
-"""The compute-backend seam: registry, validation, and the bitwise
-loop-equivalence contract for every registered backend.
+"""The seams shared by every solve path: the engine's scan kernel, the
+propagator-cache front door, and the shared-memory eigenbasis that
+spectral shards attach instead of re-decomposing.
 
-The contract under test (see :mod:`repro.engine.backends`): whichever
-backend runs the hot loops, every driver output — τ, set size, deviation,
-threshold, bookkeeping counters — is bitwise identical to the reference
-float64 path, and therefore to the per-source ``engine="loop"`` reference.
-The float32 backend earns its speed only in *screening*; decisions are
-always re-verified in exact float64 arithmetic.
+The drivers call the float64 kernels of :mod:`repro.engine.oracle`
+directly; these tests pin that what they read is exactly what the
+oracle holds, that cache sizes are validated before they can change the
+eviction arithmetic, and that a published eigenbasis round-trips bitwise.
 """
-
-import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dynamic import DynamicGraph
 from repro.engine import (
-    batched_local_mixing_profiles,
-    batched_local_mixing_spectra,
     batched_local_mixing_times,
-    canonical_times_key,
     clear_propagator_cache,
     propagator_cache_info,
     seed_shared_propagator,
     set_propagator_cache_maxsize,
     shared_spectral_propagator,
 )
-from repro.engine.backends import (
-    BACKEND_ENV,
-    Float32Backend,
-    KernelBackend,
-    NumbaBackend,
-    ReferenceBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    set_default_backend,
+from repro.engine.oracle import (
+    BatchedUniformDeviationOracle,
+    sorted_scan_arrays,
 )
-from repro.engine.oracle import BatchedUniformDeviationOracle
-from repro.errors import ConvergenceError
 from repro.graphs import generators as gen
 from repro.parallel import (
     ShardExecutor,
     SharedEigenbasis,
     parallel_local_mixing_times,
 )
-from repro.walks.local_mixing import local_mixing_time
-
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend_state():
-    """Every test starts from the library default backend resolution."""
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
-
 
 # --------------------------------------------------------------------- #
-# Registry and resolution
-# --------------------------------------------------------------------- #
-
-
-class TestRegistry:
-    def test_reference_and_float32_always_registered(self):
-        names = available_backends()
-        assert "reference" in names
-        assert "float32" in names
-
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert get_backend().name == "reference"
-        assert get_backend(None).name == "reference"
-
-    def test_lookup_by_name(self):
-        assert isinstance(get_backend("reference"), ReferenceBackend)
-        assert isinstance(get_backend("float32"), Float32Backend)
-
-    def test_instance_passthrough(self):
-        be = Float32Backend()
-        assert get_backend(be) is be
-
-    def test_unknown_name_lists_registered(self):
-        with pytest.raises(ValueError, match="unknown backend 'warp'"):
-            get_backend("warp")
-        with pytest.raises(ValueError, match="reference"):
-            get_backend("warp")
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(ValueError):
-            get_backend("")
-
-    def test_non_backend_type_rejected(self):
-        with pytest.raises(TypeError):
-            get_backend(42)
-
-    def test_set_default_backend_roundtrip(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert set_default_backend("float32") == "float32"
-        assert get_backend().name == "float32"
-        set_default_backend(None)
-        assert get_backend().name == "reference"
-
-    def test_set_default_backend_validates(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        with pytest.raises(ValueError, match="unknown backend"):
-            set_default_backend("warp")
-        with pytest.raises(TypeError):
-            set_default_backend(3.5)
-        # a failed set leaves the default untouched
-        assert get_backend().name == "reference"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "float32")
-        assert get_backend().name == "float32"
-        # explicit default wins over the environment
-        set_default_backend("reference")
-        assert get_backend().name == "reference"
-
-    def test_env_unknown_name_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "warp")
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(ReferenceBackend())
-        # replace=True swaps the instance under the same name
-        register_backend(ReferenceBackend(), replace=True)
-        assert get_backend("reference").name == "reference"
-
-    def test_register_validates_interface(self):
-        class NotABackend:
-            name = "half-baked"
-
-        with pytest.raises(ValueError, match="interface"):
-            register_backend(NotABackend())
-
-
-class TestNumbaDegradation:
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_absent_numba_degrades_cleanly(self):
-        # The package imports fine, the backend just is not there, and
-        # asking for it by name points at the install path.
-        assert NumbaBackend is None
-        assert "numba" not in available_backends()
-        with pytest.raises(ValueError, match=r"\[fast\]"):
-            get_backend("numba")
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_present_numba_registers(self):
-        assert "numba" in available_backends()
-        be = get_backend("numba")
-        assert be.name == "numba"
-        assert be.exact_scan  # float64 scan → exact verification path
-
-
-# --------------------------------------------------------------------- #
-# Satellite: cache-maxsize front-door hardening
+# Cache-maxsize front-door hardening
 # --------------------------------------------------------------------- #
 
 
@@ -192,236 +58,26 @@ class TestCacheMaxsizeValidation:
         with pytest.raises(ValueError, match="cache_maxsize must be"):
             ShardExecutor(1, cache_maxsize=bad)
 
-    def test_executor_rejects_bad_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ShardExecutor(1, backend="warp")
-        with pytest.raises(TypeError, match="name"):
-            ShardExecutor(1, backend=Float32Backend())
-
-
-class TestValidationOrdering:
-    def test_bad_backend_raises_before_bad_sources(self):
-        g = gen.cycle_graph(9)
-        # both knobs are invalid; the backend front door must win, proving
-        # validation happens before source normalization.
-        with pytest.raises(ValueError, match="unknown backend"):
-            batched_local_mixing_times(
-                g, 3.0, sources=[99], backend="warp"
-            )
-
-    def test_parallel_front_door_rejects_instances(self):
-        g = gen.cycle_graph(9)
-        with pytest.raises(TypeError, match="names only"):
-            parallel_local_mixing_times(
-                g, 3.0, backend=Float32Backend(), n_workers=1
-            )
-
 
 # --------------------------------------------------------------------- #
-# The bitwise loop-equivalence contract, per backend
-# --------------------------------------------------------------------- #
-
-#: (graph, beta, lazy) — bipartite path, odd cycle, barbell (two cliques
-#: over a bridge): shapes whose uniform target converges under every knob.
-#: The star (hub asymmetry) and lollipop (clique + tail) families are
-#: covered by dedicated tests below — their uniform targets legitimately
-#: fail to converge, which is itself part of the contract under test.
-FAMILIES = [
-    (gen.path_graph(12), 4.0, True),
-    (gen.cycle_graph(15), 3.0, False),
-    (gen.beta_barbell(4, 8), 4.0, False),
-]
-
-KNOBS = [
-    dict(),
-    dict(target="degree"),
-    dict(require_source=True),
-    dict(prefilter="per_size"),
-    dict(sizes="grid", threshold_factor=2.0, t_schedule="doubling"),
-    dict(batch_size=5),
-    dict(method="spectral"),
-]
-
-
-def _backends():
-    return list(available_backends())
-
-
-def _result_tuple(r):
-    return (
-        r.time, r.set_size, r.deviation, r.threshold,
-        r.steps_checked, r.sizes_checked,
-    )
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", _backends())
-    @pytest.mark.parametrize(
-        "g,beta,lazy", FAMILIES, ids=lambda v: str(v)
-    )
-    def test_times_knob_matrix_bitwise_vs_reference(
-        self, g, beta, lazy, backend
-    ):
-        for knobs in KNOBS:
-            kw = dict(knobs, lazy=lazy)
-            ref = batched_local_mixing_times(g, beta, **kw)
-            out = batched_local_mixing_times(g, beta, backend=backend, **kw)
-            assert [_result_tuple(r) for r in out] == [
-                _result_tuple(r) for r in ref
-            ], knobs
-
-    @pytest.mark.parametrize("backend", _backends())
-    def test_nonconvergence_identical(self, backend):
-        # A non-converging run must fail identically under every backend:
-        # no phantom near-threshold hit may leak out of float32 screening.
-        g = gen.star_graph(12)
-        with pytest.raises(ConvergenceError):
-            batched_local_mixing_times(g, 3.0, lazy=True, t_max=64)
-        with pytest.raises(ConvergenceError):
-            batched_local_mixing_times(
-                g, 3.0, lazy=True, t_max=64, backend=backend
-            )
-
-    @pytest.mark.parametrize("backend", _backends())
-    def test_times_bitwise_vs_loop_engine(self, backend):
-        g, beta = gen.cycle_graph(15), 3.0
-        out = batched_local_mixing_times(g, beta, backend=backend)
-        loop = [local_mixing_time(g, s, beta) for s in range(g.n)]
-        assert [_result_tuple(r) for r in out] == [
-            _result_tuple(r) for r in loop
-        ]
-
-    @pytest.mark.parametrize("backend", _backends())
-    def test_lollipop_degree_target_bitwise_vs_loop(self, backend):
-        # The lollipop's irregularity makes the degree target the
-        # meaningful one (its uniform target does not converge).
-        g = gen.lollipop(6, 4)
-        out = batched_local_mixing_times(
-            g, 3.0, target="degree", backend=backend
-        )
-        loop = [
-            local_mixing_time(g, s, 3.0, target="degree")
-            for s in range(g.n)
-        ]
-        assert [_result_tuple(r) for r in out] == [
-            _result_tuple(r) for r in loop
-        ]
-
-    @pytest.mark.parametrize("backend", _backends())
-    def test_node_churned_snapshot(self, backend):
-        dg = DynamicGraph(gen.cycle_graph(14))
-        v = dg.add_node(neighbors=[0, 3, 7])
-        dg.add_edge(0, 2)  # odd chord: the snapshot must not be bipartite
-        dg.remove_node(v)
-        g = dg.snapshot()
-        # The churn leaves the graph irregular, so the degree target is
-        # the converging one (paper's Theorem 6 regime).
-        ref = batched_local_mixing_times(g, 3.0, target="degree")
-        out = batched_local_mixing_times(
-            g, 3.0, target="degree", backend=backend
-        )
-        assert out == ref
-
-    @pytest.mark.parametrize("backend", _backends())
-    def test_spectra_and_profiles_bitwise(self, backend):
-        g = gen.lollipop(6, 4)
-        assert batched_local_mixing_spectra(
-            g, backend=backend
-        ) == batched_local_mixing_spectra(g)
-        assert np.array_equal(
-            batched_local_mixing_profiles(g, 3.0, t_max=10, backend=backend),
-            batched_local_mixing_profiles(g, 3.0, t_max=10),
-        )
-
-    @pytest.mark.parametrize("backend", _backends())
-    def test_default_backend_used_when_unspecified(self, backend):
-        g = gen.cycle_graph(11)
-        ref = batched_local_mixing_times(g, 3.0)
-        set_default_backend(backend)
-        assert batched_local_mixing_times(g, 3.0) == ref
-
-    def test_times_key_excludes_backend(self):
-        g = gen.cycle_graph(11)
-        assert canonical_times_key(g, 3.0) == canonical_times_key(
-            g, 3.0, backend="float32"
-        )
-        with pytest.raises(ValueError, match="unknown backend"):
-            canonical_times_key(g, 3.0, backend="warp")
-
-
-class TestFloat32Screening:
-    def test_screen_slack_positive_and_scales(self):
-        be = Float32Backend()
-        assert be.screen_slack(10) > 0
-        assert be.screen_slack(100) > be.screen_slack(10)
-        assert ReferenceBackend().screen_slack(100) == 0.0
-
-    def test_float32_scan_never_underflags(self):
-        # The soundness condition behind the mixed-precision fast path:
-        # the float32 lower bound understates the exact bound by at most
-        # the advertised slack, so (bound < cutoff + slack) can only
-        # over-flag — never miss — a below-threshold pair.
-        rng = np.random.default_rng(7)
-        be32, ref = Float32Backend(), ReferenceBackend()
-        for _ in range(20):
-            n, k = 40, 6
-            P = rng.random((n, k))
-            P /= P.sum(axis=0)
-            Rs = np.arange(2, n + 1, dtype=np.int64)
-            exact = ref.deviation_lower_bounds(ref.sorted_scan(P), Rs)
-            approx = be32.deviation_lower_bounds(
-                be32.sorted_scan(P), Rs
-            ).astype(np.float64)
-            assert float(np.max(np.abs(approx - exact))) <= be32.screen_slack(n)
-
-
-@settings(max_examples=12, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    n=st.integers(8, 24),
-    beta=st.sampled_from([2.0, 3.0, 4.0]),
-)
-def test_float32_reverification_never_changes_tau(seed, n, beta):
-    """Property: on random connected graphs, the float32 screening path
-    (widened cutoff + exact float64 re-verification) produces the same τ,
-    set size and deviation as the reference backend — near-threshold
-    columns included, because every flagged column is decided in exact
-    arithmetic."""
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(3, 6))
-    if (n * d) % 2:
-        n += 1
-    g = gen.random_regular(n, d, seed=seed)
-    # Small random-regular draws can come out bipartite; the lazy walk is
-    # well defined either way and exercises the same screening path.
-    lazy = g.is_bipartite
-    ref = batched_local_mixing_times(g, beta, lazy=lazy)
-    f32 = batched_local_mixing_times(g, beta, backend="float32", lazy=lazy)
-    assert f32 == ref
-
-
-# --------------------------------------------------------------------- #
-# Parallel path: worker-forwarded defaults and the shared eigenbasis
+# Kernel interface the drivers call
 # --------------------------------------------------------------------- #
 
 
-class TestParallelBackend:
-    def test_sharded_float32_equals_serial_reference(self):
-        g = gen.random_regular(24, 4, seed=5)
-        ref = batched_local_mixing_times(g, 3.0)
-        out = parallel_local_mixing_times(
-            g, 3.0, backend="float32", n_workers=2
-        )
-        assert out == ref
+class TestKernelBackendInterface:
+    def test_sorted_scan_matches_oracle(self):
+        rng = np.random.default_rng(1)
+        P = rng.random((30, 4))
+        P /= P.sum(axis=0)
+        S, prefix = sorted_scan_arrays(P)
+        oracle = BatchedUniformDeviationOracle(P)
+        assert np.array_equal(S, oracle.sorted)
+        assert np.array_equal(prefix, oracle.prefix)
 
-    def test_executor_default_backend_forwarded_to_workers(self):
-        g = gen.random_regular(24, 4, seed=5)
-        ref = batched_local_mixing_times(g, 3.0)
-        with ShardExecutor(2, backend="float32") as ex:
-            out = ex.run_sharded(
-                g, "times", list(range(g.n)), dict(beta=3.0)
-            )
-        assert out == ref
+
+# --------------------------------------------------------------------- #
+# Shared-memory eigenbasis for spectral shards
+# --------------------------------------------------------------------- #
 
 
 class TestSharedEigenbasis:
@@ -495,116 +151,3 @@ class TestSharedEigenbasis:
             parallel_local_mixing_times(g, 3.0, executor=ex, n_workers=2)
             assert ex.stats()["published_eigenbases"] == 1
 
-
-# --------------------------------------------------------------------- #
-# Serving layer: backend splits execution groups, never cache lines
-# --------------------------------------------------------------------- #
-
-
-class TestServiceBackendKeys:
-    def test_execution_key_splits_cache_key_does_not(self, monkeypatch):
-        from repro.service import MixingQuery
-
-        # Pin the process default so `backend=None` resolves to "reference"
-        # even when the suite itself runs under REPRO_BACKEND.
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        g = gen.cycle_graph(11)
-        q_none = MixingQuery(g, 0, 3.0)
-        q_ref = MixingQuery(g, 0, 3.0, backend="reference")
-        q_f32 = MixingQuery(g, 0, 3.0, backend="float32")
-        # semantic (cache) keys identical for all spellings
-        assert (
-            q_none.semantic_key(g)
-            == q_ref.semantic_key(g)
-            == q_f32.semantic_key(g)
-        )
-        # execution groups: None coalesces with the resolved default name,
-        # a different backend solves separately
-        assert q_none.execution_key(g) == q_ref.execution_key(g)
-        assert q_none.execution_key(g) != q_f32.execution_key(g)
-        assert q_f32.execution_key(g).backend == "float32"
-
-    def test_served_results_shared_across_backends(self):
-        import asyncio
-
-        from repro.service import MixingQuery, MixingService
-
-        g = gen.cycle_graph(11)
-
-        async def run():
-            async with MixingService() as svc:
-                r1 = await svc.submit(
-                    MixingQuery(g, 2, 3.0, backend="float32")
-                )
-                r2 = await svc.submit(MixingQuery(g, 2, 3.0))
-                return r1, r2, svc.stats()
-
-        r1, r2, stats = asyncio.run(run())
-        assert r1 == r2 == batched_local_mixing_times(
-            g, 3.0, sources=[2]
-        )[0]
-        # the second (reference-backend) submit hit the float32-filled line
-        assert stats["cache"]["hits"] >= 1
-
-
-# --------------------------------------------------------------------- #
-# Tracker
-# --------------------------------------------------------------------- #
-
-
-class TestTrackerBackend:
-    def test_tracker_backend_bitwise(self):
-        from repro.dynamic import MixingTracker
-
-        g = gen.random_regular(20, 4, seed=3)
-        ref = MixingTracker(3.0).observe(g).results
-        out = MixingTracker(3.0, backend="float32").observe(g).results
-        assert out == ref
-
-    def test_tracker_validates_backend(self):
-        from repro.dynamic import MixingTracker
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            MixingTracker(3.0, backend="warp")
-        with pytest.raises(TypeError):
-            MixingTracker(3.0, backend=Float32Backend())
-
-
-# --------------------------------------------------------------------- #
-# Backend interface basics
-# --------------------------------------------------------------------- #
-
-
-class TestKernelBackendInterface:
-    def test_sorted_scan_matches_oracle(self):
-        rng = np.random.default_rng(1)
-        P = rng.random((30, 4))
-        P /= P.sum(axis=0)
-        scan = ReferenceBackend().sorted_scan(P)
-        oracle = BatchedUniformDeviationOracle(P)
-        assert np.array_equal(scan.sorted, oracle.sorted)
-        assert np.array_equal(scan.prefix, oracle.prefix)
-
-    def test_float32_scan_dtype(self):
-        rng = np.random.default_rng(1)
-        P = rng.random((30, 4))
-        P /= P.sum(axis=0)
-        scan = Float32Backend().sorted_scan(P)
-        assert scan.sorted.dtype == np.float32
-        assert scan.prefix.dtype == np.float32
-
-    def test_step_block_is_float64_everywhere(self):
-        # The trajectory is the anchor of exact verification: every
-        # backend advances it in float64.
-        import scipy.sparse as sp
-
-        A = sp.random(12, 12, density=0.4, random_state=0, format="csr")
-        P = np.random.default_rng(0).random((12, 3))
-        for name in available_backends():
-            out = get_backend(name).step_block(A, P)
-            assert out.dtype == np.float64
-            assert np.array_equal(out, A @ P)
-
-    def test_repr_names_backend(self):
-        assert "float32" in repr(Float32Backend())
-        assert isinstance(get_backend("reference"), KernelBackend)

@@ -22,16 +22,11 @@ from repro.engine import (
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
     batched_local_mixing_times,
-    clear_propagator_cache,
-    propagator_cache_info,
-    seed_shared_propagator,
-    shared_spectral_propagator,
 )
 from repro.graphs import generators as gen
 from repro.parallel import (
     ShardExecutor,
     SharedCSR,
-    SharedEigenbasis,
     parallel_local_mixing_profiles,
     parallel_local_mixing_spectra,
     parallel_local_mixing_times,
@@ -263,78 +258,6 @@ def test_shared_csr_roundtrip(reg):
         att.close()
 
 
-class TestSharedEigenbasis:
-    def test_publish_attach_bitwise_roundtrip(self):
-        g = gen.random_regular(20, 4, seed=9)
-        prop = shared_spectral_propagator(g, False)
-        with SharedEigenbasis.publish(prop) as se:
-            att = SharedEigenbasis.attach(se.handle)
-            try:
-                sd, ev, vecs = att.arrays()
-                assert np.array_equal(sd, prop._sqrt_deg)
-                assert np.array_equal(ev, prop._eigvals)
-                assert np.array_equal(vecs, prop._eigvecs)
-                # eigh returns an F-contiguous basis; the rebuilt operand
-                # must preserve that layout (BLAS bitwise contract).
-                assert (
-                    vecs.flags.f_contiguous
-                    == prop._eigvecs.flags.f_contiguous
-                )
-                rebuilt = att.propagator(g)
-                assert np.array_equal(
-                    prop.from_source(3, 17), rebuilt.from_source(3, 17)
-                )
-            finally:
-                att.close()
-
-    def test_propagator_rejects_mismatched_graph(self):
-        g = gen.random_regular(20, 4, seed=9)
-        with SharedEigenbasis.publish(
-            shared_spectral_propagator(g, False)
-        ) as se:
-            with pytest.raises(ValueError, match="n=9"):
-                se.propagator(gen.cycle_graph(9))
-
-    def test_seed_skips_eigendecomposition(self):
-        g = gen.random_regular(20, 4, seed=11)
-        prop = shared_spectral_propagator(g, False)
-        with SharedEigenbasis.publish(prop) as se:
-            att = SharedEigenbasis.attach(se.handle)
-            try:
-                clear_propagator_cache()
-                seeded = seed_shared_propagator(att.propagator(g))
-                info = propagator_cache_info()
-                assert info.misses == 0  # seeding is not a lookup
-                assert shared_spectral_propagator(g, False) is seeded
-                assert propagator_cache_info().hits == info.hits + 1
-            finally:
-                clear_propagator_cache()
-                att.close()
-
-    def test_unlink_removes_segment(self):
-        g = gen.cycle_graph(12)
-        se = SharedEigenbasis.publish(shared_spectral_propagator(g, False))
-        handle = se.handle
-        se.unlink()
-        se.close()
-        with pytest.raises(FileNotFoundError):
-            SharedEigenbasis.attach(handle)
-
-    def test_executor_publishes_eigenbasis_for_spectral(self):
-        g = gen.random_regular(24, 4, seed=5)
-        with ShardExecutor(2) as ex:
-            ser = batched_local_mixing_times(g, 3.0, method="spectral")
-            out = parallel_local_mixing_times(
-                g, 3.0, method="spectral", executor=ex, n_workers=2
-            )
-            assert [r.time for r in out] == [r.time for r in ser]
-            stats = ex.stats()
-            assert stats["published_eigenbases"] == 1
-            # iterative solves do not publish an eigenbasis
-            parallel_local_mixing_times(g, 3.0, executor=ex, n_workers=2)
-            assert ex.stats()["published_eigenbases"] == 1
-
-
 def test_executor_close_unlinks_segments(reg):
     ex = ShardExecutor(1)
     res = parallel_local_mixing_times(reg, BETA, sources=[0, 1], executor=ex)
@@ -375,12 +298,6 @@ def test_spawn_start_method_portability(reg):
 def test_executor_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         ShardExecutor(0)
-
-
-@pytest.mark.parametrize("bad", [-3, 1.5, True])
-def test_executor_rejects_bad_cache_maxsize(bad):
-    with pytest.raises(ValueError, match="cache_maxsize must be"):
-        ShardExecutor(1, cache_maxsize=bad)
 
 
 def test_executor_stats_track_utilization(reg):
