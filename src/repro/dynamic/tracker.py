@@ -76,7 +76,7 @@ from repro.constants import DEFAULT_EPS
 from repro.graphs.base import Graph
 from repro.graphs.properties import multi_source_distances
 from repro.engine.batch import batched_local_mixing_times
-from repro.obs import CounterDict, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.dynamic.graph import DynamicGraph, GraphUpdate
 
 __all__ = [
@@ -133,7 +133,7 @@ class TrackingTrace:
     def stats(self) -> dict:
         """A copy of the tracker's work counters (snapshots, memo hits,
         reused/solved sources, full/partial solves)."""
-        return dict(self.tracker.stats) if self.tracker is not None else {}
+        return self.tracker.stats if self.tracker is not None else {}
 
 
 def _changed_nodes(a: Graph, b: Graph) -> np.ndarray:
@@ -276,24 +276,30 @@ class MixingTracker:
         self._prev_graph: Graph | None = None
         self._prev_results: tuple | None = None
         self._index = 0
-        #: Work counters, dict-shaped for backwards compatibility but
-        #: stored on :attr:`metrics` as ``repro_tracker_*_total`` counters
-        #: (one private registry per tracker, composable into a service
-        #: exposition via ``MetricsRegistry.include``).
+        #: Work counters as ``repro_tracker_<key>_total`` (one private
+        #: registry per tracker, composable into a service exposition via
+        #: ``MetricsRegistry.include``); :attr:`stats` reads them.
         self.metrics = MetricsRegistry()
-        self.stats: CounterDict = CounterDict(
-            self.metrics,
-            "repro_tracker_",
-            keys=(
+        self._counters = {
+            key: self.metrics.counter(
+                f"repro_tracker_{key}_total",
+                f"Incremental-tracker work counter: {key}",
+            )
+            for key in (
                 "snapshots",
                 "memo_hits",
                 "reused_sources",
                 "solved_sources",
                 "full_solves",
                 "partial_solves",
-            ),
-            help_prefix="Incremental-tracker work counter: ",
-        )
+            )
+        }
+
+    @property
+    def stats(self) -> dict:
+        """The work counters (snapshots, memo hits, reused/solved sources,
+        full/partial solves) as a fresh plain dict."""
+        return {key: c.value for key, c in self._counters.items()}
 
     # ------------------------------------------------------------------ #
     # Observation pipeline
@@ -315,7 +321,7 @@ class MixingTracker:
             self._memo.move_to_end(g)
             results = cached
             memo_hit = True
-            self.stats["memo_hits"] += 1
+            self._counters["memo_hits"].inc()
         elif (
             self.method == "from_scratch"
             or self._prev_graph is None
@@ -323,13 +329,13 @@ class MixingTracker:
         ):
             results = tuple(self._solve_full(g))
             solved = g.n
-            self.stats["full_solves"] += 1
+            self._counters["full_solves"].inc()
         else:
             results, reused, solved = self._solve_incremental(g)
         self._remember(g, results)
-        self.stats["snapshots"] += 1
-        self.stats["reused_sources"] += reused
-        self.stats["solved_sources"] += solved
+        self._counters["snapshots"].inc()
+        self._counters["reused_sources"].inc(reused)
+        self._counters["solved_sources"].inc(solved)
         snap = TrackedSnapshot(
             index=self._index,
             graph=g,
@@ -420,7 +426,7 @@ class MixingTracker:
             # degree, so a degree change anywhere can flip selections for
             # any source — distance-based pruning is unsound here (module
             # docstring); re-solve the snapshot in full.
-            self.stats["full_solves"] += 1
+            self._counters["full_solves"].inc()
             return tuple(self._solve_full(g)), 0, g.n
         dmin = edit_distance_bounds(prev_g, g)
         # Source s is provably unaffected iff every edited node lies at
@@ -444,7 +450,7 @@ class MixingTracker:
         merged = list(prev_res)
         for pos, res in zip(redo, fresh):
             merged[int(pos)] = res
-        self.stats["partial_solves"] += 1
+        self._counters["partial_solves"].inc()
         return tuple(merged), int(keep.sum()), int(redo.size)
 
 

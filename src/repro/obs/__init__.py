@@ -89,7 +89,6 @@ from .live import (
 )
 from .metrics import (
     Counter,
-    CounterDict,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -115,7 +114,6 @@ from .trace import (
 __all__ = [
     "BenchReporter",
     "Counter",
-    "CounterDict",
     "Finding",
     "FlightRecorder",
     "Gauge",

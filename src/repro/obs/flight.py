@@ -169,6 +169,15 @@ class QueryRecord:
     span: object = None
 
 
+def _truncate(records: list, limit: int | None) -> list:
+    """The first ``limit`` records (all when ``limit`` is ``None``)."""
+    if limit is None:
+        return records
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    return records[:limit]
+
+
 class FlightRecorder:
     """An always-on, bounded, thread-safe ring of :class:`QueryRecord`.
 
@@ -276,14 +285,15 @@ class FlightRecorder:
         outcome: str | None = None,
     ) -> list[QueryRecord]:
         """The retained records, most recent first, optionally filtered
-        by graph structural key and/or outcome, truncated to ``limit``."""
+        by graph structural key and/or outcome, truncated to ``limit``
+        (a negative ``limit`` raises ``ValueError``)."""
         with self._lock:
             out = [
                 rec
                 for rec in reversed(self._ring)
                 if self._matches(rec, graph, outcome)
             ]
-        return out[:limit] if limit is not None else out
+        return _truncate(out, limit)
 
     def slow_records(
         self,
@@ -293,7 +303,8 @@ class FlightRecorder:
     ) -> list[QueryRecord]:
         """The slow-query log's slowest-N view: retained slow records
         sorted by descending duration (ties: most recent first),
-        optionally filtered per graph."""
+        optionally filtered per graph and truncated to ``limit`` (as in
+        :meth:`records`)."""
         with self._lock:
             hits = [
                 (idx, rec)
@@ -301,8 +312,7 @@ class FlightRecorder:
                 if self._matches(rec, graph, None)
             ]
         hits.sort(key=lambda pair: (-pair[1].duration, -pair[0]))
-        out = [rec for _, rec in hits]
-        return out[:limit] if limit is not None else out
+        return _truncate([rec for _, rec in hits], limit)
 
     def get(self, trace_id: str) -> QueryRecord | None:
         """Look a record up by trace id (both rings; ``None`` when it has

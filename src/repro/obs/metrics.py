@@ -39,11 +39,9 @@ from __future__ import annotations
 import bisect
 import re
 import threading
-from collections.abc import MutableMapping
 
 __all__ = [
     "Counter",
-    "CounterDict",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -168,13 +166,8 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotonically increasing count (``..._total`` by convention).
-
-    ``inc()`` is the only Prometheus-sanctioned mutation;
-    :meth:`set_value` exists solely as a migration/reset hook so
-    components that historically exposed writable counter dicts (the
-    tracker's ``stats``) can keep their accessor contracts while the
-    storage moves here."""
+    """A monotonically increasing count (``..._total`` by convention);
+    ``inc()`` is its only mutation."""
 
     kind = "counter"
 
@@ -200,13 +193,6 @@ class Counter(_Metric):
         """The current count (``int`` while only integer increments were
         recorded, so ``stats()`` views stay integer-typed)."""
         return self._value
-
-    def set_value(self, value) -> None:
-        """Overwrite the count — a migration/reset hook for dict-shaped
-        legacy accessors, not part of counter semantics (see the class
-        docstring)."""
-        with self._lock:
-            self._value = value
 
     def _reset_values(self) -> None:
         self._value = 0
@@ -523,63 +509,6 @@ class MetricsRegistry:
             f"MetricsRegistry(metrics={len(self._metrics)}, "
             f"includes={len(self._includes)})"
         )
-
-
-class CounterDict(MutableMapping):
-    """A dict-shaped view over registry counters — the migration shim
-    that lets a component's historically-public counter dict (e.g.
-    :attr:`MixingTracker.stats <repro.dynamic.tracker.MixingTracker>`)
-    keep its exact read/write surface (``stats["memo_hits"] += 1``,
-    ``dict(stats)``, key iteration) while the storage moves onto a
-    :class:`MetricsRegistry`.
-
-    Keys map to counters named ``<prefix><key>_total``; reading a key
-    returns the counter's value, assigning writes it (via
-    :meth:`Counter.set_value` — these dicts predate counter semantics).
-    Unknown keys are created on first assignment, matching plain-dict
-    behavior."""
-
-    def __init__(self, registry: MetricsRegistry, prefix: str, keys=(),
-                 help_prefix: str = ""):
-        self._registry = registry
-        self._prefix = prefix
-        self._help_prefix = help_prefix
-        self._counters: dict[str, Counter] = {}
-        for key in keys:
-            self._counters[key] = self._make(key)
-
-    def _make(self, key: str) -> Counter:
-        return self._registry.counter(
-            f"{self._prefix}{key}_total", f"{self._help_prefix}{key}"
-        )
-
-    def __getitem__(self, key):
-        """The counter value for ``key`` (``KeyError`` when absent)."""
-        return self._counters[key].value
-
-    def __setitem__(self, key, value):
-        """Write ``value`` into ``key``'s counter, creating the counter
-        on first assignment of a new key."""
-        counter = self._counters.get(key)
-        if counter is None:
-            counter = self._counters[key] = self._make(key)
-        counter.set_value(value)
-
-    def __delitem__(self, key):
-        """Drop ``key`` from this view (the underlying counter stays
-        registered — registries never forget metrics)."""
-        del self._counters[key]
-
-    def __iter__(self):
-        """Iterate the view's keys in insertion order."""
-        return iter(self._counters)
-
-    def __len__(self):
-        """Number of keys in the view."""
-        return len(self._counters)
-
-    def __repr__(self) -> str:
-        return f"CounterDict({dict(self)!r})"
 
 
 _default_registry: MetricsRegistry | None = None

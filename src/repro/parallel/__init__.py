@@ -6,15 +6,15 @@ time; this subsystem is the shared-memory realization of that idea on one
 machine.  It multiplies the batched engine (:mod:`repro.engine`) across
 cores without giving up a single bit of exactness:
 
-* :class:`~repro.parallel.shared_csr.SharedCSR` — the graph's CSR arrays
-  are placed in :mod:`multiprocessing.shared_memory` once and mapped
-  zero-copy by every worker (no per-task pickling of the topology, no
-  re-validation).
-* :class:`~repro.parallel.shared_eigenbasis.SharedEigenbasis` — the
-  companion segment for spectral solves: the parent's ``O(n³)``
-  eigendecomposition is published once and every worker rebuilds the
-  propagator on zero-copy views (memory order preserved, so BLAS products
-  stay bitwise the parent's); no worker re-runs ``eigh``.
+* :class:`~repro.parallel.shared.SharedArrays` — a tuple of arrays placed
+  in one :mod:`multiprocessing.shared_memory` segment once and mapped
+  zero-copy by every worker through a tiny picklable
+  :class:`~repro.parallel.shared.SharedHandle`.  Two formats:
+  :class:`~repro.parallel.shared.SharedCSR` carries the graph's CSR arrays
+  (no per-task pickling of the topology, no re-validation) and
+  :class:`~repro.parallel.shared.SharedEigenbasis` the parent's ``O(n³)``
+  eigendecomposition for spectral solves (memory order preserved, so BLAS
+  products stay bitwise the parent's; no worker re-runs ``eigh``).
 * :class:`~repro.parallel.executor.ShardExecutor` — a persistent process
   pool with per-worker warm state (engine spectral-cache settings
   forwarded on spawn, attached graphs and their caches kept hot across
@@ -44,10 +44,11 @@ small graphs or few sources the serial batched call wins — reuse one
 few hundred sources.
 """
 
-from repro.parallel.shared_csr import SharedCSR, SharedCSRHandle
-from repro.parallel.shared_eigenbasis import (
+from repro.parallel.shared import (
+    SharedArrays,
+    SharedCSR,
     SharedEigenbasis,
-    SharedEigenbasisHandle,
+    SharedHandle,
 )
 from repro.parallel.executor import (
     ShardExecutor,
@@ -62,10 +63,10 @@ from repro.parallel.api import (
 )
 
 __all__ = [
+    "SharedArrays",
     "SharedCSR",
-    "SharedCSRHandle",
     "SharedEigenbasis",
-    "SharedEigenbasisHandle",
+    "SharedHandle",
     "ShardExecutor",
     "default_start_method",
     "shard_bounds",

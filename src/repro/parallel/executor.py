@@ -5,8 +5,11 @@
 once on spawn (engine spectral-cache settings forwarded via the pool
 initializer) and then reused across calls — the pool survives any number of
 solves, graphs and snapshots.  Graphs travel to workers through
-:class:`~repro.parallel.shared_csr.SharedCSR` segments published once per
-structure; tasks carry only the tiny handle.
+:class:`~repro.parallel.shared.SharedCSR` segments (and spectral solves'
+eigenbases through :class:`~repro.parallel.shared.SharedEigenbasis`, both
+:class:`~repro.parallel.shared.SharedArrays` formats) published once per
+structure; tasks carry only the tiny
+:class:`~repro.parallel.shared.SharedHandle`.
 
 Determinism contract
 --------------------
@@ -28,7 +31,7 @@ The pool uses the platform default start method unless overridden by the
 ``start_method`` argument or the ``REPRO_PARALLEL_START_METHOD``
 environment variable (the CI matrix runs the suite under both ``fork`` and
 ``spawn``).  Everything shipped to workers — the module-level task
-functions, :class:`SharedCSRHandle`, knob dictionaries, seeds — is
+functions, :class:`SharedHandle`, knob dictionaries, seeds — is
 picklable, so ``spawn`` (macOS/Windows default) is fully supported.
 
 Observability
@@ -52,8 +55,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import threading
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter, OrderedDict
+from concurrent.futures import ProcessPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,10 +72,11 @@ from repro.obs import (
     observability_enabled,
     use_span,
 )
-from repro.parallel.shared_csr import SharedCSR, SharedCSRHandle
-from repro.parallel.shared_eigenbasis import (
+from repro.parallel.shared import (
+    SharedArrays,
+    SharedCSR,
     SharedEigenbasis,
-    SharedEigenbasisHandle,
+    SharedHandle,
 )
 
 __all__ = ["ShardExecutor", "shard_bounds", "default_start_method"]
@@ -80,6 +84,10 @@ __all__ = ["ShardExecutor", "shard_bounds", "default_start_method"]
 #: Environment variable overriding the multiprocessing start method (the CI
 #: portability matrix sets it to ``spawn``).
 START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
+
+#: How many segments (graphs and eigenbases together) an executor keeps
+#: published beyond those pinned by in-flight calls.
+MAX_PUBLISHED = 16
 
 
 def default_start_method() -> str:
@@ -124,16 +132,13 @@ def shard_bounds(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 # Worker side (module-level so every start method can pickle the tasks)
 # ---------------------------------------------------------------------- #
 
-#: Per-worker LRU of attached segments: keeps the worker-side ``Graph`` (and
-#: its warm ``cached_property`` state) alive across tasks, bounded so long
-#: snapshot streams do not pin stale mappings.
-_WORKER_GRAPH_CACHE_SIZE = 8
-_worker_graphs: "OrderedDict[str, SharedCSR]" = OrderedDict()
-
-#: Per-worker LRU of attached eigenbasis segments (same bound and rotation
-#: discipline as the graph cache; entries are only mappings — the dense
-#: arrays live once in shared memory).
-_worker_eigenbases: "OrderedDict[str, SharedEigenbasis]" = OrderedDict()
+#: Per-worker LRU of attached segments (graphs and eigenbases alike, keyed
+#: by segment name): keeps the worker-side ``Graph`` (and its warm
+#: ``cached_property`` state) alive across tasks, bounded so long snapshot
+#: streams do not pin stale mappings.  Entries are only mappings — the
+#: arrays live once in shared memory.
+_WORKER_CACHE_SIZE = 16
+_worker_segments: "OrderedDict[str, SharedArrays]" = OrderedDict()
 
 
 def _init_worker(cache_maxsize: int | None) -> None:
@@ -148,49 +153,26 @@ def _init_worker(cache_maxsize: int | None) -> None:
         set_propagator_cache_maxsize(cache_maxsize)
 
 
-def _resolve_graph(handle: SharedCSRHandle) -> Graph:
-    """Attach (or reuse) the shared segment and return its zero-copy graph."""
-    shared = _worker_graphs.get(handle.shm_name)
+def _attached(handle: SharedHandle, cls):
+    """Attach (or reuse) the segment behind ``handle`` as a ``cls``."""
+    shared = _worker_segments.get(handle.shm_name)
     if shared is None:
         # Pool workers inherit the publisher's resource tracker (under
         # every start method: the tracker fd travels in the spawn
         # preparation data), so attach-registration dedups against the
         # publisher's entry and must NOT be untracked — the publisher's
         # unlink is the one and only deregistration.
-        shared = SharedCSR.attach(handle)
-        _worker_graphs[handle.shm_name] = shared
-        while len(_worker_graphs) > _WORKER_GRAPH_CACHE_SIZE:
-            _worker_graphs.popitem(last=False)[1].close()
+        shared = _worker_segments[handle.shm_name] = cls.attach(handle)
+        while len(_worker_segments) > _WORKER_CACHE_SIZE:
+            _worker_segments.popitem(last=False)[1].close()
     else:
-        _worker_graphs.move_to_end(handle.shm_name)
-    return shared.graph
-
-
-def _seed_eigenbasis(
-    eigen_handle: SharedEigenbasisHandle, g: Graph
-) -> None:
-    """Attach (or reuse) the shared eigenbasis and seed the worker's
-    spectral-propagator cache with a zero-copy rebuild, so the engine's
-    ``shared_spectral_propagator(g, lazy)`` lookup hits instead of paying
-    ``O(n³)`` per worker.  Seeding is first-publish-wins and idempotent."""
-    from repro.engine import seed_shared_propagator
-
-    shared = _worker_eigenbases.get(eigen_handle.shm_name)
-    if shared is None:
-        # Same tracker rule as the graph cache: pool workers inherit the
-        # publisher's resource tracker, so never untrack here.
-        shared = SharedEigenbasis.attach(eigen_handle)
-        _worker_eigenbases[eigen_handle.shm_name] = shared
-        while len(_worker_eigenbases) > _WORKER_GRAPH_CACHE_SIZE:
-            _worker_eigenbases.popitem(last=False)[1].close()
-    else:
-        _worker_eigenbases.move_to_end(eigen_handle.shm_name)
-    seed_shared_propagator(shared.propagator(g))
+        _worker_segments.move_to_end(handle.shm_name)
+    return shared
 
 
 def _solve_shard(
-    handle: SharedCSRHandle,
-    eigen_handle: SharedEigenbasisHandle | None,
+    handle: SharedHandle,
+    eigen_handle: SharedHandle | None,
     kind: str,
     shard: list[int],
     kwargs: dict,
@@ -217,9 +199,16 @@ def _solve_shard(
         batched_local_mixing_times,
     )
 
-    g = _resolve_graph(handle)
+    g = _attached(handle, SharedCSR).graph
     if eigen_handle is not None:
-        _seed_eigenbasis(eigen_handle, g)
+        # Seed the worker's spectral-propagator cache with a zero-copy
+        # rebuild, so the engine's ``shared_spectral_propagator(g, lazy)``
+        # lookup hits instead of paying O(n³) per worker (first seed wins).
+        from repro.engine import seed_shared_propagator
+
+        seed_shared_propagator(
+            _attached(eigen_handle, SharedEigenbasis).propagator(g)
+        )
     solvers = {
         "times": batched_local_mixing_times,
         "spectra": batched_local_mixing_spectra,
@@ -250,13 +239,13 @@ def _solve_shard(
     return os.getpid(), out, span.to_dict()
 
 
-def _map_shard(handle: SharedCSRHandle | None, fn: Callable, chunk: list):
+def _map_shard(handle: SharedHandle | None, fn: Callable, chunk: list):
     """Worker kernel for :func:`~repro.parallel.api.shard_map`: apply ``fn``
     to every item of the chunk (with the shared graph prepended when the
     caller published one); returns ``(worker_pid, results)``."""
     if handle is None:
         return os.getpid(), [fn(item) for item in chunk]
-    g = _resolve_graph(handle)
+    g = _attached(handle, SharedCSR).graph
     return os.getpid(), [fn(g, item) for item in chunk]
 
 
@@ -282,10 +271,12 @@ class ShardExecutor:
         per-worker spectral cache obeys the same memory bound the parent
         configured (workers otherwise start with the library default).
         Validated here — a bad value raises before the pool spawns.
-    max_published:
-        How many distinct graph segments to keep published at once; least
-        recently used segments beyond the bound are unlinked (safe between
-        solves — no task is in flight when eviction runs).
+
+    At most :data:`MAX_PUBLISHED` segments (graphs and eigenbases
+    together) stay published; least recently used ones beyond the bound
+    are unlinked.  A call's segments are pinned from publication until its
+    futures resolve, so eviction never unlinks a segment a queued task
+    still needs — the bound may be exceeded while pins are held.
 
     Use as a context manager (or call :meth:`close`) so the pool and every
     shared segment are torn down deterministically; tests assert that after
@@ -300,14 +291,11 @@ class ShardExecutor:
         *,
         start_method: str | None = None,
         cache_maxsize: int | None = None,
-        max_published: int = 16,
     ):
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if max_published < 1:
-            raise ValueError("max_published must be >= 1")
         # Validate forwarded worker settings at this front door: the pool
         # initializer replays them in every worker, where a bad value would
         # surface as an opaque BrokenProcessPool instead of a clear error.
@@ -332,11 +320,11 @@ class ShardExecutor:
             initializer=_init_worker,
             initargs=(cache_maxsize,),
         )
-        self._published: "OrderedDict[Graph, SharedCSR]" = OrderedDict()
-        self._published_eigen: (
-            "OrderedDict[tuple[Graph, bool], SharedEigenbasis]"
-        ) = OrderedDict()
-        self._max_published = int(max_published)
+        #: Published segments keyed ``(g, None)`` for a CSR segment and
+        #: ``(g, lazy)`` for an eigenbasis, least recently used first.
+        self._published: "OrderedDict[tuple, SharedArrays]" = OrderedDict()
+        #: In-flight pin counts per key (see :meth:`_publish`).
+        self._pins: Counter = Counter()
         self._closed = False
         # The async serving layer calls one executor from several engine
         # worker threads at once; publication, the stats counters and
@@ -371,27 +359,15 @@ class ShardExecutor:
     # Graph publication
     # -------------------------------------------------------------- #
 
-    def publish(self, g: Graph) -> SharedCSRHandle:
+    def publish(self, g: Graph) -> SharedHandle:
         """Place ``g``'s CSR arrays in shared memory (idempotent per
         structure: :class:`Graph` hashes by its CSR bytes, so a revisited
         dynamic-snapshot topology reuses its existing segment)."""
-        self._check_open()
-        with self._lock:
-            shared = self._published.get(g)
-            if shared is None:
-                shared = SharedCSR.publish(g)
-                self._published[g] = shared
-                while len(self._published) > self._max_published:
-                    _, old = self._published.popitem(last=False)
-                    old.unlink()
-                    old.close()
-            else:
-                self._published.move_to_end(g)
-            return shared.handle
+        return self._publish((g, None))
 
     def publish_eigenbasis(
         self, g: Graph, *, lazy: bool = False
-    ) -> SharedEigenbasisHandle:
+    ) -> SharedHandle:
         """Place the eigendecomposition of ``(g, lazy)`` in shared memory
         (idempotent per operator, LRU-bounded like :meth:`publish`).
 
@@ -399,49 +375,64 @@ class ShardExecutor:
         :func:`~repro.engine.shared_spectral_propagator` cache — computed
         at most once in this process, then mapped zero-copy by every
         worker.  Spectral sharded solves call this automatically."""
+        return self._publish((g, bool(lazy)))
+
+    def _publish(self, key: tuple, pins: list | None = None) -> SharedHandle:
+        """The handle for ``key``, publishing the segment on first use.
+
+        With ``pins`` given, the key is pinned (and appended to ``pins``)
+        under the same lock hold that returns the handle, so no eviction
+        can slip in between; :meth:`_dispatch` releases it."""
         from repro.engine import shared_spectral_propagator
 
         self._check_open()
-        key = (g, bool(lazy))
         with self._lock:
-            shared = self._published_eigen.get(key)
-            if shared is not None:
-                self._published_eigen.move_to_end(key)
-                return shared.handle
-        # The O(n³) decomposition runs outside the lock (same discipline
-        # as the engine's propagator cache): a long eigh must not block
-        # publication of unrelated graphs from other threads.
-        prop = shared_spectral_propagator(g, lazy)
+            if key in self._published:
+                return self._touch(key, pins)
+        # Built outside the lock: for an eigenbasis this is the O(n³) eigh,
+        # which must not block other threads' publications.
+        g, lazy = key
+        if lazy is None:
+            fresh = SharedCSR.publish(g)
+        else:
+            prop = shared_spectral_propagator(g, lazy)
+            fresh = SharedEigenbasis.publish(prop)
         with self._lock:
-            raced = self._published_eigen.get(key)
-            if raced is not None:
-                self._published_eigen.move_to_end(key)
-                return raced.handle
-            shared = SharedEigenbasis.publish(prop)
-            self._published_eigen[key] = shared
-            while len(self._published_eigen) > self._max_published:
-                _, old = self._published_eigen.popitem(last=False)
-                old.unlink()
-                old.close()
-            return shared.handle
+            raced = self._published.setdefault(key, fresh) is not fresh
+            handle = self._touch(key, pins)
+        if raced:  # another thread published the same key first
+            fresh.dispose()
+        return handle
+
+    def _touch(self, key: tuple, pins: list | None) -> SharedHandle:
+        """Mark ``key`` most recently used, pin it for ``pins``, evict, and
+        return its handle (caller holds the lock)."""
+        self._published.move_to_end(key)
+        if pins is not None:
+            self._pins[key] += 1
+            pins.append(key)
+        self._evict()
+        return self._published[key].handle
+
+    def _evict(self) -> None:
+        """Unlink least recently used unpinned segments beyond
+        :data:`MAX_PUBLISHED` (caller holds the lock; the most recent
+        entry is never evicted)."""
+        excess = len(self._published) - MAX_PUBLISHED
+        for key in list(self._published)[:-1]:
+            if excess <= 0:
+                break
+            if key not in self._pins:
+                self._published.pop(key).dispose()
+                excess -= 1
 
     def release(self, g: Graph) -> None:
         """Unlink ``g``'s segments (CSR and any eigenbases) now instead of
         waiting for :meth:`close` (workers' existing mappings stay valid
         until they rotate out)."""
         with self._lock:
-            shared = self._published.pop(g, None)
-            eigen = [
-                self._published_eigen.pop(key)
-                for key in list(self._published_eigen)
-                if key[0] == g
-            ]
-        if shared is not None:
-            shared.unlink()
-            shared.close()
-        for e in eigen:
-            e.unlink()
-            e.close()
+            for key in [key for key in self._published if key[0] == g]:
+                self._published.pop(key).dispose()
 
     # -------------------------------------------------------------- #
     # Execution
@@ -467,33 +458,22 @@ class ShardExecutor:
         """
         self._check_open()
         n_shards = self._resolve_shards(n_shards)
-        handle = self.publish(g)
-        eigen_handle = None
-        if kwargs.get("method") == "spectral":
-            # Spectral solves need the eigenbasis in every worker; publish
-            # the parent's decomposition once so workers map it instead of
-            # re-running eigh per process.
-            eigen_handle = self.publish_eigenbasis(
-                g, lazy=bool(kwargs.get("lazy", False))
-            )
         src = [int(s) for s in sources]
         bounds = shard_bounds(len(src), n_shards)
         # Ask workers for their timelines only while the parent is
         # tracing; the shipped span dicts ride the normal result tuple.
         collect = observability_enabled()
-        futures = [
-            self._pool.submit(
-                _solve_shard,
-                handle,
-                eigen_handle,
-                kind,
-                src[lo:hi],
-                kwargs,
-                collect,
-            )
-            for lo, hi in bounds
-        ]
-        parts = [f.result() for f in futures]
+        # Spectral solves need the eigenbasis in every worker; publish the
+        # parent's decomposition once so workers map it instead of
+        # re-running eigh per process.
+        eigen_key = None
+        if kwargs.get("method") == "spectral":
+            eigen_key = (g, bool(kwargs.get("lazy", False)))
+        parts = self._dispatch(
+            _solve_shard,
+            [(g, None), eigen_key],
+            [(kind, src[lo:hi], kwargs, collect) for lo, hi in bounds],
+        )
         self._record_dispatch(bounds, (pid for pid, _, _ in parts))
         if collect:
             self._ingest_worker_spans(obs for _, _, obs in parts)
@@ -535,15 +515,35 @@ class ShardExecutor:
         items = list(items)
         if not items:
             return []
-        handle = self.publish(graph) if graph is not None else None
         bounds = shard_bounds(len(items), n_shards)
-        futures = [
-            self._pool.submit(_map_shard, handle, fn, items[lo:hi])
-            for lo, hi in bounds
-        ]
-        parts = [f.result() for f in futures]
+        parts = self._dispatch(
+            _map_shard,
+            [None if graph is None else (graph, None)],
+            [(fn, items[lo:hi]) for lo, hi in bounds],
+        )
         self._record_dispatch(bounds, (pid for pid, _ in parts))
         return [res for _, part in parts for res in part]
+
+    def _dispatch(self, fn: Callable, keys: list, tasks: list) -> list:
+        """Publish ``keys`` (a ``None`` key passes a ``None`` handle), run
+        ``fn(*handles, *args)`` on the pool for every task, and return the
+        results in task order.  The keys stay pinned until every submitted
+        task has finished, also when one of them fails."""
+        pins: list = []
+        futures = []
+        try:
+            handles = [
+                None if key is None else self._publish(key, pins)
+                for key in keys
+            ]
+            for args in tasks:
+                futures.append(self._pool.submit(fn, *handles, *args))
+            return [f.result() for f in futures]
+        finally:
+            wait(futures)
+            with self._lock:
+                self._pins -= Counter(pins)
+                self._evict()  # what the pins held over the bound
 
     def _record_dispatch(self, bounds, worker_pids) -> None:
         """Fold one sharded call into the utilization counters."""
@@ -572,6 +572,7 @@ class ShardExecutor:
         report these; they never affect results.
         """
         with self._lock:
+            graphs = sum(lazy is None for _, lazy in self._published)
             return {
                 "calls": self._calls.value,
                 "tasks_dispatched": self._tasks_dispatched.value,
@@ -582,8 +583,8 @@ class ShardExecutor:
                 },
                 "last_shard_sizes": list(self._last_shard_sizes),
                 "n_workers": self.n_workers,
-                "published_graphs": len(self._published),
-                "published_eigenbases": len(self._published_eigen),
+                "published_graphs": graphs,
+                "published_eigenbases": len(self._published) - graphs,
             }
 
     def reset(self) -> None:
@@ -629,13 +630,8 @@ class ShardExecutor:
         self._pool.shutdown(wait=True)
         with self._lock:
             for shared in self._published.values():
-                shared.unlink()
-                shared.close()
+                shared.dispose()
             self._published.clear()
-            for eigen in self._published_eigen.values():
-                eigen.unlink()
-                eigen.close()
-            self._published_eigen.clear()
 
     def __enter__(self) -> "ShardExecutor":
         return self

@@ -125,10 +125,12 @@ class SpectralPropagator:
         decomposition of this ``(g, lazy)`` operator — including memory
         layout, since BLAS products can differ bitwise between C- and
         F-contiguous operands.  This is the zero-copy attach path of
-        :class:`~repro.parallel.SharedEigenbasis`: the parent publishes
-        its eigenbasis once and every worker rebuilds the propagator on
-        views of the shared segment, so evaluations match the parent's
-        bitwise."""
+        :class:`~repro.parallel.SharedEigenbasis`, the eigenbasis format
+        of :class:`~repro.parallel.SharedArrays`: the parent publishes its
+        eigenbasis once and every worker rebuilds the propagator on views
+        of the shared segment (their memory order travels on the
+        :class:`~repro.parallel.SharedHandle`), so evaluations match the
+        parent's bitwise."""
         self = cls.__new__(cls)
         self.graph = g
         self.lazy = lazy

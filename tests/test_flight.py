@@ -153,6 +153,18 @@ class TestRing:
         assert [r.source for r in fr.records(1, graph="a")] == [2]
         assert fr.stats()["errors"] == 1
 
+    def test_negative_limit_rejected_zero_limit_empty(self):
+        """Regression: ``limit=-1`` used to slice ``out[:-1]`` and silently
+        drop the last record."""
+        fr = FlightRecorder(32, slow_threshold=0.5)
+        for i in range(3):
+            fr.record(make_rec(i, duration=1.0))
+        for listing in (fr.records, fr.slow_records):
+            assert len(listing()) == 3
+            assert listing(0) == []
+            with pytest.raises(ValueError, match="limit"):
+                listing(-1)
+
     def test_get_covers_both_rings(self):
         fr = FlightRecorder(2, slow_threshold=0.5, slow_capacity=8)
         fr.record(make_rec(0, duration=1.0))

@@ -28,10 +28,10 @@ from repro.engine import (
     batched_local_mixing_times,
 )
 from repro.engine import batch as engine_batch
+from repro.dynamic import barbell_bridge_schedule, track_local_mixing
 from repro.graphs import random_regular
 from repro.obs import (
     BenchReporter,
-    CounterDict,
     KERNEL_LABEL,
     MetricsRegistry,
     Span,
@@ -177,16 +177,21 @@ def test_labeled_children_and_series():
     assert 'repro_test_calls_total{backend="f32",kernel="step"} 2' in text
 
 
-def test_counterdict_is_a_counter_view():
-    reg = MetricsRegistry()
-    stats = CounterDict(reg, "repro_test_", keys=("hits", "misses"))
-    stats["hits"] += 3
-    stats["misses"] = 2
-    assert stats["hits"] == 3
-    assert dict(stats) == {"hits": 3, "misses": 2}
-    assert stats.get("absent", 0) == 0
-    # The view is backed by real registry counters.
-    assert reg.counter("repro_test_hits_total").value == 3
+def test_tracker_stats_match_rendered_counters():
+    """The tracker's ``stats`` dict and its Prometheus exposition read the
+    same counters: every ``repro_tracker_<key>_total`` line carries
+    exactly ``tracker.stats[key]``."""
+    base, updates = barbell_bridge_schedule(3, 6, cycles=2, hold=0, seed=1)
+    trace = track_local_mixing(base, updates, 3.0, 0.4, t_max=3000)
+    stats = trace.tracker.stats
+    assert stats["snapshots"] == len(updates) + 1
+    assert stats["memo_hits"] >= 1
+    text = trace.tracker.metrics.render()
+    for key, value in stats.items():
+        assert f"repro_tracker_{key}_total {value}\n" in text
+    # A plain read-only dict: mutating it cannot corrupt the tracker.
+    stats["snapshots"] = -1
+    assert trace.tracker.stats["snapshots"] == len(updates) + 1
 
 
 def test_include_composes_and_dedups():

@@ -12,6 +12,11 @@ and every shard boundary.
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
+import sys
+import threading
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -278,6 +283,98 @@ def test_executor_release_single_graph(reg):
         ex.release(reg)
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+
+def _wait_for_file(path):
+    """Block a worker until ``path`` exists (bounded, so a broken test
+    cannot hang the pool forever)."""
+    deadline = time.monotonic() + 60
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return path
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork"
+)
+def test_eviction_spares_segment_of_queued_call(reg, tmp_path):
+    """Regression: publishing more graphs than the LRU bound while another
+    thread's call is still queued must not unlink that call's segment —
+    in-flight keys are pinned until their futures resolve."""
+    release = tmp_path / "release"
+    out: dict = {}
+    with ShardExecutor(1, start_method="fork") as ex:
+        # Fork the worker before any thread starts (forking a threaded
+        # process is unsafe), with a graph B does not use so the worker
+        # has not attached B's segment yet.
+        ex.map_items(_degree_of, [0], graph=gen.cycle_graph(4))
+        # A holds the only worker; B's task queues behind it.
+        a = threading.Thread(
+            target=lambda: ex.map_items(_wait_for_file, [str(release)])
+        )
+        a.start()
+
+        def run_b():
+            try:
+                out["b"] = ex.map_items(_degree_of, [0, 1], graph=reg)
+            except Exception as exc:  # surfaced in the main thread
+                out["b"] = exc
+
+        b = threading.Thread(target=run_b)
+        b.start()
+        deadline = time.monotonic() + 30
+        while ex.stats()["published_graphs"] < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        for n in range(5, 21):
+            ex.publish(gen.cycle_graph(n))
+        release.touch()
+        a.join(60)
+        b.join(60)
+        assert not a.is_alive() and not b.is_alive()
+        assert out["b"] == [reg.degree(0), reg.degree(1)]
+        # Once B's futures resolved, the pin is dropped and the LRU bound
+        # holds again.
+        assert ex.stats()["published_graphs"] == 16
+
+
+def test_concurrent_calls_past_lru_bound_all_succeed(reg):
+    """Stress: more threads than cores push more distinct graphs than the
+    LRU bound through one executor.  Every call's segment must survive
+    until its tasks finish, and once all calls are done every pin is
+    released and the bound holds again."""
+    graphs = [gen.cycle_graph(n) for n in range(5, 41)]
+    errors: list = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ShardExecutor(2) as ex:
+            # Start the pool before the threads (forking a threaded
+            # process is unsafe).
+            ex.map_items(_degree_of, [0], graph=reg)
+
+            def run(chunk):
+                try:
+                    for g in chunk:
+                        got = ex.map_items(_degree_of, [0, 1, 2], graph=g)
+                        assert got == [2, 2, 2]
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=(graphs[i::6],))
+                for i in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert ex.stats()["published_graphs"] == 16
+            assert not ex._pins
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_spawn_start_method_portability(reg):
