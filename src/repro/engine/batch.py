@@ -14,10 +14,14 @@ same bookkeeping counters.  Exactness is preserved by a two-phase check per
    pair;
 2. only ``(R, column)`` pairs whose bound falls below
    ``threshold · (1 + 1e-9)`` are re-examined with the exact single-source
-   arithmetic (:class:`~repro.walks.local_mixing.UniformDeviationOracle` /
-   ``_degree_target_best``), whose verdict — and reported deviation — is
-   what the per-source loop computes.  A lower bound can over-flag but
-   never under-flag — its deviation from the exact minimum is summation
+   arithmetic — batched per step for the uniform target: one
+   :func:`~repro.engine.oracle.exact_best_sums_kernel` call runs the
+   window scan's float64 operations on every flagged pair (constrained and
+   degree-target pairs use
+   :class:`~repro.walks.local_mixing.UniformDeviationOracle` /
+   ``_degree_target_best``).  That verdict — and reported deviation — is
+   what the per-source loop computes.  A lower bound can over-flag but never
+   under-flag — its deviation from the exact minimum is summation
    roundoff, orders of magnitude below the ``1e-9`` relative slack — so a
    source can never stop earlier or later than its per-source run.
 
@@ -50,8 +54,8 @@ from repro.errors import ConvergenceError
 from repro.graphs.base import Graph
 from repro.engine.oracle import (
     BatchedDegreeDeviationOracle,
-    BatchedUniformDeviationOracle,
     deviation_lower_bounds_kernel,
+    exact_best_sums_kernel,
     sorted_scan_arrays,
     split_points_kernel,
 )
@@ -86,16 +90,21 @@ class _Kernels(NamedTuple):
     sorted_scan: object
     split_points: object
     deviation_lower_bounds: object
+    best_sums: object  # exact verification of flagged uniform pairs
+    best_sums_grid: object  # unbound BatchedDegreeDeviationOracle method
     #: ``(pairs, flagged)`` screening-volume recorder, ``None`` when
     #: observability is disabled.
     screen: object
 
 
+_degree_grid = BatchedDegreeDeviationOracle.best_sums_grid
 _PLAIN_KERNELS = _Kernels(
     matmul,
     sorted_scan_arrays,
     split_points_kernel,
     deviation_lower_bounds_kernel,
+    exact_best_sums_kernel,
+    _degree_grid,
     None,
 )
 
@@ -112,6 +121,8 @@ def _kernels() -> _Kernels:
         prof.timed("sorted_scan", sorted_scan_arrays),
         prof.timed("split_points", split_points_kernel),
         prof.timed("deviation_lower_bounds", deviation_lower_bounds_kernel),
+        prof.timed("best_sums", exact_best_sums_kernel),
+        prof.timed("best_sums_grid", _degree_grid),
         prof.record_screen,
     )
 
@@ -127,21 +138,6 @@ def _observe_engine_span(span, kind: str) -> None:
             "Wall seconds per batched engine driver call.",
             labels=("kind",),
         ).labels(kind=kind).observe(span.duration)
-
-
-def _exact_best_sum(z: np.ndarray, pre: np.ndarray, R: int) -> float:
-    """``min_{|S|=R} Σ|p − 1/R|`` for one sorted column ``z`` with prefix
-    sums ``pre`` — a transcript of
-    :meth:`~repro.walks.local_mixing.UniformDeviationOracle.best_sum`
-    (the shared :func:`~repro.walks.local_mixing.window_deviation_sums`
-    formula plus the same ``argmin``), fed from the batched oracle's
-    column-sorted block instead of a fresh per-column ``argsort``/``cumsum``
-    (both produce bitwise-identical arrays, so the value is too)."""
-    from repro.walks.local_mixing import window_deviation_sums
-
-    starts = np.arange(z.size - R + 1)
-    sums = window_deviation_sums(z, pre, R, 1.0 / R, starts)
-    return float(sums[int(np.argmin(sums))])
 
 
 def _normalize_sources(g: Graph, sources) -> list[int]:
@@ -466,13 +462,13 @@ def _solve_chunk(
     Per scheduled step: one batched prefilter over the whole
     ``(R, live column)`` grid (a valid lower bound for every target /
     constraint combination — the fused D1-style
-    ``deviation_lower_bounds`` kernel), then exact per-source verification
-    of the flagged pairs in ascending-``R`` order, so the first verified
-    hit per column is exactly the per-source loop's stopping point and
-    every counter reconstructs the loop's bookkeeping.  Unconstrained
-    uniform-target pairs are decided straight off the float64 scan arrays;
-    the degree target's prefilter is already the exact fixed-point
-    transcript.
+    ``deviation_lower_bounds`` kernel), then exact verification of the
+    flagged pairs; a column's first verified hit in ascending ``R`` is
+    exactly the per-source loop's stopping point, and every counter
+    reconstructs the loop's bookkeeping.  Unconstrained uniform-target
+    pairs are decided by one ``exact_best_sums_kernel`` call; the others
+    by their scalar per-source references (the degree target's prefilter
+    is already its exact fixed-point transcript).
     """
     from repro.walks.local_mixing import (
         LocalMixingResult,
@@ -484,6 +480,7 @@ def _solve_chunk(
     # The degree transcript is an exact prefilter, not a screen, so it
     # records no screening volume.
     screen_record = kernels.screen if target != "degree" else None
+    in_block = target == "uniform" and not require_source
     cutoff = threshold * (1.0 + _VERIFY_SLACK)
     n_cand = len(candidates)
     Rs = np.asarray(candidates, dtype=np.int64)
@@ -504,7 +501,8 @@ def _solve_chunk(
             P = block_distribution_at(
                 g, [chunk[i] for i in col_pos], t, lazy=lazy
             )
-        live_nodes = [chunk[int(i)] for i in col_pos]
+        if not in_block:
+            live_nodes = [chunk[int(i)] for i in col_pos]
         S = pre = None  # free the previous step's scan before the next sort
         if target == "degree":
             doracle = BatchedDegreeDeviationOracle(
@@ -513,7 +511,9 @@ def _solve_chunk(
             # The transcript values ARE the per-source heuristic values
             # (bitwise), so they prefilter exactly; flagged pairs are still
             # re-decided by the scalar reference below.
-            bounds = doracle.best_sums_grid(Rs, require_source=require_source)
+            bounds = kernels.best_sums_grid(
+                doracle, Rs, require_source=require_source
+            )
         else:
             S, pre = kernels.sorted_scan(P)
             k0_all = kernels.split_points(S, inv_r)
@@ -524,39 +524,43 @@ def _solve_chunk(
         hits = bounds < cutoff
         if screen_record is not None:
             screen_record(hits.size, int(np.count_nonzero(hits)))
-        exact: dict[int, UniformDeviationOracle] = {}
-        resolved: list[int] = []
-        for col in map(int, np.flatnonzero(hits.any(axis=0))):
-            node = int(live_nodes[col])
-            for r_idx in map(int, np.flatnonzero(hits[:, col])):
-                R = int(Rs[r_idx])
-                if target == "degree":
-                    s_exact = _degree_target_best(
-                        P[:, col], degrees, R, node, require_source
-                    )
-                elif require_source:
-                    uo = exact.get(col)
-                    if uo is None:
-                        uo = UniformDeviationOracle(P[:, col], source=node)
-                        exact[col] = uo
-                    s_exact, _ = uo.best_sum(R, require_source=True)
-                else:
-                    s_exact = _exact_best_sum(S[:, col], pre[:, col], R)
-                if s_exact < threshold:
-                    yield int(col_pos[col]), LocalMixingResult(
-                        time=t,
-                        set_size=R,
-                        deviation=s_exact,
-                        threshold=threshold,
-                        steps_checked=steps,
-                        sizes_checked=(steps - 1) * n_cand + r_idx + 1,
-                    )
-                    resolved.append(col)
-                    break
-        if resolved:
-            keep = np.setdiff1d(
-                np.arange(P.shape[1]), np.asarray(resolved, dtype=np.int64)
+        found = []  # (column, r_idx, exact value) of each first hit
+        if in_block:
+            # R-major order: a column's first hit has its smallest R.
+            r_idx, cols = np.nonzero(hits)
+            vals = kernels.best_sums(pre, Rs, inv_r, k0_all, r_idx, cols)
+            ok = np.flatnonzero(vals < threshold)
+            first = ok[np.unique(cols[ok], return_index=True)[1]]
+            found = zip(cols[first], r_idx[first], vals[first].tolist())
+        else:
+            for col in map(int, np.flatnonzero(hits.any(axis=0))):
+                node = int(live_nodes[col])
+                if require_source and target == "uniform":
+                    uo = UniformDeviationOracle(P[:, col], source=node)
+                for r_idx in map(int, np.flatnonzero(hits[:, col])):
+                    R = int(Rs[r_idx])
+                    if target == "degree":
+                        s_exact = _degree_target_best(
+                            P[:, col], degrees, R, node, require_source
+                        )
+                    else:
+                        s_exact, _ = uo.best_sum(R, require_source=True)
+                    if s_exact < threshold:
+                        found.append((col, r_idx, s_exact))
+                        break
+        keep = np.ones(col_pos.size, dtype=bool)
+        for col, r_idx, s_exact in found:
+            keep[col] = False
+            yield int(col_pos[col]), LocalMixingResult(
+                time=t,
+                set_size=int(Rs[r_idx]),
+                deviation=s_exact,
+                threshold=threshold,
+                steps_checked=steps,
+                sizes_checked=(steps - 1) * n_cand + int(r_idx) + 1,
             )
+        if not keep.all():
+            keep = np.flatnonzero(keep)
             col_pos = col_pos[keep]
             if prop is not None:
                 prop.drop_columns(keep)
@@ -582,25 +586,23 @@ def batched_local_mixing_profiles(
     bitwise equal to the single-source trajectory, the batched oracle's
     column-sorted block and prefix sums are bitwise equal to each
     per-column ``argsort``/``cumsum``, and every minimum is the exact
-    single-source scan (the shared
-    :func:`~repro.walks.local_mixing.window_deviation_sums` formula plus
-    ``argmin`` — profile *values* feed plots and fits, so no
-    threshold-verification shortcut applies).  With ``require_source=True``
-    each column's minimum comes from the exact constrained single-source
-    oracle (window-through-the-source-slot vs punctured-window
-    decomposition) evaluated on the shared block column.
+    single-source scan (:func:`~repro.engine.oracle.exact_best_sums_kernel`
+    over every ``(R, column)`` pair — profile *values* feed plots and
+    fits, so no threshold-verification shortcut applies).  With
+    ``require_source=True`` each column's minimum comes from the exact
+    constrained single-source oracle (window-through-the-source-slot vs
+    punctured-window decomposition) evaluated on the shared block column.
     """
-    from repro.walks.local_mixing import (
-        UniformDeviationOracle,
-        window_deviation_sums,
-    )
+    from repro.walks.local_mixing import UniformDeviationOracle
 
     src, candidates = _prepare_profiles_call(
         g, beta, sources=sources, sizes=sizes, grid_factor=grid_factor,
         t_max=t_max,
     )
     kernels = _kernels()
-    starts = {R: np.arange(g.n - R + 1) for R in candidates}
+    Rs = np.asarray(candidates, dtype=np.int64)
+    inv_r = 1.0 / Rs
+    r_idx, cols = np.divmod(np.arange(Rs.size * len(src)), len(src))
     out = np.empty((len(src), t_max + 1), dtype=np.float64)
     with trace("engine_solve", kind="profiles", sources=len(src)) as _sp:
         prop = BlockPropagator(
@@ -616,17 +618,10 @@ def batched_local_mixing_profiles(
                         for R in candidates
                     )
                 continue
-            oracle = BatchedUniformDeviationOracle(P)
-            for j in range(len(src)):
-                z = oracle.sorted[:, j]
-                pre = oracle.prefix[:, j]
-                best = math.inf
-                for R in candidates:
-                    sums = window_deviation_sums(
-                        z, pre, R, 1.0 / R, starts[R]
-                    )
-                    best = min(best, float(sums[int(np.argmin(sums))]))
-                out[j, t] = best
+            S, pre = kernels.sorted_scan(P)
+            k0 = kernels.split_points(S, inv_r)
+            vals = kernels.best_sums(pre, Rs, inv_r, k0, r_idx, cols)
+            out[:, t] = vals.reshape(Rs.size, len(src)).min(axis=0)
     _observe_engine_span(_sp, "profiles")
     return out
 
@@ -822,30 +817,28 @@ def batched_local_mixing_spectra(
             S, pre = kernels.sorted_scan(P)
             k0_all = kernels.split_points(S, inv_r)
             bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
-            exact: dict[int, UniformDeviationOracle] = {}
             live = unresolved[col_pos]
             hits = live.T & (bounds < cutoff)
             if kernels.screen is not None:
                 kernels.screen(hits.size, int(np.count_nonzero(hits)))
-            for col in map(int, np.flatnonzero(hits.any(axis=0))):
-                uo = exact.get(col)
-                if uo is None:
-                    uo = UniformDeviationOracle(
-                        P[:, col],
-                        source=(
-                            int(src[int(col_pos[col])])
-                            if require_source
-                            else None
-                        ),
-                    )
-                    exact[col] = uo
-                for r_idx in map(int, np.flatnonzero(hits[:, col])):
-                    R = int(Rs[r_idx])
-                    s_exact, _ = uo.best_sum(R, require_source=require_source)
-                    if s_exact < eps:
-                        pos = int(col_pos[col])
-                        out[pos][R] = t
-                        unresolved[pos, r_idx] = False
+            r_idx, cols = np.nonzero(hits)
+            if require_source:
+                uo = {
+                    c: UniformDeviationOracle(P[:, c], source=src[col_pos[c]])
+                    for c in set(cols.tolist())
+                }
+                ok = np.fromiter(
+                    (uo[c].best_sum(int(Rs[r]), require_source=True)[0] < eps
+                     for r, c in zip(r_idx.tolist(), cols.tolist())),
+                    dtype=bool, count=r_idx.size,
+                )
+            else:
+                vals = kernels.best_sums(pre, Rs, inv_r, k0_all, r_idx, cols)
+                ok = vals < eps
+            pos, r_ok = col_pos[cols[ok]], r_idx[ok]
+            unresolved[pos, r_ok] = False
+            for p, R in zip(pos.tolist(), Rs[r_ok].tolist()):
+                out[p][R] = t
             keep = np.flatnonzero(unresolved[col_pos].any(axis=1))
             if keep.size < col_pos.size:
                 col_pos = col_pos[keep]

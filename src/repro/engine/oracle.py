@@ -47,6 +47,7 @@ __all__ = [
     "best_sums_kernel",
     "best_sums_grid_kernel",
     "deviation_lower_bounds_kernel",
+    "exact_best_sums_kernel",
 ]
 
 
@@ -83,8 +84,11 @@ def split_points_kernel(S: np.ndarray, cs: np.ndarray) -> np.ndarray:
     on."""
     cs = np.asarray(cs, dtype=np.float64)
     out = np.empty((cs.size, S.shape[1]), dtype=np.int64)
-    for j in range(S.shape[1]):
-        out[:, j] = np.searchsorted(S[:, j], cs)
+    # Contiguous rows, keys ascending (drivers pass 1/R for ascending R):
+    # each search walks memory forward; the key order changes no integer.
+    keys = cs[::-1]
+    for j, row in enumerate(np.ascontiguousarray(S.T)):
+        out[::-1, j] = row.searchsorted(keys)
     return out
 
 
@@ -172,6 +176,56 @@ def best_sums_grid_kernel(
     return below + above, start
 
 
+#: Window starts per :func:`exact_best_sums_kernel` chunk: keeps its
+#: temporaries cache-sized whatever the number of flagged pairs.
+EXACT_CHUNK_ELEMENTS = 1 << 16
+
+
+def exact_best_sums_kernel(
+    pre: np.ndarray, Rs: np.ndarray, cs: np.ndarray, k0: np.ndarray,
+    r_idx: np.ndarray, cols: np.ndarray,
+) -> np.ndarray:
+    """Per flagged pair ``(Rs[r_idx[i]], cols[i])``, the exact window
+    minimum ``sums[argmin(sums)]`` of
+    :func:`~repro.walks.local_mixing.window_deviation_sums` over every
+    start, bitwise: the same elementwise float64 formula, evaluated over
+    one ragged array of all the pairs' window starts (``cs = 1/Rs``, ``k0``
+    its :func:`split_points_kernel` splits).  Window sums are never
+    ``-0.0`` or NaN, so each segment's minimum is the element ``argmin``
+    picks."""
+    if r_idx.size == 0:
+        return np.empty(0)
+    n = pre.shape[0] - 1
+    # The flagged columns' prefix sums as contiguous rows.
+    ucols, slot = np.unique(cols, return_inverse=True)
+    flat = pre.T[ucols].ravel()
+    widths = n - Rs[r_idx] + 1  # window starts per pair
+    ends = np.cumsum(widths)
+    out = np.empty(r_idx.size)
+    a = 0
+    while a < r_idx.size:  # pairs [a, b) fill one chunk (at least one)
+        base = ends[a - 1] if a else 0
+        b = np.searchsorted(ends, base + EXACT_CHUNK_ELEMENTS, "right")
+        b = max(a + 1, int(b))
+        w = widths[a:b]
+        offs = ends[a:b] - w - base  # segment offsets within the chunk
+        r = r_idx[a:b]
+        pos = np.arange(ends[b - 1] - base)  # offset + window start
+        R = np.repeat(Rs[r], w)
+        # d = clip(k0, start, start + R) - start, the entries below c.
+        d = np.repeat(k0[r, cols[a:b]] + offs, w) - pos
+        np.clip(d, 0, R, out=d)
+        i_s = np.repeat(slot[a:b] * (n + 1) - offs, w) + pos
+        p_s, p_k, p_e = flat[i_s], flat[i_s + d], flat[i_s + R]
+        c = np.repeat(cs[r], w)
+        df = d.astype(np.float64)  # exact: the integers are at most n
+        below = c * df - (p_k - p_s)
+        above = (p_e - p_k) - c * (R - df)
+        out[a:b] = np.minimum.reduceat(below + above, offs)
+        a = b
+    return out
+
+
 def deviation_lower_bounds_kernel(
     pre: np.ndarray, Rs: np.ndarray, cs: np.ndarray, k0: np.ndarray
 ) -> np.ndarray:
@@ -182,21 +236,23 @@ def deviation_lower_bounds_kernel(
     n = pre.shape[0] - 1
     k = pre.shape[1]
     cols = np.arange(k)[None, :]
-    R_col = np.asarray(Rs, dtype=np.int64)[:, None]
+    Rs = np.asarray(Rs, dtype=np.int64)
+    R_col = Rs[:, None]
     c_col = np.asarray(cs, dtype=np.float64)[:, None]
+    # Gathers that depend only on R are row takes; the k0-dependent ones
+    # index the flat prefix block (same elements, cheaper addressing).
+    flat = pre.ravel()
     target = c_col * R_col  # cR (≈ 1, kept in float for safety)
-    top = pre[n][None, :] - pre[n - R_col, cols]  # heaviest window mass
-    bot = pre[R_col, cols]  # lightest window mass
+    top = pre[n][None, :] - pre[n - Rs]  # heaviest window mass
+    bot = pre[Rs]  # lightest window mass
     # (a) |mass − cR| over the feasible mass range.
     b_mass = np.maximum(target - top, bot - target)
     # (b) below-c part of the rightmost window.
     m2 = np.clip(k0 - (n - R_col), 0, R_col)
-    b_below = c_col * m2 - (
-        pre[(n - R_col) + m2, cols] - pre[n - R_col, cols]
-    )
+    b_below = c_col * m2 - (flat[((n - R_col) + m2) * k + cols] - pre[n - Rs])
     # (c) above-c part of the leftmost window.
     a3 = np.minimum(k0, R_col)
-    b_above = (bot - pre[a3, cols]) - c_col * (R_col - a3)
+    b_above = (bot - flat[a3 * k + cols]) - c_col * (R_col - a3)
     out = np.maximum(b_mass, np.maximum(b_below, b_above))
     return np.maximum(out, 0.0)
 

@@ -57,6 +57,7 @@ import os
 import threading
 from collections import Counter, OrderedDict
 from concurrent.futures import ProcessPoolExecutor, wait
+from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
 import numpy as np
@@ -313,6 +314,10 @@ class ShardExecutor:
                 )
         self.n_workers = int(n_workers)
         self.start_method = start_method or default_start_method()
+        # Start the resource tracker before any worker can fork: workers
+        # forked without one each start a private tracker, which warns at
+        # shutdown about segments the publisher has already unlinked.
+        resource_tracker.ensure_running()
         ctx = mp.get_context(self.start_method)
         self._pool = ProcessPoolExecutor(
             max_workers=self.n_workers,

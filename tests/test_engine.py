@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.engine import oracle as oracle_mod
 from repro.engine import (
     BatchedUniformDeviationOracle,
     BlockPropagator,
@@ -25,6 +27,11 @@ from repro.engine import (
     set_propagator_cache_maxsize,
     shared_spectral_propagator,
 )
+from repro.engine.oracle import (
+    exact_best_sums_kernel,
+    sorted_scan_arrays,
+    split_points_kernel,
+)
 from repro.errors import BipartiteGraphError, ConvergenceError
 from repro.graphs import generators as gen
 from repro.walks import distribution_at, mixing_time
@@ -34,6 +41,7 @@ from repro.walks.local_mixing import (
     graph_local_mixing_time,
     local_mixing_spectrum,
     local_mixing_time,
+    window_deviation_sums,
 )
 
 FAMILIES = [
@@ -379,6 +387,100 @@ class TestGridKernels:
             oracle.deviation_lower_bounds(np.array([0]))
         with pytest.raises(ValueError):
             oracle.best_sums_grid(np.array([2]), k0=np.zeros((3, 3), np.int64))
+
+
+def _scan_best(z, pre, R):
+    """The single-source exact minimum: ``sums[argmin(sums)]`` of the
+    shared window formula over every start."""
+    sums = window_deviation_sums(z, pre, R, 1.0 / R, np.arange(z.size - R + 1))
+    return sums[int(np.argmin(sums))]
+
+
+def _column_block(kind, n, k, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":  # every window ties exactly
+        return np.full((n, k), 1.0 / n)
+    if kind == "ties":  # few distinct values, many tied windows
+        P = rng.integers(0, 3, size=(n, k)).astype(np.float64) + 1.0
+        return P / P.sum(axis=0)
+    if kind == "sparse":  # walk-like: zeros below every 1/R
+        P = rng.random((n, k)) * (rng.random((n, k)) < 0.3)
+        P[0] += 1.0
+        return P / P.sum(axis=0)
+    return rng.dirichlet(np.ones(n), size=k).T
+
+
+def _kernel_vs_scan(P, flag_seed):
+    S, pre = sorted_scan_arrays(P)
+    n, k = P.shape
+    Rs = np.arange(1, n + 1)
+    cs = 1.0 / Rs
+    k0 = split_points_kernel(S, cs)
+    flags = np.random.default_rng(flag_seed).random((n, k)) < 0.5
+    flags[0, 0] = flags[-1, -1] = True  # R = 1 and R = n
+    r_idx, cols = np.nonzero(flags)
+    got = exact_best_sums_kernel(pre, Rs, cs, k0, r_idx, cols)
+    want = np.array(
+        [_scan_best(S[:, j], pre[:, j], Rs[r]) for r, j in zip(r_idx, cols)]
+    )
+    return got, want
+
+
+class TestExactBestSumsKernel:
+    """The batched exact verifier is bitwise equal, pair by pair, to the
+    single-source scan minimum it replaces."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["dirichlet", "uniform", "ties", "sparse"]),
+        n=st.integers(1, 40),
+        k=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scan_minimum_bitwise(self, kind, n, k, seed):
+        got, want = _kernel_vs_scan(_column_block(kind, n, k, seed), seed)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_tiny_element_budgets(self, monkeypatch, budget):
+        monkeypatch.setattr(oracle_mod, "EXACT_CHUNK_ELEMENTS", budget)
+        got, want = _kernel_vs_scan(_column_block("ties", 30, 4, 3), 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_flagged_windows_exceed_element_budget(self):
+        # About five budgets of window starts: chunk boundaries are crossed.
+        P = _column_block("sparse", 400, 8, 11)
+        got, want = _kernel_vs_scan(P, 11)
+        windows = sum(400 - R + 1 for R in range(1, 401)) * 8 * 0.5
+        assert windows > 2 * oracle_mod.EXACT_CHUNK_ELEMENTS
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_flagged_pairs(self):
+        P = _column_block("dirichlet", 10, 2, 0)
+        S, pre = sorted_scan_arrays(P)
+        Rs = np.arange(1, 11)
+        empty = np.zeros(0, dtype=np.int64)
+        out = exact_best_sums_kernel(
+            pre, Rs, 1.0 / Rs, split_points_kernel(S, 1.0 / Rs), empty, empty
+        )
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("g,beta,lazy", FAMILIES, ids=lambda v: str(v))
+    def test_chunked_solve_identical_to_loop(self, monkeypatch, g, beta, lazy):
+        # A budget far below one step's flagged windows: every step's
+        # verification crosses many chunk boundaries.
+        monkeypatch.setattr(oracle_mod, "EXACT_CHUNK_ELEMENTS", 8)
+        srcs = [0, g.n // 2, g.n - 1]
+        batch = batched_local_mixing_times(g, beta, sources=srcs, lazy=lazy)
+        assert batch == [
+            local_mixing_time(g, s, beta, lazy=lazy) for s in srcs
+        ]
+        spectra = batched_local_mixing_spectra(
+            g, sources=srcs, lazy=lazy, t_max=40
+        )
+        assert spectra == [
+            local_mixing_spectrum(g, s, lazy=lazy, t_max=40) for s in srcs
+        ]
 
 
 class TestBatchedMixingTimes:

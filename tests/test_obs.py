@@ -409,6 +409,31 @@ def test_screening_volume_is_recorded(small_graph):
     assert 0 <= screen["flagged"] <= screen["pairs"]
 
 
+def _result_bits(results):
+    return [
+        (r.time, r.set_size, r.deviation.hex(), r.steps_checked,
+         r.sizes_checked)
+        for r in results
+    ]
+
+
+@pytest.mark.parametrize(
+    "target,kernel", [("uniform", "best_sums"), ("degree", "best_sums_grid")]
+)
+def test_exact_verification_is_profiled(small_graph, target, kernel):
+    # The verify stage shows up under its own kernel name instead of the
+    # unattributed remainder, and timing it changes no result bit.
+    plain = batched_local_mixing_times(small_graph, BETA, target=target)
+    before = kernel_profiler().snapshot()
+    with observability(True):
+        traced = batched_local_mixing_times(small_graph, BETA, target=target)
+    delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
+    if target == "uniform":
+        assert delta["screen"][KERNEL_LABEL]["flagged"] > 0
+    assert delta["kernels"][f"{KERNEL_LABEL}/{kernel}"]["calls"] > 0
+    assert _result_bits(traced) == _result_bits(plain)
+
+
 # --------------------------------------------------------------------- #
 # Purity: identical results with observability on and off
 # --------------------------------------------------------------------- #

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import multiprocessing as mp
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -283,6 +284,42 @@ def test_executor_release_single_graph(reg):
         ex.release(reg)
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
+
+
+_LATE_SEGMENT_SCRIPT = """
+from repro.graphs import generators as gen
+from repro.parallel import ShardExecutor
+
+def square(x):
+    return x * x
+
+def degree_of(g, u):
+    return g.degree(u)
+
+ex = ShardExecutor(2, start_method="fork")
+ex.map_items(square, [1, 2, 3, 4])  # forks the pool before any segment
+assert ex.map_items(degree_of, [0, 1], graph=gen.cycle_graph(5)) == [2, 2]
+ex.close()
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork"
+)
+def test_pool_forked_before_first_segment_reports_no_leak():
+    # A fresh interpreter, so no earlier test has started the resource
+    # tracker: workers forked without one would each start a private
+    # tracker that warns at exit about the already-unlinked segment.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LATE_SEGMENT_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "leaked shared_memory" not in proc.stderr
 
 
 def _wait_for_file(path):
