@@ -25,6 +25,14 @@ same bookkeeping counters.  Exactness is preserved by a two-phase check per
    roundoff, orders of magnitude below the ``1e-9`` relative slack — so a
    source can never stop earlier or later than its per-source run.
 
+**Drift credit** (uniform target) skips both phases for columns that
+provably cannot hit.  The deviation is not monotone in ``t`` (paper §3
+remark) but is 1-Lipschitz in L1: for every fixed ``S``, ``Σ_{u∈S}|p(u) −
+1/R|`` moves by at most ``‖p − q‖₁``, and so do its minima over ``S``, ``R``
+and ``S ∋ s``.  A non-hit column gets credit ``min_R v_R − cutoff − slack``
+(``v_R`` exact where verified, else the bound); each later step charges it
+the *measured* drift ``‖P_t − P_{t−1}‖₁``; while positive, it is not screened.
+
 The drivers cover the **full** knob space of the per-source functions:
 ``require_source=True`` is handled in-block (the unconstrained lower bound
 is also valid for the source-pinned minimum, and flagged pairs are decided
@@ -80,6 +88,16 @@ __all__ = [
 #: re-verified with the exact oracle (covers floating-point tie noise).
 _VERIFY_SLACK = 1e-9
 
+#: Per-node slack (times ``n``) off every drift credit; ``u = 2^-53``.
+#: (1) Lower-bound roundoff is inside ``cutoff`` already.  (2) Float versus
+#: real deviation of one vector: within ``(3n + 20)u`` (prefix sums of ``n``
+#: terms of mass ``≤ 1``), paid at the grant and at the skipped step.
+#: (3) Summed drift: each measured drift is within relative ``nu`` and the
+#: charged sum stays below the credit (``< 2``): ``2nu``, plus ``4u`` for the
+#: grant; the running credit's ``≤ u·credit`` error per charged step is
+#: absorbed by rounding each update one ulp down.  ``(8n + 44)u ≤ 32nu``.
+_CREDIT_SLACK = 32 * 2.0**-53
+
 
 class _Kernels(NamedTuple):
     """The hot kernels one driver call runs: the plain float64
@@ -92,8 +110,8 @@ class _Kernels(NamedTuple):
     deviation_lower_bounds: object
     best_sums: object  # exact verification of flagged uniform pairs
     best_sums_grid: object  # unbound BatchedDegreeDeviationOracle method
-    #: ``(pairs, flagged)`` screening-volume recorder, ``None`` when
-    #: observability is disabled.
+    #: ``(pairs, flagged, certified)`` screening-volume recorder, ``None``
+    #: when observability is disabled.
     screen: object
 
 
@@ -468,7 +486,8 @@ def _solve_chunk(
     reconstructs the loop's bookkeeping.  Unconstrained uniform-target
     pairs are decided by one ``exact_best_sums_kernel`` call; the others
     by their scalar per-source references (the degree target's prefilter
-    is already its exact fixed-point transcript).
+    is already its exact fixed-point transcript).  Uniform-target columns
+    with positive drift credit are proven non-hits and not screened.
     """
     from repro.walks.local_mixing import (
         LocalMixingResult,
@@ -487,7 +506,8 @@ def _solve_chunk(
     inv_r = 1.0 / Rs
     degrees = g.degrees.astype(np.float64) if target == "degree" else None
     col_pos = np.arange(len(chunk))  # chunk position per live column
-    prop = None
+    credit = np.zeros(len(chunk))  # proven no-hit margin per live column
+    P = prop = None
     if method == "iterative":
         prop = BlockPropagator(
             g, chunk, lazy=lazy, step_block=kernels.step_block
@@ -495,18 +515,32 @@ def _solve_chunk(
     for steps, t in enumerate(_t_iter(t_schedule, t_max), start=1):
         if col_pos.size == 0:
             return
+        P_prev = prop.block if prop is not None else P
         if prop is not None:
             P = prop.advance_to(t)
         else:
             P = block_distribution_at(
                 g, [chunk[i] for i in col_pos], t, lazy=lazy
             )
+        cred = np.flatnonzero(credit > 0)
+        if cred.size:  # charge the measured L1 drift, rounded down
+            sub = slice(None) if cred.size == col_pos.size else cred
+            diff = P[:, sub] - P_prev[:, sub]
+            drift = np.abs(diff, out=diff).sum(axis=0)
+            credit[cred] = np.nextafter(credit[cred] - drift, -np.inf)
+        P_prev = diff = None
+        need = np.flatnonzero(credit <= 0)  # columns to screen this step
+        if screen_record is not None:
+            screen_record(0, 0, (col_pos.size - need.size) * n_cand)
+        if need.size == 0:
+            continue
+        Q = P if need.size == col_pos.size else P[:, need]
         if not in_block:
-            live_nodes = [chunk[int(i)] for i in col_pos]
+            live_nodes = [chunk[int(i)] for i in col_pos[need]]
         S = pre = None  # free the previous step's scan before the next sort
         if target == "degree":
             doracle = BatchedDegreeDeviationOracle(
-                P, degrees, sources=live_nodes
+                Q, degrees, sources=live_nodes
             )
             # The transcript values ARE the per-source heuristic values
             # (bitwise), so they prefilter exactly; flagged pairs are still
@@ -515,7 +549,7 @@ def _solve_chunk(
                 doracle, Rs, require_source=require_source
             )
         else:
-            S, pre = kernels.sorted_scan(P)
+            S, pre = kernels.sorted_scan(Q)
             k0_all = kernels.split_points(S, inv_r)
             # One search-free kernel call for the whole (R, column) grid;
             # valid for the constrained minimum too (pinning the source
@@ -524,11 +558,12 @@ def _solve_chunk(
         hits = bounds < cutoff
         if screen_record is not None:
             screen_record(hits.size, int(np.count_nonzero(hits)))
-        found = []  # (column, r_idx, exact value) of each first hit
+        found = []  # (screened column, r_idx, exact value) of each first hit
         if in_block:
             # R-major order: a column's first hit has its smallest R.
             r_idx, cols = np.nonzero(hits)
             vals = kernels.best_sums(pre, Rs, inv_r, k0_all, r_idx, cols)
+            bounds[r_idx, cols] = vals
             ok = np.flatnonzero(vals < threshold)
             first = ok[np.unique(cols[ok], return_index=True)[1]]
             found = zip(cols[first], r_idx[first], vals[first].tolist())
@@ -536,22 +571,25 @@ def _solve_chunk(
             for col in map(int, np.flatnonzero(hits.any(axis=0))):
                 node = int(live_nodes[col])
                 if require_source and target == "uniform":
-                    uo = UniformDeviationOracle(P[:, col], source=node)
+                    uo = UniformDeviationOracle(Q[:, col], source=node)
                 for r_idx in map(int, np.flatnonzero(hits[:, col])):
                     R = int(Rs[r_idx])
                     if target == "degree":
                         s_exact = _degree_target_best(
-                            P[:, col], degrees, R, node, require_source
+                            Q[:, col], degrees, R, node, require_source
                         )
                     else:
                         s_exact, _ = uo.best_sum(R, require_source=True)
+                    bounds[r_idx, col] = s_exact
                     if s_exact < threshold:
                         found.append((col, r_idx, s_exact))
                         break
+        if target == "uniform":  # verified values now replace bounds
+            credit[need] = bounds.min(axis=0) - cutoff - _CREDIT_SLACK * g.n
         keep = np.ones(col_pos.size, dtype=bool)
         for col, r_idx, s_exact in found:
-            keep[col] = False
-            yield int(col_pos[col]), LocalMixingResult(
+            keep[need[col]] = False
+            yield int(col_pos[need[col]]), LocalMixingResult(
                 time=t,
                 set_size=int(Rs[r_idx]),
                 deviation=s_exact,
@@ -561,9 +599,11 @@ def _solve_chunk(
             )
         if not keep.all():
             keep = np.flatnonzero(keep)
-            col_pos = col_pos[keep]
+            col_pos, credit = col_pos[keep], credit[keep]
             if prop is not None:
                 prop.drop_columns(keep)
+            else:
+                P = P[:, keep]
 
 
 def batched_local_mixing_profiles(

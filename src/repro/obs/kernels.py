@@ -11,6 +11,8 @@ per-kernel call counts and wall seconds into the process-global
 * ``repro_screen_pairs_total`` / ``repro_screen_flagged_total`` — how
   many (R, column) candidate pairs the screening scan considered vs
   flagged for exact re-verification.
+* ``repro_screen_certified_total`` — (R, column) pairs the drift
+  certificate proved non-hits, so they were not screened at all.
 
 A timing closure is pure delegation plus two ``perf_counter`` reads per
 call — it never touches kernel inputs or outputs, so results stay
@@ -43,6 +45,24 @@ __all__ = [
 #: {"float64/<kernel>": …}, "screen": {"float64": …}}``.
 KERNEL_LABEL = "float64"
 
+#: The screening-volume counters, keyed as in
+#: ``snapshot()["screen"][KERNEL_LABEL]`` and in
+#: :meth:`KernelProfiler.record_screen` argument order.
+_SCREEN_COUNTERS = {
+    "pairs": (
+        "repro_screen_pairs_total",
+        "Candidate (R, column) pairs considered by the screening scan.",
+    ),
+    "flagged": (
+        "repro_screen_flagged_total",
+        "Screened pairs flagged for exact re-verification.",
+    ),
+    "certified": (
+        "repro_screen_certified_total",
+        "Candidate pairs proven non-hits by drift credit, not screened.",
+    ),
+}
+
 
 class KernelProfiler:
     """Registry-backed accounting of kernel calls, kernel seconds, and
@@ -67,14 +87,10 @@ class KernelProfiler:
             "Wall seconds spent inside engine kernels.",
             labels=("kernel",),
         )
-        self._screen_pairs = registry.counter(
-            "repro_screen_pairs_total",
-            "Candidate (R, column) pairs considered by the screening scan.",
-        )
-        self._screen_flagged = registry.counter(
-            "repro_screen_flagged_total",
-            "Screened pairs flagged for exact re-verification.",
-        )
+        self._screen = {
+            key: registry.counter(name, help_text)
+            for key, (name, help_text) in _SCREEN_COUNTERS.items()
+        }
 
     def timed(self, kernel: str, fn):
         """``fn`` wrapped to account each call's wall time to ``kernel``
@@ -93,16 +109,22 @@ class KernelProfiler:
 
         return _timed
 
-    def record_screen(self, pairs: int, flagged: int) -> None:
+    def record_screen(
+        self, pairs: int, flagged: int, certified: int = 0
+    ) -> None:
         """Account one screening pass: ``pairs`` candidates considered,
-        ``flagged`` of them sent to exact re-verification."""
-        self._screen_pairs.inc(int(pairs))
-        self._screen_flagged.inc(int(flagged))
+        ``flagged`` of them sent to exact re-verification, and
+        ``certified`` more skipped as proven non-hits."""
+        for counter, count in zip(
+            self._screen.values(), (pairs, flagged, certified)
+        ):
+            counter.inc(int(count))
 
     def snapshot(self) -> dict:
         """The current kernel totals as a plain nested dict:
         ``{"kernels": {"float64/<kernel>": {"calls", "seconds"}},
-        "screen": {"float64": {"pairs", "flagged"}}}`` — subtractable with
+        "screen": {"float64": {"pairs", "flagged", "certified"}}}`` —
+        subtractable with
         :func:`diff_kernel_snapshots` to attribute a timed region."""
         kernels: dict = {}
         for (kernel,), leaf in self._calls.series():
@@ -112,10 +134,9 @@ class KernelProfiler:
                 "seconds"
             ] = leaf.value
         screen: dict = {}
-        pairs = self._screen_pairs.value
-        flagged = self._screen_flagged.value
-        if pairs or flagged:
-            screen[KERNEL_LABEL] = {"pairs": pairs, "flagged": flagged}
+        counts = {key: counter.value for key, counter in self._screen.items()}
+        if any(counts.values()):
+            screen[KERNEL_LABEL] = counts
         return {"kernels": kernels, "screen": screen}
 
     def merge(self, delta: dict) -> None:
@@ -130,18 +151,15 @@ class KernelProfiler:
             if seconds:
                 self._seconds.labels(kernel=kernel).inc(seconds)
         for vals in delta.get("screen", {}).values():
-            pairs = vals.get("pairs", 0)
-            flagged = vals.get("flagged", 0)
-            if pairs or flagged:
-                self.record_screen(pairs, flagged)
+            self.record_screen(*(vals.get(key, 0) for key in self._screen))
 
     def reset(self) -> None:
         """Zero every kernel counter — a windowing convenience for
         benchmarks and tests."""
         self._calls.reset()
         self._seconds.reset()
-        self._screen_pairs.reset()
-        self._screen_flagged.reset()
+        for counter in self._screen.values():
+            counter.reset()
 
 
 def diff_kernel_snapshots(before: dict, after: dict) -> dict:
@@ -158,10 +176,12 @@ def diff_kernel_snapshots(before: dict, after: dict) -> dict:
     screen: dict = {}
     for label, vals in after.get("screen", {}).items():
         prev = before.get("screen", {}).get(label, {})
-        pairs = vals.get("pairs", 0) - prev.get("pairs", 0)
-        flagged = vals.get("flagged", 0) - prev.get("flagged", 0)
-        if pairs or flagged:
-            screen[label] = {"pairs": pairs, "flagged": flagged}
+        counts = {
+            key: vals.get(key, 0) - prev.get(key, 0)
+            for key in _SCREEN_COUNTERS
+        }
+        if any(counts.values()):
+            screen[label] = counts
     return {"kernels": kernels, "screen": screen}
 
 

@@ -325,6 +325,13 @@ class ShardExecutor:
             initializer=_init_worker,
             initargs=(cache_maxsize,),
         )
+        if self.start_method == "fork":
+            # A fork pool forks every worker on its first submit.  Do it
+            # now, before any thread can publish: a worker forked while
+            # another thread holds the resource tracker's lock (segment
+            # create/unlink) inherits it held and deadlocks on its first
+            # segment attach.
+            self._pool.submit(int).result()
         #: Published segments keyed ``(g, None)`` for a CSR segment and
         #: ``(g, lazy)`` for an eigenbasis, least recently used first.
         self._published: "OrderedDict[tuple, SharedArrays]" = OrderedDict()

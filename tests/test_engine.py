@@ -8,6 +8,7 @@ probabilities, and a lazy path).
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -56,6 +57,23 @@ FAMILIES = [
 def _loop_results(g, beta, lazy, **kwargs):
     return [
         local_mixing_time(g, s, beta, lazy=lazy, **kwargs) for s in range(g.n)
+    ]
+
+
+def _bits(results):
+    """A bitwise identity per result: integers as-is, ``deviation`` and
+    ``threshold`` by their IEEE-754 bytes (dataclass ``==`` compares
+    floats, so it would let ``-0.0`` pass for ``0.0``)."""
+    return [
+        (
+            int(r.time),
+            int(r.set_size),
+            struct.pack("<d", r.deviation),
+            struct.pack("<d", r.threshold),
+            int(r.steps_checked),
+            int(r.sizes_checked),
+        )
+        for r in results
     ]
 
 
@@ -168,26 +186,26 @@ class TestBatchedLocalMixingTimes:
     @pytest.mark.parametrize("g,beta,lazy", FAMILIES, ids=lambda v: str(v))
     def test_identical_to_per_source_loop(self, g, beta, lazy):
         batch = batched_local_mixing_times(g, beta, lazy=lazy)
-        assert batch == _loop_results(g, beta, lazy)
+        assert _bits(batch) == _bits(_loop_results(g, beta, lazy))
 
     def test_identical_under_algorithm2_knobs(self):
         g = gen.beta_barbell(4, 8)
         knobs = dict(sizes="grid", threshold_factor=4.0, t_schedule="doubling")
         batch = batched_local_mixing_times(g, 4.0, **knobs)
-        assert batch == _loop_results(g, 4.0, False, **knobs)
+        assert _bits(batch) == _bits(_loop_results(g, 4.0, False, **knobs))
 
     def test_chunked_equals_unchunked(self):
         g = gen.random_regular(30, 4, seed=7)
         full = batched_local_mixing_times(g, 3.0)
         chunked = batched_local_mixing_times(g, 3.0, batch_size=7)
-        assert full == chunked
+        assert _bits(full) == _bits(chunked)
 
     def test_source_subset_order(self):
         g = gen.beta_barbell(4, 8)
         sub = batched_local_mixing_times(g, 4.0, sources=[11, 2, 5])
-        assert sub == [
+        assert _bits(sub) == _bits(
             local_mixing_time(g, s, 4.0) for s in (11, 2, 5)
-        ]
+        )
 
     def test_spectral_method_agrees_on_expander(self):
         g = gen.random_regular(40, 6, seed=3)
@@ -203,9 +221,9 @@ class TestBatchedLocalMixingTimes:
         batch = batched_local_mixing_times(
             g, 4.0, sources=srcs, require_source=True
         )
-        assert batch == [
+        assert _bits(batch) == _bits(
             local_mixing_time(g, s, 4.0, require_source=True) for s in srcs
-        ]
+        )
 
     def test_degree_target_batched_identically(self):
         # Lifted limit: the degree target runs on the batched transcript
@@ -214,10 +232,10 @@ class TestBatchedLocalMixingTimes:
         batch = batched_local_mixing_times(
             g, 2.0, sources=[0, 10], target="degree", lazy=True
         )
-        assert batch == [
+        assert _bits(batch) == _bits(
             local_mixing_time(g, s, 2.0, target="degree", lazy=True)
             for s in (0, 10)
-        ]
+        )
 
     def test_convergence_error(self):
         g = gen.beta_barbell(4, 8)
@@ -244,6 +262,100 @@ class TestBatchedLocalMixingTimes:
             batched_local_mixing_times(g, 2.0, t_schedule="fib")
         with pytest.raises(ValueError, match="batch_size"):
             batched_local_mixing_times(g, 2.0, batch_size=0)
+
+
+def _times_outcome(solve):
+    """``_bits`` of a batched solve, or the ``ConvergenceError`` it raised
+    (as ``("ConvergenceError", last_length)``)."""
+    try:
+        return _bits(solve())
+    except ConvergenceError as exc:
+        return ("ConvergenceError", exc.last_length)
+
+
+def _loop_outcome(g, beta, sources, **knobs):
+    """The per-source reference in the batched driver's terms: all
+    results, or the first ``ConvergenceError`` any source raises."""
+    return _times_outcome(
+        lambda: [local_mixing_time(g, s, beta, **knobs) for s in sources]
+    )
+
+
+#: Graphs for the drift-certificate tests: bipartite ones run lazy.
+CERT_GRAPHS = [
+    gen.path_graph(10),
+    gen.cycle_graph(11),
+    gen.beta_barbell(3, 5),
+    gen.random_regular(12, 3, seed=5),
+]
+
+
+class TestDriftCertificate:
+    """Skipped screens (the drift credit) must never change an answer:
+    every batched result stays bitwise equal to the per-source loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gi=st.integers(0, len(CERT_GRAPHS) - 1),
+        lazy=st.booleans(),
+        beta=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+        threshold_factor=st.floats(0.2, 4.0),
+        sizes=st.sampled_from(["all", "grid"]),
+        t_schedule=st.sampled_from(["all", "doubling"]),
+        require_source=st.booleans(),
+        batch_size=st.sampled_from([None, 1, 4]),
+        t_max=st.integers(0, 150),
+    )
+    def test_batched_equals_loop(
+        self, gi, lazy, beta, threshold_factor, sizes, t_schedule,
+        require_source, batch_size, t_max,
+    ):
+        g = CERT_GRAPHS[gi]
+        knobs = dict(
+            lazy=lazy or g.is_bipartite,
+            threshold_factor=threshold_factor,
+            sizes=sizes,
+            t_schedule=t_schedule,
+            require_source=require_source,
+            t_max=t_max,
+        )
+        batch = _times_outcome(
+            lambda: batched_local_mixing_times(
+                g, beta, batch_size=batch_size, **knobs
+            )
+        )
+        assert batch == _loop_outcome(g, beta, range(g.n), **knobs)
+
+    @pytest.mark.parametrize(
+        "g,beta",
+        [
+            (gen.path_graph(12), 4.0),
+            (gen.beta_barbell(3, 5), 3.0),
+            (gen.cycle_graph(10), 3.0),
+        ],
+        ids=["path12", "barbell3_5", "cycle10"],
+    )
+    def test_thresholds_at_nonmonotone_dips(self, g, beta):
+        # ε equal to a profile value at a dip (a step whose best deviation
+        # rises again next step, §3 remark) leaves zero margin there, and
+        # one ulp above it hits exactly there: the tightest cases for a
+        # skipped screen.
+        t_max = 40
+        prof = batched_local_mixing_profiles(g, beta, lazy=True, t_max=t_max)
+        dips = prof[:, 1:-1][
+            (prof[:, 1:-1] < prof[:, :-2]) & (prof[:, 1:-1] < prof[:, 2:])
+        ]
+        dips = np.unique(dips[(dips > 0) & (dips < 1)])
+        assert dips.size > 0
+        for v in dips[:: max(1, dips.size // 6)]:
+            for eps in (float(v), float(np.nextafter(v, np.inf))):
+                knobs = dict(lazy=True, t_max=t_max)
+                batch = _times_outcome(
+                    lambda: batched_local_mixing_times(g, beta, eps, **knobs)
+                )
+                assert batch == _loop_outcome(
+                    g, beta, range(g.n), eps=eps, **knobs
+                )
 
 
 class TestGraphLocalMixingTime:
@@ -472,9 +584,9 @@ class TestExactBestSumsKernel:
         monkeypatch.setattr(oracle_mod, "EXACT_CHUNK_ELEMENTS", 8)
         srcs = [0, g.n // 2, g.n - 1]
         batch = batched_local_mixing_times(g, beta, sources=srcs, lazy=lazy)
-        assert batch == [
+        assert _bits(batch) == _bits(
             local_mixing_time(g, s, beta, lazy=lazy) for s in srcs
-        ]
+        )
         spectra = batched_local_mixing_spectra(
             g, sources=srcs, lazy=lazy, t_max=40
         )

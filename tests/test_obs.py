@@ -26,13 +26,15 @@ from repro.engine import (
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
     batched_local_mixing_times,
+    canonical_times_key,
 )
 from repro.engine import batch as engine_batch
 from repro.dynamic import barbell_bridge_schedule, track_local_mixing
-from repro.graphs import random_regular
+from repro.graphs import path_graph, random_regular
 from repro.obs import (
     BenchReporter,
     KERNEL_LABEL,
+    KernelProfiler,
     MetricsRegistry,
     Span,
     attach_or_record,
@@ -415,6 +417,38 @@ def _result_bits(results):
          r.sizes_checked)
         for r in results
     ]
+
+
+def test_certified_pairs_cover_every_skipped_screen():
+    # Long τ on a lazy path: drift credit proves most (R, column) pairs
+    # non-hits, so they are counted as certified instead of screened.
+    g = path_graph(40)
+    plain = batched_local_mixing_times(g, BETA, lazy=True)
+    before = kernel_profiler().snapshot()
+    with observability(True):
+        traced = batched_local_mixing_times(g, BETA, lazy=True)
+    delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
+    screen = delta["screen"][KERNEL_LABEL]
+    n_cand = len(canonical_times_key(g, BETA, lazy=True).sizes)
+    live_column_steps = sum(r.steps_checked for r in traced)
+    assert screen["pairs"] + screen["certified"] == (
+        live_column_steps * n_cand
+    )
+    assert screen["certified"] > screen["pairs"]
+    assert _result_bits(traced) == _result_bits(plain)
+
+
+def test_screen_counters_snapshot_merge_reset():
+    prof = KernelProfiler(MetricsRegistry())
+    prof.record_screen(10, 2, 30)
+    snap = prof.snapshot()
+    assert snap["screen"][KERNEL_LABEL] == {
+        "pairs": 10, "flagged": 2, "certified": 30,
+    }
+    prof.merge(diff_kernel_snapshots({}, snap))
+    assert prof.snapshot()["screen"][KERNEL_LABEL]["certified"] == 60
+    prof.reset()
+    assert prof.snapshot()["screen"] == {}
 
 
 @pytest.mark.parametrize(

@@ -322,6 +322,55 @@ def test_pool_forked_before_first_segment_reports_no_leak():
     assert "leaked shared_memory" not in proc.stderr
 
 
+_TRACKER_LOCK_SCRIPT = """
+import threading
+from multiprocessing import resource_tracker
+from repro.graphs import generators as gen
+from repro.parallel import ShardExecutor
+
+def degree_of(g, u):
+    return g.degree(u)
+
+g = gen.cycle_graph(5)
+ex = ShardExecutor(1, start_method="fork")
+ex.publish(g)
+held, release = threading.Event(), threading.Event()
+
+def hold_tracker_lock():
+    # What another thread creating or unlinking a segment does, held open.
+    with resource_tracker._resource_tracker._lock:
+        held.set()
+        release.wait()
+
+threading.Thread(target=hold_tracker_lock).start()
+held.wait()
+try:
+    assert ex.map_items(degree_of, [0, 1], graph=g) == [2, 2]
+finally:
+    release.set()
+ex.close()
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork"
+)
+def test_fork_pool_never_forks_under_a_held_tracker_lock():
+    # Regression: the fork pool used to fork its workers on the first
+    # submit, possibly while another thread held the resource tracker's
+    # lock; each worker inherited it held and hung on its first segment
+    # attach.  A fresh interpreter, so a hang can only time out.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACKER_LOCK_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _wait_for_file(path):
     """Block a worker until ``path`` exists (bounded, so a broken test
     cannot hang the pool forever)."""
