@@ -1,13 +1,18 @@
-"""Legacy setup shim.
+"""Packaging for the ``repro`` library, whose sources live under ``src/``.
 
-The offline environment ships setuptools 65.5 without the ``wheel`` package,
-so PEP 660 editable installs (``pip install -e .`` through pyproject build
-isolation) cannot build editable wheels.  Keeping this file and omitting the
-``[build-system]`` table lets pip use the legacy ``setup.py develop`` code
-path; all metadata still lives in pyproject.toml's ``[project]`` table, which
-setuptools reads directly.
+There is no ``pyproject.toml``.  ``pip install -e .`` builds the editable
+install with the ``wheel`` package; where ``wheel`` is missing and cannot
+be fetched, ``python setup.py develop --no-deps`` installs the same
+development link offline.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    description="Local mixing time: distributed computation and applications",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+)

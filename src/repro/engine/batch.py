@@ -47,13 +47,31 @@ the ``A @ P`` block step directly.  While observability is enabled, each
 driver call binds them once to :class:`~repro.obs.KernelProfiler` timing
 closures (:func:`_kernels`), so the disabled cost is one boolean check per
 call.
+
+**Column tiles.**  A column of the block is one source's walk and never
+reads another column, so :func:`batched_local_mixing_times` splits its
+sources into contiguous, near-even tiles whose ``n × columns`` float64
+block fits :data:`_TILE_BYTES` (and with it the ``(candidates × columns)``
+screen grid: there are at most ``n`` candidates), and solves the tiles'
+trajectories concurrently on a thread pool owned by the call, one thread
+per usable CPU.  Sorting, scanning, the CSR mat-mat and the exact kernel
+are per-column computations, so an iterative solve is bitwise the same
+for any tiling and any thread count.  A one-tile call runs inline and
+starts no thread; a multiprocessing child (a shard-pool worker) solves
+its tiles on its own thread only.  A ``method="spectral"`` solve is not
+tiled: its dense ``n × n`` product already spreads over the cores through
+BLAS, so it keeps one block (or ``batch_size`` chunks) on the calling
+thread.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from operator import matmul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,7 +85,12 @@ from repro.engine.oracle import (
     sorted_scan_arrays,
     split_points_kernel,
 )
-from repro.engine.propagator import BlockPropagator, block_distribution_at
+from repro.engine.propagator import (
+    BlockPropagator,
+    _one_hot_block,
+    block_distribution_at,
+    shared_spectral_propagator,
+)
 from repro.obs import (
     default_registry,
     kernel_profiler,
@@ -97,6 +120,61 @@ _VERIFY_SLACK = 1e-9
 #: grant; the running credit's ``≤ u·credit`` error per charged step is
 #: absorbed by rounding each update one ulp down.  ``(8n + 44)u ≤ 32nu``.
 _CREDIT_SLACK = 32 * 2.0**-53
+
+#: Byte budget of one tile's ``n × columns`` float64 block.  Every
+#: per-step array of the tile (block, sorted block, prefix sums, the
+#: ``(candidates × columns)`` screen grid) is then at most about that
+#: size, so a tile's working set stays cache-sized.  Picked from a sweep
+#: on the ``all_sources`` workload (``n = 1000``: 8 tiles of 125).
+_TILE_BYTES = 1 << 20
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS, Windows
+        return os.cpu_count() or 1
+
+
+def _tile_plan(
+    k: int, n: int, batch_size: int | None, spectral: bool = False
+) -> tuple[list[tuple[int, int]], int]:
+    """``(tiles, threads)`` for a ``k``-source call on ``n`` nodes:
+    contiguous near-even ``[lo, hi)`` tiles, each within
+    :data:`_TILE_BYTES` of block and at most ``batch_size`` wide, and the
+    number of threads to run them on — capped so the columns in flight
+    never exceed ``batch_size``, and 1 in a multiprocessing child, whose
+    parent already spreads the work over processes.  A ``spectral`` call
+    keeps one block, or ``batch_size`` chunks, on one thread: its dense
+    products already use every core through BLAS, and narrow tiles
+    measured slower."""
+    if spectral:
+        width = batch_size or k
+        return [(lo, min(lo + width, k)) for lo in range(0, k, width)], 1
+    width = max(1, _TILE_BYTES // (8 * n))
+    if batch_size is not None:
+        width = min(width, batch_size)
+    n_tiles = -(-k // width)
+    tiles = [
+        (k * i // n_tiles, k * (i + 1) // n_tiles) for i in range(n_tiles)
+    ]
+    threads = 1
+    if n_tiles > 1 and multiprocessing.parent_process() is None:
+        threads = min(_usable_cpus(), n_tiles)
+        if batch_size is not None:
+            threads = max(1, min(threads, batch_size // width))
+    return tiles, threads
+
+
+def _run_tiles(solve: Callable, tiles: list, threads: int) -> list:
+    """``[solve(lo, hi) for lo, hi in tiles]`` on ``threads`` threads of a
+    pool owned by this call (inline for one thread).  The first error is
+    re-raised and the tiles not yet started are cancelled."""
+    if threads == 1:
+        return [solve(lo, hi) for lo, hi in tiles]
+    with ThreadPoolExecutor(threads, thread_name_prefix="repro-tile") as ex:
+        return list(ex.map(solve, *zip(*tiles)))
 
 
 class _Kernels(NamedTuple):
@@ -401,8 +479,14 @@ def batched_local_mixing_times(
         differ where a deviation sits within rounding noise of the
         threshold).
     batch_size:
-        Maximum number of source columns propagated at once (memory control
-        for large graphs).  Default: all sources in one block.
+        Maximum number of source columns propagated at once, summed over
+        the threads (memory control for large graphs).  An iterative
+        solve always runs as column tiles of at most :data:`_TILE_BYTES`
+        of block each, on up to one thread per usable CPU; a
+        ``batch_size`` makes the tiles at most that wide and runs only as
+        many at once as fit in it.  A spectral solve propagates all its
+        sources as one block, or ``batch_size`` columns at a time.
+        Default: no cap beyond the tiles.
 
     Returns the results in ``sources`` order; every result is identical —
     same time, set size, bitwise-equal deviation and same bookkeeping
@@ -428,27 +512,40 @@ def batched_local_mixing_times(
     )
     threshold = eps * threshold_factor
     kernels = _kernels()
+    # Resolved once here, not per tile and step.
+    spectral = (
+        shared_spectral_propagator(g, lazy) if method == "spectral" else None
+    )
 
-    results: list[LocalMixingResult | None] = [None] * len(src)
-    if batch_size is None:
-        batch_size = len(src)
-    with trace("engine_solve", kind="times", sources=len(src)) as _sp:
-        for lo in range(0, len(src), batch_size):
-            chunk = src[lo : lo + batch_size]
-            for pos, res in _solve_chunk(
+    def solve_tile(lo: int, hi: int) -> list:
+        return list(
+            _solve_chunk(
                 g,
-                chunk,
+                src[lo:hi],
                 candidates,
                 threshold,
                 t_schedule,
                 t_max,
                 lazy,
-                method,
+                spectral,
                 target=target,
                 require_source=require_source,
                 kernels=kernels,
-            ):
-                results[lo + pos] = res
+            )
+        )
+
+    results: list[LocalMixingResult | None] = [None] * len(src)
+    tiles, threads = _tile_plan(
+        len(src), g.n, batch_size, spectral is not None
+    )
+    with trace(
+        "engine_solve", kind="times", sources=len(src), tiles=len(tiles),
+        workers=threads,
+    ) as _sp:
+        solved = _run_tiles(solve_tile, tiles, threads)
+    for (lo, _), tile in zip(tiles, solved):
+        for pos, res in tile:
+            results[lo + pos] = res
     _observe_engine_span(_sp, "times")
     missing = [src[i] for i, r in enumerate(results) if r is None]
     if missing:
@@ -469,13 +566,17 @@ def _solve_chunk(
     t_schedule: str,
     t_max: int,
     lazy: bool,
-    method: str,
+    spectral,
     *,
     target: str = "uniform",
     require_source: bool = False,
     kernels: _Kernels,
 ):
     """Yield ``(position_in_chunk, LocalMixingResult)`` as sources resolve.
+
+    ``spectral`` is the ``method="spectral"`` solve's
+    :class:`~repro.walks.distribution.SpectralPropagator` (``None``: the
+    iterative block step).
 
     Per scheduled step: one batched prefilter over the whole
     ``(R, live column)`` grid (a valid lower bound for every target /
@@ -508,10 +609,12 @@ def _solve_chunk(
     col_pos = np.arange(len(chunk))  # chunk position per live column
     credit = np.zeros(len(chunk))  # proven no-hit margin per live column
     P = prop = None
-    if method == "iterative":
+    if spectral is None:
         prop = BlockPropagator(
             g, chunk, lazy=lazy, step_block=kernels.step_block
         )
+    else:
+        chunk_arr = np.asarray(chunk, dtype=np.int64)
     for steps, t in enumerate(_t_iter(t_schedule, t_max), start=1):
         if col_pos.size == 0:
             return
@@ -519,9 +622,7 @@ def _solve_chunk(
         if prop is not None:
             P = prop.advance_to(t)
         else:
-            P = block_distribution_at(
-                g, [chunk[i] for i in col_pos], t, lazy=lazy
-            )
+            P = spectral.propagate(_one_hot_block(g.n, chunk_arr[col_pos]), t)
         cred = np.flatnonzero(credit > 0)
         if cred.size:  # charge the measured L1 drift, rounded down
             sub = slice(None) if cred.size == col_pos.size else cred

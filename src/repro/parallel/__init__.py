@@ -27,7 +27,8 @@ cores without giving up a single bit of exactness:
   ``batch_size`` — all validated in the parent), whose
   outputs are **identical** to the serial engine (and therefore to the
   per-source reference loop) for every knob combination and any worker
-  count.  Peak dense-block memory per process is ``n × ⌈k/W⌉``.
+  count.  Peak dense-block memory per process is at most ``n × ⌈k/W⌉``
+  (for τ, ``n`` times one column tile's width).
 * :func:`~repro.parallel.api.shard_map` — the generic per-item fan-out the
   Monte-Carlo estimator sweeps and family sweeps ride on.
 

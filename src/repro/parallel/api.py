@@ -81,11 +81,12 @@ def parallel_local_mixing_times(
     Accepts the full knob space of
     :func:`~repro.engine.batch.batched_local_mixing_times` (``target``,
     ``require_source``, ``method``, schedules, grids,
-    ``batch_size`` — the latter bounds each *worker's* sub-chunks) and
+    ``batch_size`` — the latter bounds each *worker's* column tiles) and
     returns, in ``sources`` order, results **identical** to the serial
-    batched call — and therefore to the per-source reference loop.  Peak
-    dense-block memory per process is ``n × ⌈k/W⌉`` for ``k`` sources on
-    ``W`` workers.
+    batched call — and therefore to the per-source reference loop.  Each
+    worker solves its ``⌈k/W⌉`` of ``k`` sources as the engine's column
+    tiles, one at a time, so peak dense-block memory per process is ``n``
+    times one tile's width.
 
     Pass a long-lived :class:`~repro.parallel.ShardExecutor` via
     ``executor`` to amortize worker spawn and graph publication across

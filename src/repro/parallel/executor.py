@@ -20,10 +20,10 @@ batched-engine result is per-source identical to the per-source reference
 loop (the loop-equivalence guarantee), a shard's block solve performs
 bitwise the same arithmetic per column as the corresponding single-process
 chunk — so the merged output is *independent of the worker count and shard
-boundaries*, not merely statistically equivalent.  Each worker propagates
-only its own ``k/W`` columns, which also caps peak dense-block memory at
-``n × ⌈k/W⌉`` per process (the column compression the single-process
-engine's ``batch_size`` knob provides, now spread across cores).
+boundaries*, not merely statistically equivalent.  Each worker solves only
+its own ``k/W`` columns, as the engine's cache-sized column tiles one after
+another on the worker's own thread, so each process holds one tile's block
+at a time; a ``batch_size`` is forwarded and caps each worker's tiles.
 
 Start methods
 -------------
@@ -200,6 +200,9 @@ def _solve_shard(
         batched_local_mixing_times,
     )
 
+    # As a multiprocessing child, the engine runs this shard's column
+    # tiles on this thread only: the shard pool already spreads work
+    # over the CPUs.
     g = _attached(handle, SharedCSR).graph
     if eigen_handle is not None:
         # Seed the worker's spectral-propagator cache with a zero-copy

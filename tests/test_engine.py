@@ -9,11 +9,17 @@ probabilities, and a lazy path).
 
 import math
 import struct
+import sys
+import threading
+import time
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine import batch as engine_batch
 from repro.engine import oracle as oracle_mod
 from repro.engine import (
     BatchedUniformDeviationOracle,
@@ -356,6 +362,253 @@ class TestDriftCertificate:
                 assert batch == _loop_outcome(
                     g, beta, range(g.n), eps=eps, **knobs
                 )
+
+
+@contextmanager
+def _column_tiles(n, width, cpus=2):
+    """Solve ``n``-node graphs in tiles of at most ``width`` columns on
+    ``cpus`` threads: the tile budget shrunk to ``width`` block columns,
+    and the CPU count pinned so the threaded path runs on any machine."""
+    with mock.patch.object(
+        engine_batch, "_TILE_BYTES", 8 * n * width
+    ), mock.patch.object(engine_batch, "_usable_cpus", lambda: cpus):
+        yield
+
+
+def _outcome_with_message(solve):
+    """``_bits`` of a solve, or its ``ConvergenceError`` message and
+    ``last_length``."""
+    try:
+        return _bits(solve())
+    except ConvergenceError as exc:
+        return ("ConvergenceError", str(exc), exc.last_length)
+
+
+#: Graphs for the column-tile tests: (graph, beta, forced lazy).
+TILE_GRAPHS = [
+    (gen.beta_barbell(4, 8), 4.0, False),
+    (gen.random_regular(40, 4, seed=3), 3.0, False),
+    (gen.path_graph(23), 3.0, True),
+    (gen.lollipop(8, 10), 2.0, True),
+]
+
+
+class TestColumnTiles:
+    """A call split into column tiles on several threads answers exactly
+    like one block: tiles never read each other's columns."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gi=st.integers(0, len(TILE_GRAPHS) - 1),
+        data=st.data(),
+        lazy=st.booleans(),
+        threshold_factor=st.floats(1.0, 4.0),
+        sizes=st.sampled_from(["all", "grid"]),
+        require_source=st.booleans(),
+        target=st.sampled_from(["uniform", "degree"]),
+        schedule=st.sampled_from(
+            [("iterative", "all"), ("iterative", "doubling"),
+             ("spectral", "doubling")]
+        ),
+        t_max=st.sampled_from([4, 300]),
+        cpus=st.integers(2, 3),
+    )
+    def test_tiled_equals_untiled_and_loop(
+        self, gi, data, lazy, threshold_factor, sizes, require_source,
+        target, schedule, t_max, cpus,
+    ):
+        g, beta, force_lazy = TILE_GRAPHS[gi]
+        method, t_schedule = schedule
+        # At least 3 tiles, uneven whenever the width does not divide n.
+        width = data.draw(st.integers(2, g.n // 3), label="width")
+        batch_size = data.draw(
+            st.sampled_from([None, 1, width, 2 * width + 1]),
+            label="batch_size",
+        )
+        knobs = dict(
+            lazy=lazy or force_lazy,
+            threshold_factor=threshold_factor,
+            sizes=sizes,
+            t_schedule=t_schedule,
+            t_max=t_max,
+            require_source=require_source,
+            target=target,
+            method=method,
+        )
+
+        def solve(batch_size):
+            return _outcome_with_message(
+                lambda: batched_local_mixing_times(
+                    g, beta, batch_size=batch_size, **knobs
+                )
+            )
+
+        with _column_tiles(g.n, width, cpus):
+            tiles, threads = engine_batch._tile_plan(g.n, g.n, batch_size)
+            assert len(tiles) >= 3
+            tiled = solve(batch_size)
+            # The same tiles on the calling thread only.
+            widest = max(hi - lo for lo, hi in tiles)
+            assert engine_batch._tile_plan(g.n, g.n, widest) == (tiles, 1)
+            serial = solve(widest)
+        # Spectral solves ignore the tile budget: dense products round by
+        # operand width, so only the same chunks give the same bits.
+        assert tiled == solve(batch_size)
+        if method == "spectral":
+            return
+        assert tiled == serial
+        whole = solve(None)
+        assert tiled == whole
+        if tiled[0] == "ConvergenceError":
+            return
+        sample = data.draw(
+            st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4,
+                     unique=True),
+            label="sample",
+        )
+        loop_knobs = {k: v for k, v in knobs.items() if k != "method"}
+        assert [tiled[s] for s in sample] == _bits(
+            local_mixing_time(g, s, beta, **loop_knobs) for s in sample
+        )
+
+    def test_plan_respects_budget_and_batch_size(self):
+        for k, n in [(1000, 1000), (40, 3), (7, 50000), (1, 1)]:
+            for batch_size in (None, 1, 3, 50, 400):
+                tiles, threads = engine_batch._tile_plan(k, n, batch_size)
+                assert tiles[0][0] == 0 and tiles[-1][1] == k
+                assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+                widest = max(hi - lo for lo, hi in tiles)
+                assert widest - min(hi - lo for lo, hi in tiles) <= 1
+                assert 1 <= threads <= len(tiles)
+                if widest > 1:
+                    assert 8 * n * widest <= engine_batch._TILE_BYTES
+                if batch_size is not None:
+                    assert threads * widest <= batch_size
+                # Spectral: the untiled engine's batch_size chunks.
+                width = batch_size or k
+                assert engine_batch._tile_plan(k, n, batch_size, True) == (
+                    [(lo, min(lo + width, k)) for lo in range(0, k, width)],
+                    1,
+                )
+
+    def test_run_tiles_solves_each_tile_once(self):
+        # More threads than CPUs and a tiny switch interval: every tile is
+        # solved exactly once and lands in its own slot.
+        calls = []
+
+        def solve(lo, hi):
+            calls.append(lo)
+            return lo
+
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = engine_batch._run_tiles(
+                solve, [(i, i + 1) for i in range(400)], 4
+            )
+        finally:
+            sys.setswitchinterval(prev)
+        assert out == list(range(400))
+        assert sorted(calls) == list(range(400))
+
+    def test_run_tiles_reraises_and_cancels_the_rest(self):
+        started = []
+
+        def solve(lo, hi):
+            started.append(lo)
+            if lo == 0:
+                raise ValueError("tile 0")
+            time.sleep(0.01)
+            return lo
+
+        with pytest.raises(ValueError, match="tile 0"):
+            engine_batch._run_tiles(
+                solve, [(i, i + 1) for i in range(50)], 2
+            )
+        # The tiles not yet started when tile 0 failed are cancelled.
+        assert len(started) < 10
+        assert engine_batch._run_tiles(solve, [(1, 2), (2, 3)], 2) == [1, 2]
+
+    def test_single_tile_runs_inline_without_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-tile call started a pool")
+
+        monkeypatch.setattr(engine_batch, "ThreadPoolExecutor", no_pool)
+        batched_local_mixing_times(gen.cycle_graph(15), 3.0)
+
+    def test_call_does_not_wait_for_another_calls_tiles(self, monkeypatch):
+        # A call blocked in all of its tiles must not hold up a second
+        # call: each call's tiles run on threads of its own.
+        monkeypatch.setattr(engine_batch, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        blocked = threading.Barrier(3)
+
+        def slow(lo, hi):
+            blocked.wait(timeout=60)
+            release.wait(timeout=60)
+            return lo
+
+        first = threading.Thread(
+            target=engine_batch._run_tiles,
+            args=(slow, [(0, 1), (1, 2)], 2),
+        )
+        first.start()
+        try:
+            blocked.wait(timeout=60)  # both of its threads are busy
+            done = []
+            second = threading.Thread(
+                target=lambda: done.append(
+                    engine_batch._run_tiles(
+                        lambda lo, hi: lo, [(0, 1), (1, 2), (2, 3)], 2
+                    )
+                )
+            )
+            second.start()
+            second.join(timeout=30)
+            assert done == [[0, 1, 2]]
+        finally:
+            release.set()
+            first.join(timeout=60)
+
+    def test_two_threads_solve_different_graphs(self):
+        cases = [TILE_GRAPHS[0], TILE_GRAPHS[2]]
+        want = [
+            _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+            for g, beta, lazy in cases
+        ]
+        got = [None, None]
+        start = threading.Barrier(2)
+
+        def solve(i):
+            g, beta, lazy = cases[i]
+            start.wait()
+            got[i] = [
+                _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+                for _ in range(3)
+            ]
+
+        with _column_tiles(max(g.n for g, _, _ in cases), 5):
+            threads = [
+                threading.Thread(target=solve, args=(i,)) for i in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
+
+    def test_spectral_chunks_share_one_eigendecomposition(self):
+        g = gen.random_regular(36, 4, seed=8)
+        clear_propagator_cache()
+        try:
+            batched_local_mixing_times(
+                g, 3.0, method="spectral", t_schedule="doubling",
+                batch_size=4,
+            )
+            assert propagator_cache_info().misses == 1
+        finally:
+            clear_propagator_cache()
 
 
 class TestGraphLocalMixingTime:

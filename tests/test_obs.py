@@ -438,6 +438,29 @@ def test_certified_pairs_cover_every_skipped_screen():
     assert _result_bits(traced) == _result_bits(plain)
 
 
+def test_tiled_solve_counters_and_span(monkeypatch):
+    # The same closed form on a solve split into 6 column tiles on two
+    # threads, whose engine_solve span records the split.
+    g = path_graph(40)
+    n_cand = len(canonical_times_key(g, BETA, lazy=True).sizes)
+    plain = batched_local_mixing_times(g, BETA, lazy=True)
+    monkeypatch.setattr(engine_batch, "_TILE_BYTES", 8 * g.n * 7)
+    monkeypatch.setattr(engine_batch, "_usable_cpus", lambda: 2)
+    untraced = batched_local_mixing_times(g, BETA, lazy=True)
+    before = kernel_profiler().snapshot()
+    with observability(True):
+        traced = batched_local_mixing_times(g, BETA, lazy=True)
+    delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
+    screen = delta["screen"][KERNEL_LABEL]
+    assert screen["pairs"] + screen["certified"] == (
+        sum(r.steps_checked for r in traced) * n_cand
+    )
+    assert _result_bits(traced) == _result_bits(untraced)
+    assert _result_bits(traced) == _result_bits(plain)
+    (span,) = [s for s in recent_traces() if s.name == "engine_solve"]
+    assert (span.meta["tiles"], span.meta["workers"]) == (6, 2)
+
+
 def test_screen_counters_snapshot_merge_reset():
     prof = KernelProfiler(MetricsRegistry())
     prof.record_screen(10, 2, 30)

@@ -371,6 +371,57 @@ def test_fork_pool_never_forks_under_a_held_tracker_lock():
     assert proc.returncode == 0, proc.stderr
 
 
+_FORK_AFTER_TILES_SCRIPT = """
+import struct
+from repro.engine import batch, batched_local_mixing_times
+from repro.graphs import generators as gen
+from repro.parallel import ShardExecutor, parallel_local_mixing_times
+
+def bits(results):
+    return [(r.time, r.set_size, struct.pack("<d", r.deviation),
+             r.steps_checked, r.sizes_checked) for r in results]
+
+g = gen.random_regular(60, 4, seed=3)
+serial = bits(batched_local_mixing_times(g, 3.0))
+# 6-column tiles on two threads: the parent runs a threaded solve, and
+# each 30-source shard below is 5 tiles.
+batch._usable_cpus = lambda: 2
+batch._TILE_BYTES = 8 * g.n * 6
+assert batch._tile_plan(g.n, g.n, None)[1] == 2
+assert bits(batched_local_mixing_times(g, 3.0)) == serial
+with ShardExecutor(2, start_method="fork") as ex:
+    sharded = parallel_local_mixing_times(g, 3.0, executor=ex)
+assert bits(sharded) == serial
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork"
+)
+def test_fork_pool_after_threaded_tiles_does_not_hang():
+    # Regression: fork workers inherited a process-wide tile pool object
+    # but none of its threads, so a worker queueing a tile on it waited
+    # forever.  A
+    # fresh interpreter in its own session, so a hang times out and the
+    # forked workers die with it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FORK_AFTER_TILES_SCRIPT],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, 9)
+        proc.communicate()
+        pytest.fail("sharded solve after a threaded solve hung")
+    assert proc.returncode == 0, stderr
+
+
 def _wait_for_file(path):
     """Block a worker until ``path`` exists (bounded, so a broken test
     cannot hang the pool forever)."""
