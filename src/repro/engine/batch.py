@@ -33,6 +33,13 @@ and ``S ∋ s``.  A non-hit column gets credit ``min_R v_R − cutoff − slack`
 (``v_R`` exact where verified, else the bound); each later step charges it
 the *measured* drift ``‖P_t − P_{t−1}‖₁``; while positive, it is not screened.
 
+**Size anchors** (uniform target) certify whole intervals of set sizes:
+shrinking a size-``R`` set to ``a ≤ R`` of its nodes (keeping ``s``) shows
+``D_R ≥ D_a − (R − a)/R``, pinned or not.  Each step bounds the sparse
+anchors of :func:`_size_anchors` first; the per-size screen and exact
+verification run only on flagged anchors' intervals (indices mapped back
+to the candidates).  With every size its own anchor, it is the plain screen.
+
 The drivers cover the **full** knob space of the per-source functions:
 ``require_source=True`` is handled in-block (the unconstrained lower bound
 is also valid for the source-pinned minimum, and flagged pairs are decided
@@ -119,7 +126,16 @@ _VERIFY_SLACK = 1e-9
 #: charged sum stays below the credit (``< 2``): ``2nu``, plus ``4u`` for the
 #: grant; the running credit's ``≤ u·credit`` error per charged step is
 #: absorbed by rounding each update one ulp down.  ``(8n + 44)u ≤ 32nu``.
+#: Size anchors use it without the ``1e-9`` slack (short of ``(3n + 20)u``
+#: at large ``n``): float ``LB_a`` is within ``(2n + 12)u`` above the real
+#: ``D_a`` and ``δ_a`` is rounded up, so ``LB_a − δ_a ≥ cutoff + slack`` puts
+#: every float ``D_R`` at ``≥ cutoff + (27n − 32)u ≥ threshold`` (``n ≥ 2``);
+#: a credit granted from anchor values needs ``(7n + 36)u``.
 _CREDIT_SLACK = 32 * 2.0**-53
+
+#: Largest anchor interval slack ``δ_a``, as a share of the threshold: a
+#: column within about this share of it at an anchor screens its interval.
+_ANCHOR_SHARE = 0.25
 
 #: Byte budget of one tile's ``n × columns`` float64 block.  Every
 #: per-step array of the tile (block, sorted block, prefix sums, the
@@ -558,6 +574,23 @@ def batched_local_mixing_times(
     return results  # type: ignore[return-value]
 
 
+def _size_anchors(Rs: np.ndarray, gamma: float):
+    """Greedy anchors over the ascending ``Rs``, each owning the next sizes
+    with ``(R − a)/R ≤ gamma``: ``(anchor indices, interval lengths, δ_a)``
+    (``δ_a`` rounded up), or ``None`` when every size is its own anchor."""
+    first, a = [0], int(Rs[0])
+    for i, R in enumerate(Rs.tolist()):
+        if R - a > gamma * R:
+            first.append(i)
+            a = R
+    if len(first) == Rs.size:
+        return None
+    first = np.asarray(first)
+    last = np.append(first[1:], Rs.size) - 1
+    delta = np.nextafter((Rs[last] - Rs[first]) / Rs[last], np.inf)
+    return first, last - first + 1, delta
+
+
 def _solve_chunk(
     g: Graph,
     chunk: list[int],
@@ -587,8 +620,8 @@ def _solve_chunk(
     reconstructs the loop's bookkeeping.  Unconstrained uniform-target
     pairs are decided by one ``exact_best_sums_kernel`` call; the others
     by their scalar per-source references (the degree target's prefilter
-    is already its exact fixed-point transcript).  Uniform-target columns
-    with positive drift credit are proven non-hits and not screened.
+    is already its exact fixed-point transcript).  Drift credit and size
+    anchors prove uniform-target pairs non-hits, which are not screened.
     """
     from repro.walks.local_mixing import (
         LocalMixingResult,
@@ -602,9 +635,12 @@ def _solve_chunk(
     screen_record = kernels.screen if target != "degree" else None
     in_block = target == "uniform" and not require_source
     cutoff = threshold * (1.0 + _VERIFY_SLACK)
+    slack = _CREDIT_SLACK * g.n
     n_cand = len(candidates)
     Rs = np.asarray(candidates, dtype=np.int64)
     inv_r = 1.0 / Rs
+    gamma = threshold * _ANCHOR_SHARE
+    anchors = _size_anchors(Rs, gamma) if target == "uniform" else None
     degrees = g.degrees.astype(np.float64) if target == "degree" else None
     col_pos = np.arange(len(chunk))  # chunk position per live column
     credit = np.zeros(len(chunk))  # proven no-hit margin per live column
@@ -636,9 +672,31 @@ def _solve_chunk(
         if need.size == 0:
             continue
         Q = P if need.size == col_pos.size else P[:, need]
+        S = pre = None  # free the previous step's scan before the next sort
+        if target == "uniform":
+            S, pre = kernels.sorted_scan(Q)
+        Rs_s, inv_s, rows, floor = Rs, inv_r, None, np.inf
+        if anchors is not None:
+            anc, own, delta = anchors
+            k0a = kernels.split_points(S, inv_r[anc])
+            lba = kernels.deviation_lower_bounds(pre, Rs[anc], inv_r[anc], k0a)
+            lba -= delta[:, None]  # D_R ≥ D_a − (R − a)/R on a's interval
+            flag = lba < cutoff + slack
+            credit[need] = lba.min(axis=0) - cutoff - slack
+            fine = np.flatnonzero(flag.any(axis=0))
+            out = ~flag.any(axis=1)  # anchors that certify every column
+            rows = np.flatnonzero(np.repeat(~out, own))
+            if screen_record is not None:
+                screen_record(0, 0, need.size * n_cand - fine.size * rows.size)
+            if fine.size == 0:
+                continue
+            if out.any():
+                floor = lba[out][:, fine].min(axis=0)
+            if fine.size < need.size:
+                need, S, pre = need[fine], S[:, fine], pre[:, fine]
+            Rs_s, inv_s = Rs[rows], inv_r[rows]
         if not in_block:
             live_nodes = [chunk[int(i)] for i in col_pos[need]]
-        S = pre = None  # free the previous step's scan before the next sort
         if target == "degree":
             doracle = BatchedDegreeDeviationOracle(
                 Q, degrees, sources=live_nodes
@@ -650,12 +708,11 @@ def _solve_chunk(
                 doracle, Rs, require_source=require_source
             )
         else:
-            S, pre = kernels.sorted_scan(Q)
-            k0_all = kernels.split_points(S, inv_r)
+            k0_all = kernels.split_points(S, inv_s)
             # One search-free kernel call for the whole (R, column) grid;
             # valid for the constrained minimum too (pinning the source
             # can only increase it).
-            bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
+            bounds = kernels.deviation_lower_bounds(pre, Rs_s, inv_s, k0_all)
         hits = bounds < cutoff
         if screen_record is not None:
             screen_record(hits.size, int(np.count_nonzero(hits)))
@@ -663,7 +720,7 @@ def _solve_chunk(
         if in_block:
             # R-major order: a column's first hit has its smallest R.
             r_idx, cols = np.nonzero(hits)
-            vals = kernels.best_sums(pre, Rs, inv_r, k0_all, r_idx, cols)
+            vals = kernels.best_sums(pre, Rs_s, inv_s, k0_all, r_idx, cols)
             bounds[r_idx, cols] = vals
             ok = np.flatnonzero(vals < threshold)
             first = ok[np.unique(cols[ok], return_index=True)[1]]
@@ -671,13 +728,14 @@ def _solve_chunk(
         else:
             for col in map(int, np.flatnonzero(hits.any(axis=0))):
                 node = int(live_nodes[col])
+                p = P[:, need[col]]
                 if require_source and target == "uniform":
-                    uo = UniformDeviationOracle(Q[:, col], source=node)
+                    uo = UniformDeviationOracle(p, source=node)
                 for r_idx in map(int, np.flatnonzero(hits[:, col])):
-                    R = int(Rs[r_idx])
+                    R = int(Rs_s[r_idx])
                     if target == "degree":
                         s_exact = _degree_target_best(
-                            Q[:, col], degrees, R, node, require_source
+                            p, degrees, R, node, require_source
                         )
                     else:
                         s_exact, _ = uo.best_sum(R, require_source=True)
@@ -686,9 +744,11 @@ def _solve_chunk(
                         found.append((col, r_idx, s_exact))
                         break
         if target == "uniform":  # verified values now replace bounds
-            credit[need] = bounds.min(axis=0) - cutoff - _CREDIT_SLACK * g.n
+            low = np.minimum(bounds.min(axis=0), floor)
+            credit[need] = low - cutoff - slack
         keep = np.ones(col_pos.size, dtype=bool)
         for col, r_idx, s_exact in found:
+            r_idx = int(r_idx if rows is None else rows[r_idx])
             keep[need[col]] = False
             yield int(col_pos[need[col]]), LocalMixingResult(
                 time=t,
@@ -696,7 +756,7 @@ def _solve_chunk(
                 deviation=s_exact,
                 threshold=threshold,
                 steps_checked=steps,
-                sizes_checked=(steps - 1) * n_cand + int(r_idx) + 1,
+                sizes_checked=(steps - 1) * n_cand + r_idx + 1,
             )
         if not keep.all():
             keep = np.flatnonzero(keep)

@@ -9,10 +9,11 @@ per-kernel call counts and wall seconds into the process-global
 * ``repro_kernel_calls_total{kernel}``
 * ``repro_kernel_seconds_total{kernel}``
 * ``repro_screen_pairs_total`` / ``repro_screen_flagged_total`` — how
-  many (R, column) candidate pairs the screening scan considered vs
+  many (R, column) candidate pairs got a per-size screening bound vs were
   flagged for exact re-verification.
-* ``repro_screen_certified_total`` — (R, column) pairs the drift
-  certificate proved non-hits, so they were not screened at all.
+* ``repro_screen_certified_total`` — (R, column) pairs proved non-hits
+  without a per-size bound: by drift credit, or by a size anchor's bound
+  covering the whole interval of sizes it owns.
 
 A timing closure is pure delegation plus two ``perf_counter`` reads per
 call — it never touches kernel inputs or outputs, so results stay
@@ -51,7 +52,7 @@ KERNEL_LABEL = "float64"
 _SCREEN_COUNTERS = {
     "pairs": (
         "repro_screen_pairs_total",
-        "Candidate (R, column) pairs considered by the screening scan.",
+        "Candidate (R, column) pairs given a per-size screening bound.",
     ),
     "flagged": (
         "repro_screen_flagged_total",
@@ -59,7 +60,7 @@ _SCREEN_COUNTERS = {
     ),
     "certified": (
         "repro_screen_certified_total",
-        "Candidate pairs proven non-hits by drift credit, not screened.",
+        "Candidate pairs proven non-hits by drift credit or a size anchor.",
     ),
 }
 

@@ -247,7 +247,10 @@ def _candidate_sizes(n: int, beta: float, sizes, grid_factor: float) -> list[int
 def _resolve_walk_bounds(g: Graph, lazy: bool, t_max: int | None) -> int:
     """Shared preconditions for walk-length searches (centralized and the
     batch engine): the graph must be connected and, unless the walk is lazy,
-    non-bipartite; returns ``t_max`` with the ``O(n³)`` default applied."""
+    non-bipartite, and an explicit ``t_max`` must be non-negative; returns
+    ``t_max`` with the ``O(n³)`` default applied."""
+    if t_max is not None and t_max < 0:
+        raise ValueError("t_max must be non-negative")
     g.require_connected()
     if not lazy and g.is_bipartite:
         raise BipartiteGraphError(

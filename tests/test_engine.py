@@ -39,6 +39,7 @@ from repro.engine.oracle import (
     sorted_scan_arrays,
     split_points_kernel,
 )
+from repro.constants import DEFAULT_EPS
 from repro.errors import BipartiteGraphError, ConvergenceError
 from repro.graphs import generators as gen
 from repro.walks import distribution_at, mixing_time
@@ -609,6 +610,225 @@ class TestColumnTiles:
             assert propagator_cache_info().misses == 1
         finally:
             clear_propagator_cache()
+
+
+@contextmanager
+def _anchor_span(gamma, threshold):
+    """Anchor intervals of relative width ``gamma`` for a solve at
+    ``threshold`` (the engine derives the width from the threshold)."""
+    with mock.patch.object(engine_batch, "_ANCHOR_SHARE", gamma / threshold):
+        yield
+
+
+def _anchor_column(kind, n, seed):
+    """One column for the anchor inequality: walk-like, tied, zero-padded,
+    heavy, or flat on a support of ``m`` nodes (``p = 1/m`` there, zero
+    elsewhere: the shrink-to-``a`` step of the proof is then exact, so
+    ``D_R = D_a − (R − a)/R`` at ``R = m``)."""
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        p = np.zeros(n)
+        p[rng.choice(n, size=int(rng.integers(2, n)), replace=False)] = 1.0
+        return p / p.sum()
+    if kind == "heavy":  # one entry holds almost all the mass
+        p = rng.dirichlet(np.ones(n)) * 1e-3
+        p[rng.integers(n)] += 1.0
+        return p / p.sum()
+    return _column_block(kind, n, 1, seed)[:, 0]
+
+
+def _exact_minima(p, source, require_source):
+    """``D_R`` for ``R = 1..n`` (index ``R``) from the per-source oracle."""
+    uo = UniformDeviationOracle(p, source=source)
+    return [math.nan] + [
+        uo.best_sum(R, require_source=require_source)[0]
+        for R in range(1, p.size + 1)
+    ]
+
+
+ANCHOR_KINDS = ["dirichlet", "uniform", "ties", "sparse", "flat", "heavy"]
+
+#: Graphs for the anchored loop-equivalence tests: (graph, beta, lazy).
+ANCHOR_GRAPHS = [
+    (gen.random_regular(40, 4, seed=3), 3.0, False),
+    (gen.beta_barbell(4, 8), 4.0, False),
+    (gen.path_graph(23), 3.0, True),
+    (gen.lollipop(8, 10), 2.0, True),
+    (gen.cycle_graph(31), 1.5, False),
+]
+
+
+class TestSizeAnchors:
+    """One lower bound per anchor size certifies a whole interval of set
+    sizes: ``D_R ≥ D_a − (R − a)/R`` for ``a ≤ R``.  Certified sizes are
+    never screened, so every answer must still equal the per-source loop
+    bit for bit."""
+
+    @pytest.mark.parametrize("require_source", [False, True])
+    @pytest.mark.parametrize("kind", ANCHOR_KINDS)
+    def test_deviation_falls_by_at_most_the_size_gap(self, kind, require_source):
+        n = 24
+        slack = engine_batch._CREDIT_SLACK * n
+        for seed in range(4):
+            p = _anchor_column(kind, n, seed)
+            D = _exact_minima(p, seed % n, require_source)
+            for a in range(1, n + 1):
+                for R in range(a, n + 1):
+                    assert D[R] >= D[a] - (R - a) / R - slack, (a, R)
+
+    def test_flat_support_makes_the_inequality_tight(self):
+        m, n = 12, 30
+        p = np.zeros(n)
+        p[:m] = 1.0 / m
+        D = _exact_minima(p, 0, False)
+        for a in range(1, m + 1):
+            assert D[m] == pytest.approx(D[a] - (m - a) / m, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.3, 0.9, 5.0])
+    def test_anchor_intervals_partition_the_candidates(self, gamma):
+        from fractions import Fraction
+
+        Rs = np.arange(7, 201)
+        anc, own, delta = engine_batch._size_anchors(Rs, gamma)
+        assert anc[0] == 0 and own.sum() == Rs.size
+        assert np.array_equal(anc[1:], np.cumsum(own)[:-1])
+        for i, m, d in zip(anc, own, delta):
+            a = int(Rs[i])
+            for R in Rs[i : i + m].tolist():
+                assert R - a <= gamma * R
+                assert Fraction(d) >= Fraction(R - a, R)
+        # Greedy: the next anchor is the first size its predecessor
+        # could not own.
+        for i, m in zip(anc[:-1], own[:-1]):
+            R = int(Rs[i + m])
+            assert R - int(Rs[i]) > gamma * R
+        assert engine_batch._size_anchors(Rs, 0.0) is None
+        assert engine_batch._size_anchors(np.arange(10, 41), 0.0115) is None
+
+    @pytest.mark.parametrize("require_source", [False, True])
+    @pytest.mark.parametrize("kind", ANCHOR_KINDS)
+    def test_anchor_bound_certifies_every_owned_size(self, kind, require_source):
+        # The engine's certificate: LB_a − δ_a − slack, from the screen
+        # kernels at the anchors, bounds the exact D_R at every owned R.
+        n, k = 40, 5
+        P = np.stack(
+            [_anchor_column(kind, n, 10 * k + j) for j in range(k)], axis=1
+        )
+        Rs = np.arange(10, n + 1)
+        anc, own, delta = engine_batch._size_anchors(Rs, 0.3)
+        S, pre = sorted_scan_arrays(P)
+        inv = 1.0 / Rs[anc]
+        lb = oracle_mod.deviation_lower_bounds_kernel(
+            pre, Rs[anc], inv, split_points_kernel(S, inv)
+        )
+        cert = lb - delta[:, None] - engine_batch._CREDIT_SLACK * n
+        for j in range(k):
+            D = _exact_minima(P[:, j], j, require_source)
+            for i, (first, m) in enumerate(zip(anc, own)):
+                for R in Rs[first : first + m].tolist():
+                    assert cert[i, j] <= D[R], (j, R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gi=st.integers(0, len(ANCHOR_GRAPHS) - 1),
+        data=st.data(),
+        gamma=st.sampled_from([0.1, 0.3, 0.9]),
+        eps=st.sampled_from([0.05, DEFAULT_EPS, 0.2]),
+        threshold_factor=st.floats(0.5, 3.0),
+        require_source=st.booleans(),
+        schedule=st.sampled_from(
+            [("iterative", "all"), ("iterative", "doubling"),
+             ("spectral", "doubling")]
+        ),
+        t_max=st.sampled_from([3, 12, 400]),
+        batch_size=st.sampled_from([None, 1, 5]),
+    )
+    def test_wide_anchors_equal_loop(
+        self, gi, data, gamma, eps, threshold_factor, require_source,
+        schedule, t_max, batch_size,
+    ):
+        g, beta, lazy = ANCHOR_GRAPHS[gi]
+        method, t_schedule = schedule
+        width = data.draw(st.sampled_from([g.n, g.n // 3, 4]), label="width")
+        knobs = dict(
+            eps=eps,
+            lazy=lazy,
+            threshold_factor=threshold_factor,
+            t_schedule=t_schedule,
+            t_max=t_max,
+            require_source=require_source,
+        )
+        threshold = eps * threshold_factor
+        Rs = np.arange(math.ceil(g.n / beta), g.n + 1)
+        assert engine_batch._size_anchors(Rs, gamma) is not None
+        with _anchor_span(gamma, threshold), _column_tiles(g.n, width):
+            batch = _times_outcome(
+                lambda: batched_local_mixing_times(
+                    g, beta, batch_size=batch_size, method=method, **knobs
+                )
+            )
+        if method == "spectral":  # the reference is the unanchored solve
+            with _anchor_span(0.0, threshold):
+                assert batch == _times_outcome(
+                    lambda: batched_local_mixing_times(
+                        g, beta, batch_size=batch_size, method=method,
+                        **knobs
+                    )
+                )
+            return
+        assert batch == _loop_outcome(g, beta, range(g.n), **knobs)
+
+    @pytest.mark.parametrize(
+        "gi", range(len(ANCHOR_GRAPHS)),
+        ids=["rr40", "barbell4_8", "path23", "lollipop8_10", "cycle31"],
+    )
+    def test_thresholds_at_sizes_just_past_an_anchor(self, gi):
+        # ε equal to an exact D_R(t) at the first size an anchor owns
+        # beyond itself leaves zero margin at a certified size, and one ulp
+        # above it makes (t, R) hit: the tightest cases for a certificate.
+        g, beta, lazy = ANCHOR_GRAPHS[gi]
+        gamma, t_max = 0.3, 60
+        Rs = np.arange(math.ceil(g.n / beta), g.n + 1)
+        anc, own, _ = engine_batch._size_anchors(Rs, gamma)
+        past = [int(Rs[i + 1]) for i, m in zip(anc, own) if m > 1]
+        values = set()
+        for s in (0, g.n // 2):
+            for t, p in distribution_trajectory(g, s, lazy=lazy, t_max=t_max):
+                uo = UniformDeviationOracle(p)
+                values.update(uo.best_sum(R)[0] for R in past)
+        values = sorted(v for v in values if 0 < v < 1)
+        assert values
+        for v in values[:: max(1, len(values) // 5)]:
+            for eps in (v, float(np.nextafter(v, np.inf))):
+                knobs = dict(eps=eps, lazy=lazy, t_max=t_max)
+                with _anchor_span(gamma, eps):
+                    batch = _times_outcome(
+                        lambda: batched_local_mixing_times(g, beta, **knobs)
+                    )
+                assert batch == _loop_outcome(g, beta, range(g.n), **knobs)
+
+    @pytest.mark.parametrize("require_source", [False, True])
+    def test_unpatched_anchors_on_a_large_graph(self, require_source):
+        g, beta = gen.random_regular(320, 6, seed=11), 4.0
+        Rs = np.arange(math.ceil(g.n / beta), g.n + 1)
+        assert engine_batch._size_anchors(
+            Rs, DEFAULT_EPS * engine_batch._ANCHOR_SHARE
+        ) is not None
+        sources = range(0, g.n, 29)
+        knobs = dict(require_source=require_source)
+        batch = batched_local_mixing_times(g, beta, sources=sources, **knobs)
+        assert _bits(batch) == _bits(
+            local_mixing_time(g, s, beta, **knobs) for s in sources
+        )
+
+    def test_all_sources_equal_with_anchors_off(self):
+        # The benchmark's all-sources graph: every source, anchors on
+        # (the default) against anchors off (every size its own anchor).
+        g, beta = gen.random_regular(1000, 8, seed=1), 4.0
+        on = _bits(batched_local_mixing_times(g, beta))
+        with _anchor_span(0.0, DEFAULT_EPS):
+            off = _bits(batched_local_mixing_times(g, beta))
+        assert on == off
 
 
 class TestGraphLocalMixingTime:

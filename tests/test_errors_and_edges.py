@@ -154,3 +154,68 @@ class TestNumericalEdgeCases:
         sim = PushPullSimulator(gen.complete_graph(2), seed=1)
         sim.step()
         assert int(sim.tokens.node_counts().min()) == 2
+
+
+class TestNegativeTMax:
+    """``t_max < 0`` names no walk length; every τ and spectrum driver
+    rejects it with one message instead of answering (or failing to
+    converge) differently."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "local_mixing_time",
+            "batched_local_mixing_times",
+            "local_mixing_spectrum",
+            "batched_local_mixing_spectra",
+            "parallel_local_mixing_times",
+            "canonical_times_key",
+            "MixingTracker",
+        ],
+    )
+    def test_rejected_by_every_driver(self, call):
+        from repro.dynamic import MixingTracker
+        from repro.engine import (
+            batched_local_mixing_spectra,
+            batched_local_mixing_times,
+            canonical_times_key,
+        )
+        from repro.graphs import generators as gen
+        from repro.parallel import parallel_local_mixing_times
+        from repro.walks.local_mixing import (
+            local_mixing_spectrum,
+            local_mixing_time,
+        )
+
+        g = gen.random_regular(20, 4, seed=1)
+        calls = {
+            "local_mixing_time": lambda: local_mixing_time(g, 0, 4.0, t_max=-1),
+            "batched_local_mixing_times": lambda: batched_local_mixing_times(
+                g, 4.0, t_max=-1
+            ),
+            "local_mixing_spectrum": lambda: local_mixing_spectrum(
+                g, 0, t_max=-1
+            ),
+            "batched_local_mixing_spectra": lambda: batched_local_mixing_spectra(
+                g, t_max=-1
+            ),
+            "parallel_local_mixing_times": lambda: parallel_local_mixing_times(
+                g, 4.0, t_max=-1, n_workers=2
+            ),
+            "canonical_times_key": lambda: canonical_times_key(
+                g, 4.0, t_max=-1
+            ),
+            "MixingTracker": lambda: MixingTracker(4.0, t_max=-1).observe(g),
+        }
+        with pytest.raises(ValueError, match="t_max must be non-negative"):
+            calls[call]()
+
+    def test_zero_is_still_a_walk_length(self):
+        from repro.engine import batched_local_mixing_spectra
+        from repro.graphs import generators as gen
+        from repro.walks.local_mixing import local_mixing_spectrum
+
+        g = gen.random_regular(20, 4, seed=1)
+        assert batched_local_mixing_spectra(g, sources=[0], t_max=0) == [
+            local_mixing_spectrum(g, 0, t_max=0)
+        ]

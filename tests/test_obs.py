@@ -461,6 +461,32 @@ def test_tiled_solve_counters_and_span(monkeypatch):
     assert (span.meta["tiles"], span.meta["workers"]) == (6, 2)
 
 
+def test_anchor_certified_pairs_close_the_count(monkeypatch):
+    # Size anchors certify whole intervals of set sizes: those pairs are
+    # counted as certified, only pairs given a per-size bound as screened,
+    # and the closed form still holds on a solve split into 3 tiles.
+    g = random_regular(300, 6, seed=4)
+    n_cand = len(canonical_times_key(g, BETA).sizes)
+    plain = batched_local_mixing_times(g, BETA)
+    monkeypatch.setattr(engine_batch, "_TILE_BYTES", 8 * g.n * 100)
+    monkeypatch.setattr(engine_batch, "_usable_cpus", lambda: 2)
+    untraced = batched_local_mixing_times(g, BETA)
+    before = kernel_profiler().snapshot()
+    with observability(True):
+        traced = batched_local_mixing_times(g, BETA)
+    delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
+    screen = delta["screen"][KERNEL_LABEL]
+    total = sum(r.steps_checked for r in traced) * n_cand
+    assert screen["pairs"] + screen["certified"] == total
+    # τ ≈ 10 on this expander, too short for drift credit to skip many
+    # screens: most certified pairs are the anchors'.
+    assert screen["pairs"] < total // 4
+    assert _result_bits(traced) == _result_bits(untraced)
+    assert _result_bits(traced) == _result_bits(plain)
+    (span,) = [s for s in recent_traces() if s.name == "engine_solve"]
+    assert span.meta["tiles"] == 3
+
+
 def test_screen_counters_snapshot_merge_reset():
     prof = KernelProfiler(MetricsRegistry())
     prof.record_screen(10, 2, 30)

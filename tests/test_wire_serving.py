@@ -355,6 +355,39 @@ class TestProtocolVersion:
         assert status == 200 and obj["ok"] is True
 
 
+class TestNegativeTMax:
+    def test_typed_bad_request_in_process_and_on_the_wire(self, expander):
+        """``t_max=-1`` is a bad argument, not an unconverged solve and
+        not an internal error: the service records ``bad_request`` and
+        both wire clients raise the ``ValueError`` it stands for."""
+        bad = wire_query(0, t_max=-1)
+
+        async def outcome(submit):
+            try:
+                await submit(bad)
+            except Exception as exc:  # noqa: BLE001 - the type is the point
+                return type(exc), str(exc)
+            return None
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                out = {"service": await outcome(svc.submit)}
+                async with WireServer(svc) as server:
+                    out["http"] = await outcome(
+                        lambda q: http_query(server.host, server.port, q)
+                    )
+                    async with WireClient(server.host, server.port) as client:
+                        out["ws"] = await outcome(client.submit)
+                records = svc.flight.records()
+            return out, [r.outcome for r in records]
+
+        out, outcomes = asyncio.run(main())
+        for door, got in out.items():
+            assert got == (ValueError, "t_max must be non-negative"), door
+        assert outcomes and set(outcomes) == {"bad_request"}
+
+
 # --------------------------------------------------------------------- #
 # Concurrency soak
 # --------------------------------------------------------------------- #
