@@ -6,10 +6,11 @@ Claims (parallel subsystem):
    **identical** — same τ, set sizes, bitwise-equal deviations, same
    bookkeeping counters — to the serial ``batched_local_mixing_times`` on
    the all-sources workload, for every tested worker count;
-2. each worker propagates only its own contiguous source shard, so the
-   peak dense-block footprint per process drops from ``n × k`` to
-   ``n × ⌈k/W⌉`` (reported in the table — it is a structural property of
-   the sharding, not a measurement);
+2. both sides propagate column tiles of at most ``_TILE_BYTES`` of block:
+   the serial call holds one tile per tile thread, each worker one tile
+   of its own source shard at a time (reported in the table from
+   ``_tile_plan`` — a structural property of the tiling, not a
+   measurement);
 3. on a machine with ≥ 4 usable cores, 4 workers give ≥ 2× wall-clock on
    the 1200-node all-sources workload.  The speedup assertion is gated on
    the *schedulable* core count (CPU affinity where the OS exposes it, so
@@ -24,6 +25,7 @@ and asserts exactness plus clean teardown only.
 import os
 
 from repro.engine import batched_local_mixing_times
+from repro.engine.batch import _tile_plan
 from repro.graphs import random_regular
 from repro.obs import BenchReporter
 from repro.parallel import ShardExecutor, parallel_local_mixing_times
@@ -31,6 +33,15 @@ from repro.utils import format_table
 
 BETA = 4
 WORKER_COUNTS = (1, 2, 4)
+
+
+def _block_mib(k: int, n: int, threads: int | None = None) -> float:
+    """MiB of walk block one process holds at once while solving ``k``
+    sources: its widest column tile on each of its tile threads (one in a
+    shard worker)."""
+    tiles, planned = _tile_plan(k, n, None)
+    width = max(hi - lo for lo, hi in tiles)
+    return n * width * (threads or planned) * 8 / 2**20
 
 
 def run_compare(n: int, d: int, seed: int = 1, reporter=None):
@@ -81,16 +92,14 @@ def test_s1_sharded_engine(record_table, quick_mode):
         cores = len(os.sched_getaffinity(0))
     else:  # pragma: no cover - macOS/Windows
         cores = os.cpu_count() or 1
-    block_mb = lambda k: n * k * 8 / 2**20  # noqa: E731 - table helper
     table_rows = [
-        ["serial", f"{t_serial:.2f}", "1.00x", f"{block_mb(g.n):.1f}",
-         "-", "-"]
+        ["serial", f"{t_serial:.2f}", "1.00x",
+         f"{_block_mib(g.n, g.n):.1f}", "-", "-"]
     ]
     for w, t_w, shard_sizes, split in rows:
-        shard = -(-g.n // w)  # ceil(k / W): the per-worker block height
         table_rows.append(
             [f"W={w}", f"{t_w:.2f}", f"{t_serial / t_w:.2f}x",
-             f"{block_mb(shard):.1f}",
+             f"{_block_mib(max(shard_sizes), g.n, threads=1):.1f}",
              "+".join(str(s) for s in shard_sizes), split]
         )
         if not quick_mode and w == 4 and cores >= 4:

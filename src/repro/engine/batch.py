@@ -644,6 +644,9 @@ def _solve_chunk(
     degrees = g.degrees.astype(np.float64) if target == "degree" else None
     col_pos = np.arange(len(chunk))  # chunk position per live column
     credit = np.zeros(len(chunk))  # proven no-hit margin per live column
+    if target == "uniform":  # the tile's scan workspace (sorted, prefix)
+        work = np.empty((len(chunk), g.n)), np.zeros((len(chunk), g.n + 1))
+        flat = work[0].reshape(-1)  # the drift diff's buffer
     P = prop = None
     if spectral is None:
         prop = BlockPropagator(
@@ -661,20 +664,24 @@ def _solve_chunk(
             P = spectral.propagate(_one_hot_block(g.n, chunk_arr[col_pos]), t)
         cred = np.flatnonzero(credit > 0)
         if cred.size:  # charge the measured L1 drift, rounded down
-            sub = slice(None) if cred.size == col_pos.size else cred
-            diff = P[:, sub] - P_prev[:, sub]
+            # The live block's diff, in the sorted buffer (this step's scan
+            # refills it).  numpy sums a block's columns sequentially but a
+            # lone column pairwise, so a lone credited column is summed
+            # alone: each drift keeps the bits of a credited-only block.
+            diff = np.subtract(P, P_prev, out=flat[: P.size].reshape(P.shape))
             drift = np.abs(diff, out=diff).sum(axis=0)
+            if cred.size < col_pos.size:
+                drift = drift[cred] if cred.size > 1 else diff[:, cred[0]].sum()
             credit[cred] = np.nextafter(credit[cred] - drift, -np.inf)
-        P_prev = diff = None
+        P_prev = None
         need = np.flatnonzero(credit <= 0)  # columns to screen this step
         if screen_record is not None:
             screen_record(0, 0, (col_pos.size - need.size) * n_cand)
         if need.size == 0:
             continue
-        Q = P if need.size == col_pos.size else P[:, need]
-        S = pre = None  # free the previous step's scan before the next sort
+        sub = None if need.size == col_pos.size else need
         if target == "uniform":
-            S, pre = kernels.sorted_scan(Q)
+            S, pre = kernels.sorted_scan(P, sub, work)
         Rs_s, inv_s, rows, floor = Rs, inv_r, None, np.inf
         if anchors is not None:
             anc, own, delta = anchors
@@ -692,14 +699,17 @@ def _solve_chunk(
                 continue
             if out.any():
                 floor = lba[out][:, fine].min(axis=0)
-            if fine.size < need.size:
-                need, S, pre = need[fine], S[:, fine], pre[:, fine]
+            if fine.size < need.size:  # ascending: forward copies are safe
+                for i, j in enumerate(fine.tolist()):
+                    if i < j:
+                        S[i], pre[i] = S[j], pre[j]
+                need, S, pre = need[fine], S[: fine.size], pre[: fine.size]
             Rs_s, inv_s = Rs[rows], inv_r[rows]
         if not in_block:
             live_nodes = [chunk[int(i)] for i in col_pos[need]]
         if target == "degree":
             doracle = BatchedDegreeDeviationOracle(
-                Q, degrees, sources=live_nodes
+                P if sub is None else P[:, need], degrees, sources=live_nodes
             )
             # The transcript values ARE the per-source heuristic values
             # (bitwise), so they prefilter exactly; flagged pairs are still
@@ -784,9 +794,9 @@ def batched_local_mixing_profiles(
     One block trajectory replaces ``k`` independent
     :func:`~repro.walks.local_mixing.local_mixing_profile` runs; each row is
     bitwise identical to the per-source function: the block columns are
-    bitwise equal to the single-source trajectory, the batched oracle's
-    column-sorted block and prefix sums are bitwise equal to each
-    per-column ``argsort``/``cumsum``, and every minimum is the exact
+    bitwise equal to the single-source trajectory, the source-major
+    sorted rows and prefix sums are bitwise equal to each per-column
+    ``argsort``/``cumsum``, and every minimum is the exact
     single-source scan (:func:`~repro.engine.oracle.exact_best_sums_kernel`
     over every ``(R, column)`` pair — profile *values* feed plots and
     fits, so no threshold-verification shortcut applies).  With
@@ -809,6 +819,7 @@ def batched_local_mixing_profiles(
         prop = BlockPropagator(
             g, src, lazy=lazy, step_block=kernels.step_block
         )
+        work = np.empty((len(src), g.n)), np.zeros((len(src), g.n + 1))
         for t in range(t_max + 1):
             P = prop.advance_to(t)
             if require_source:
@@ -819,7 +830,7 @@ def batched_local_mixing_profiles(
                         for R in candidates
                     )
                 continue
-            S, pre = kernels.sorted_scan(P)
+            S, pre = kernels.sorted_scan(P, None, work)
             k0 = kernels.split_points(S, inv_r)
             vals = kernels.best_sums(pre, Rs, inv_r, k0, r_idx, cols)
             out[:, t] = vals.reshape(Rs.size, len(src)).min(axis=0)
@@ -1000,6 +1011,7 @@ def batched_local_mixing_spectra(
     col_pos = np.arange(len(src))
     # unresolved[c, r]: column c has not yet mixed at sizes[r].
     unresolved = np.ones((len(src), len(sizes)), dtype=bool)
+    work = np.empty((len(src), g.n)), np.zeros((len(src), g.n + 1))
     with trace("engine_solve", kind="spectra", sources=len(src)) as _sp:
         prop = (
             BlockPropagator(g, src, lazy=lazy, step_block=kernels.step_block)
@@ -1015,7 +1027,7 @@ def batched_local_mixing_spectra(
                 P = block_distribution_at(
                     g, [src[i] for i in col_pos], t, lazy=lazy
                 )
-            S, pre = kernels.sorted_scan(P)
+            S, pre = kernels.sorted_scan(P, None, work)
             k0_all = kernels.split_points(S, inv_r)
             bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
             live = unresolved[col_pos]

@@ -2,9 +2,17 @@
 
 The single-source :class:`~repro.walks.local_mixing.UniformDeviationOracle`
 sorts one ``p`` and scans every length-``R`` window of the sorted copy.  The
-batched oracle sorts **all k columns at once** (``np.sort(P, axis=0)`` +
-column-wise prefix sums) and answers ``min_{|S|=R} Σ_{u∈S} |p(u) − 1/R|``
-for every column per ``(t, R)`` grid point without the window scan:
+batched oracle sorts **all k columns at once** and answers
+``min_{|S|=R} Σ_{u∈S} |p(u) − 1/R|`` for every column per ``(t, R)`` grid
+point without the window scan.
+
+Shapes: the walk block ``P`` is ``(n, k)``, one column per source.  The
+scan is source-major: ``sorted`` is ``(k, n)``, one contiguous ascending
+row per source, and ``prefix`` is ``(k, n+1)``, each row's prefix sums
+after a leading zero.  Sorting a contiguous row and a strided column give
+the same values, and a row ``cumsum`` adds in the same sequential order,
+so the scan is bitwise the per-source one.  Per-size arrays (``k0``,
+bounds, sums) are ``(sizes, k)``; a column subset is a take of rows.
 
 The window sum ``F(start)`` over the sorted column is *unimodal* in
 ``start``.  Writing ``x_j = |sorted_j − c|`` with ``c = 1/R``,
@@ -63,31 +71,44 @@ __all__ = [
 # --------------------------------------------------------------------- #
 
 
-def sorted_scan_arrays(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise ascending sort of ``P`` plus prefix sums with a leading
-    zero row, as ``(sorted, prefix)`` of shapes ``(n, k)`` / ``(n+1, k)`` —
-    exactly the scan the batched oracle builds."""
+def sorted_scan_arrays(
+    P: np.ndarray,
+    cols: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Source-major scan of the block ``P``: row ``j`` of ``sorted`` is
+    column ``cols[j]`` of ``P`` (every column when ``cols`` is ``None``) in
+    ascending order, row ``j`` of ``prefix`` its prefix sums after a
+    leading zero; shapes ``(m, n)`` / ``(m, n+1)``.  With a workspace
+    ``out = (sorted, prefix)`` of at least ``m`` rows whose prefix column 0
+    is zero, the scan fills their first ``m`` rows and allocates nothing."""
     P = np.asarray(P, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError("P must be an (n, k) block, one column per source")
-    S = np.sort(P, axis=0)
-    prefix = np.vstack(
-        [np.zeros((1, P.shape[1])), np.cumsum(S, axis=0)]
-    )
+    n, m = P.shape[0], P.shape[1] if cols is None else len(cols)
+    if out is None:
+        out = np.empty((m, n)), np.zeros((m, n + 1))
+    S, prefix = out[0][:m], out[1][:m]
+    if cols is None:
+        np.copyto(S, P.T)
+    else:
+        np.take(P.T, cols, axis=0, out=S, mode="clip")
+    S.sort(axis=1)
+    np.cumsum(S, axis=1, out=prefix[:, 1:])
     return S, prefix
 
 
 def split_points_kernel(S: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """Per target value and column, the number of sorted entries strictly
     below the target: entry ``[i, j]`` is
-    ``searchsorted(S[:, j], cs[i])`` — the split the window formula pivots
+    ``searchsorted(S[j], cs[i])`` — the split the window formula pivots
     on."""
     cs = np.asarray(cs, dtype=np.float64)
-    out = np.empty((cs.size, S.shape[1]), dtype=np.int64)
-    # Contiguous rows, keys ascending (drivers pass 1/R for ascending R):
-    # each search walks memory forward; the key order changes no integer.
+    out = np.empty((cs.size, S.shape[0]), dtype=np.int64)
+    # Keys ascending (callers pass 1/R for ascending R): each search walks
+    # its row forward; the key order changes no integer.
     keys = cs[::-1]
-    for j, row in enumerate(np.ascontiguousarray(S.T)):
+    for j, row in enumerate(S):
         out[::-1, j] = row.searchsorted(keys)
     return out
 
@@ -103,10 +124,10 @@ def best_sums_kernel(
     value ``c`` over every column of the scan ``(S, pre)``; returns
     ``(sums, starts)`` (see
     :meth:`BatchedUniformDeviationOracle.best_sums`)."""
-    n, k = S.shape
-    cols = np.arange(k)
+    k, n = S.shape
+    rows = np.arange(k)
     if k0 is None:
-        k0 = (S < c).sum(axis=0)
+        k0 = (S < c).sum(axis=1)
     # Vectorized binary search for the first start where the window-sum
     # difference turns non-negative; W-1 is the "all differences
     # negative" sentinel.
@@ -119,8 +140,8 @@ def best_sums_kernel(
         if not active.any():
             break
         mid = np.where(active, (lo + hi) >> 1, 0)
-        s_lo = S[mid, cols]
-        s_hi = S[mid + R, cols]
+        s_lo = S[rows, mid]
+        s_hi = S[rows, mid + R]
         pred = (mid >= k0) | ((mid + R >= k0) & (s_lo + s_hi >= two_c))
         hi = np.where(active & pred, mid, hi)
         lo = np.where(active & ~pred, mid + 1, lo)
@@ -128,9 +149,9 @@ def best_sums_kernel(
     # Evaluate the window sum at the bracketed start with the exact
     # arithmetic of UniformDeviationOracle._window_sums.
     kk = np.clip(k0, start, start + R)
-    gather = pre[kk, cols]
-    p_lo = pre[start, cols]
-    p_hi = pre[start + R, cols]
+    gather = pre[rows, kk]
+    p_lo = pre[rows, start]
+    p_hi = pre[rows, start + R]
     below = c * (kk - start) - (gather - p_lo)
     above = (p_hi - gather) - c * (R - (kk - start))
     return below + above, start
@@ -147,8 +168,8 @@ def best_sums_grid_kernel(
     grid — one search trajectory per grid element, identical per element to
     the per-``R`` kernel (see
     :meth:`BatchedUniformDeviationOracle.best_sums_grid`)."""
-    n, k = S.shape
-    cols = np.arange(k)[None, :]
+    k, n = S.shape
+    rows = np.arange(k)[None, :]
     R_col = np.asarray(Rs, dtype=np.int64)[:, None]
     c_col = np.asarray(cs, dtype=np.float64)[:, None]
     lo = np.zeros((R_col.size, k), dtype=np.int64)
@@ -159,26 +180,28 @@ def best_sums_grid_kernel(
         if not active.any():
             break
         mid = np.where(active, (lo + hi) >> 1, 0)
-        s_lo = S[mid, cols]
+        s_lo = S[rows, mid]
         # Active positions satisfy mid + R <= n - 1; inactive ones are
         # don't-cares whose gather index merely needs to stay in bounds.
-        s_hi = S[np.minimum(mid + R_col, n - 1), cols]
+        s_hi = S[rows, np.minimum(mid + R_col, n - 1)]
         pred = (mid >= k0) | ((mid + R_col >= k0) & (s_lo + s_hi >= two_c))
         hi = np.where(active & pred, mid, hi)
         lo = np.where(active & ~pred, mid + 1, lo)
     start = lo
     kk = np.clip(k0, start, start + R_col)
-    gather = pre[kk, cols]
-    p_lo = pre[start, cols]
-    p_hi = pre[start + R_col, cols]
+    gather = pre[rows, kk]
+    p_lo = pre[rows, start]
+    p_hi = pre[rows, start + R_col]
     below = c_col * (kk - start) - (gather - p_lo)
     above = (p_hi - gather) - c_col * (R_col - (kk - start))
     return below + above, start
 
 
-#: Window starts per :func:`exact_best_sums_kernel` chunk: keeps its
-#: temporaries cache-sized whatever the number of flagged pairs.
-EXACT_CHUNK_ELEMENTS = 1 << 16
+#: Window starts per :func:`exact_best_sums_kernel` chunk.  Each of the
+#: chunk's int64/float64 temporaries is then 64 KiB, under glibc's default
+#: 128 KiB mmap threshold, so malloc recycles them from the heap; larger
+#: ones would each be mapped, zero-faulted and unmapped again per chunk.
+EXACT_CHUNK_ELEMENTS = 1 << 13
 
 
 def exact_best_sums_kernel(
@@ -195,10 +218,8 @@ def exact_best_sums_kernel(
     picks."""
     if r_idx.size == 0:
         return np.empty(0)
-    n = pre.shape[0] - 1
-    # The flagged columns' prefix sums as contiguous rows.
-    ucols, slot = np.unique(cols, return_inverse=True)
-    flat = pre.T[ucols].ravel()
+    n = pre.shape[1] - 1
+    flat = pre.ravel()  # row j starts at j·(n+1)
     widths = n - Rs[r_idx] + 1  # window starts per pair
     ends = np.cumsum(widths)
     out = np.empty(r_idx.size)
@@ -215,7 +236,7 @@ def exact_best_sums_kernel(
         # d = clip(k0, start, start + R) - start, the entries below c.
         d = np.repeat(k0[r, cols[a:b]] + offs, w) - pos
         np.clip(d, 0, R, out=d)
-        i_s = np.repeat(slot[a:b] * (n + 1) - offs, w) + pos
+        i_s = np.repeat(cols[a:b] * (n + 1) - offs, w) + pos
         p_s, p_k, p_e = flat[i_s], flat[i_s + d], flat[i_s + R]
         c = np.repeat(cs[r], w)
         df = d.astype(np.float64)  # exact: the integers are at most n
@@ -233,26 +254,26 @@ def deviation_lower_bounds_kernel(
     straight from the prefix sums (see
     :meth:`BatchedUniformDeviationOracle.deviation_lower_bounds` for the
     three bounds being combined and why they are valid)."""
-    n = pre.shape[0] - 1
-    k = pre.shape[1]
-    cols = np.arange(k)[None, :]
+    k, n = pre.shape[0], pre.shape[1] - 1
     Rs = np.asarray(Rs, dtype=np.int64)
     R_col = Rs[:, None]
     c_col = np.asarray(cs, dtype=np.float64)[:, None]
-    # Gathers that depend only on R are row takes; the k0-dependent ones
-    # index the flat prefix block (same elements, cheaper addressing).
+    # Gathers that depend only on R are column takes; the k0-dependent
+    # ones index the flat prefix block, where row j starts at j·(n+1).
     flat = pre.ravel()
+    base = np.arange(0, k * (n + 1), n + 1)[None, :]
     target = c_col * R_col  # cR (≈ 1, kept in float for safety)
-    top = pre[n][None, :] - pre[n - Rs]  # heaviest window mass
-    bot = pre[Rs]  # lightest window mass
+    rest = pre.T[n - Rs]  # mass outside the heaviest window
+    top = pre[:, n][None, :] - rest  # heaviest window mass
+    bot = pre.T[Rs]  # lightest window mass
     # (a) |mass − cR| over the feasible mass range.
     b_mass = np.maximum(target - top, bot - target)
     # (b) below-c part of the rightmost window.
     m2 = np.clip(k0 - (n - R_col), 0, R_col)
-    b_below = c_col * m2 - (flat[((n - R_col) + m2) * k + cols] - pre[n - Rs])
+    b_below = c_col * m2 - (flat[((n - R_col) + m2) + base] - rest)
     # (c) above-c part of the leftmost window.
     a3 = np.minimum(k0, R_col)
-    b_above = (bot - flat[a3 * k + cols]) - c_col * (R_col - a3)
+    b_above = (bot - flat[a3 + base]) - c_col * (R_col - a3)
     out = np.maximum(b_mass, np.maximum(b_below, b_above))
     return np.maximum(out, 0.0)
 
@@ -271,10 +292,10 @@ class BatchedUniformDeviationOracle:
         if P.ndim != 2:
             raise ValueError("P must be an (n, k) block, one column per source")
         self.n, self.k = P.shape
-        #: Column-wise ascending sort of the block, shape ``(n, k)``, and
-        #: column-wise prefix sums with a leading zero row, ``(n+1, k)``.
+        #: Source-major scan: row ``j`` is column ``j`` of the block sorted
+        #: ascending, shape ``(k, n)``, and its prefix sums after a leading
+        #: zero, ``(k, n+1)``.
         self.sorted, self.prefix = sorted_scan_arrays(P)
-        self._cols = np.arange(self.k)
 
     def split_points(self, cs: np.ndarray) -> np.ndarray:
         """``k0`` for each target value: entry ``[i, j]`` is the number of

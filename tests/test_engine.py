@@ -15,6 +15,11 @@ import time
 from contextlib import contextmanager
 from unittest import mock
 
+try:
+    import resource
+except ImportError:  # no getrusage on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -831,6 +836,128 @@ class TestSizeAnchors:
         assert on == off
 
 
+@contextmanager
+def _split_points_spy():
+    """Solve with plain kernels whose ``split_points`` records a copy of
+    every ``(cs, sorted rows)`` it is called with."""
+    calls = []
+    plain = engine_batch._PLAIN_KERNELS
+
+    def split_points(S, cs):
+        calls.append((np.array(cs), S.copy()))
+        return plain.split_points(S, cs)
+
+    kernels = plain._replace(split_points=split_points)
+    with mock.patch.object(engine_batch, "_kernels", lambda: kernels):
+        yield calls
+
+
+#: Minor page faults allowed in one warmed 125-source solve of
+#: ``random_regular(1000, 8)`` (one tile, on the calling thread).  Over 20
+#: pytest runs each on a 2-vCPU Linux VM (glibc malloc), the per-tile scan
+#: workspace measured 1.5–2.7k and per-step scan arrays 7.7–8.7k.
+_TILE_FAULT_BOUND = 5000
+
+
+class TestScanWorkspace:
+    """Each tile screens in one scan workspace that every step refills:
+    the drift diff, the column-subset scan and the forward compaction of
+    anchor-flagged rows all overwrite rows that later kernels read, so
+    every answer must still equal the per-source loop bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gi=st.integers(0, len(ANCHOR_GRAPHS) - 1),
+        data=st.data(),
+        gamma=st.sampled_from([0.1, 0.3, 0.9]),
+        threshold_factor=st.floats(0.5, 3.0),
+        require_source=st.booleans(),
+        target=st.sampled_from(["uniform", "degree"]),
+        schedule=st.sampled_from(
+            [("iterative", "all"), ("iterative", "doubling"),
+             ("spectral", "doubling")]
+        ),
+        chunk=st.sampled_from([8, 97]),
+        t_max=st.sampled_from([12, 400]),
+    )
+    def test_workspace_solve_equals_loop(
+        self, gi, data, gamma, threshold_factor, require_source, target,
+        schedule, chunk, t_max,
+    ):
+        g, beta, lazy = ANCHOR_GRAPHS[gi]
+        method, t_schedule = schedule
+        width = data.draw(st.sampled_from([g.n // 3, 4]), label="width")
+        knobs = dict(
+            lazy=lazy,
+            threshold_factor=threshold_factor,
+            t_schedule=t_schedule,
+            t_max=t_max,
+            require_source=require_source,
+            target=target,
+        )
+
+        def solve(gamma):
+            with _anchor_span(gamma, DEFAULT_EPS * threshold_factor):
+                return _times_outcome(
+                    lambda: batched_local_mixing_times(
+                        g, beta, method=method, **knobs
+                    )
+                )
+
+        # Multi-tile plans on two threads, exact-kernel chunks of a few
+        # window starts: every step's verification crosses chunk splits.
+        with _column_tiles(g.n, width), mock.patch.object(
+            oracle_mod, "EXACT_CHUNK_ELEMENTS", chunk
+        ):
+            batch = solve(gamma)
+            if method == "spectral":  # the reference is the unanchored solve
+                assert batch == solve(0.0)
+                return
+        assert batch == _loop_outcome(g, beta, range(g.n), **knobs)
+
+    @pytest.mark.parametrize("gi", [0, 2], ids=["rr40", "path23"])
+    def test_compacted_rows_are_the_flagged_columns(self, gi):
+        # Steps whose anchors flag a strict subset of the screened columns:
+        # the interval screen must read exactly those columns' sorted rows,
+        # compacted forward in the workspace.  Some steps must move a row
+        # that is itself a later copy's source (the order then matters).
+        g, beta, lazy = ANCHOR_GRAPHS[gi]
+        gamma = 0.1
+        Rs = np.arange(math.ceil(g.n / beta), g.n + 1)
+        anchor_cs = 1.0 / Rs[engine_batch._size_anchors(Rs, gamma)[0]]
+        with _anchor_span(gamma, DEFAULT_EPS), _split_points_spy() as calls:
+            batch = batched_local_mixing_times(g, beta, lazy=lazy)
+        assert _bits(batch) == _bits(_loop_results(g, beta, lazy))
+        ordered = 0
+        for (cs, S), (cs2, S2) in zip(calls, calls[1:]):
+            if not np.array_equal(cs, anchor_cs) or len(S2) >= len(S):
+                continue
+            if np.array_equal(cs2, anchor_cs):
+                continue  # the next step's anchor screen
+            fine, j = [], 0
+            for row in S2:  # S2 must be an ordered subset of S's rows
+                while not np.array_equal(S[j], row):
+                    j += 1
+                fine.append(j)
+                j += 1
+            ordered += any(i < f < len(fine) for i, f in enumerate(fine))
+        assert ordered > 0
+
+    @pytest.mark.skipif(
+        not hasattr(resource, "RUSAGE_THREAD"),
+        reason="needs per-thread getrusage (Linux)",
+    )
+    def test_one_tile_solve_stays_below_fault_bound(self):
+        g = gen.random_regular(1000, 8, seed=1)
+        sources = range(125)
+        assert engine_batch._tile_plan(125, g.n, None) == ([(0, 125)], 1)
+        batched_local_mixing_times(g, 4.0, sources=sources)  # warm
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        batched_local_mixing_times(g, 4.0, sources=sources)
+        faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+        assert faults < _TILE_FAULT_BOUND
+
+
 class TestGraphLocalMixingTime:
     def test_batch_equals_loop_engine(self):
         g = gen.random_regular(36, 4, seed=4)
@@ -1006,7 +1133,7 @@ def _kernel_vs_scan(P, flag_seed):
     r_idx, cols = np.nonzero(flags)
     got = exact_best_sums_kernel(pre, Rs, cs, k0, r_idx, cols)
     want = np.array(
-        [_scan_best(S[:, j], pre[:, j], Rs[r]) for r, j in zip(r_idx, cols)]
+        [_scan_best(S[j], pre[j], Rs[r]) for r, j in zip(r_idx, cols)]
     )
     return got, want
 
