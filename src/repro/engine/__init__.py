@@ -51,7 +51,6 @@ from repro.engine.propagator import (
     block_distribution_at,
     clear_propagator_cache,
     propagator_cache_info,
-    seed_shared_propagator,
     set_propagator_cache_maxsize,
     shared_spectral_propagator,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "BlockPropagator",
     "block_distribution_at",
     "shared_spectral_propagator",
-    "seed_shared_propagator",
     "clear_propagator_cache",
     "set_propagator_cache_maxsize",
     "propagator_cache_info",

@@ -326,10 +326,18 @@ class TimesKey(NamedTuple):
     (``eps · threshold_factor``), the step schedule / resolved ``t_max``,
     the walk operator (``lazy``) and the semantics flags — not through the
     raw ``(beta, eps, sizes, grid_factor, …)`` spellings, nor through the
-    execution-only knob ``batch_size`` (which the loop-equivalence
-    contract guarantees cannot change any output).  The
-    serving layer's :class:`~repro.service.ResultCache` keys on
-    ``(graph, source, TimesKey)`` for exactly this reason.
+    execution-only knob ``batch_size``.  The serving layer's
+    :class:`~repro.service.ResultCache` keys on ``(graph, source,
+    TimesKey)`` for exactly this reason.
+
+    For ``method="iterative"`` the loop-equivalence contract makes
+    ``batch_size`` and the source set unable to change any output.  For
+    ``method="spectral"`` they cannot change ``time`` or ``set_size`` in
+    any case measured, but they can change the deviation bits (BLAS
+    rounds a column according to the shape of its block): a spectral
+    answer's bits are reproducible only for the same call — the same
+    sources and the same ``batch_size`` — and the service serves the
+    first spectral answer it cached.
     """
 
     sizes: tuple[int, ...]
@@ -493,7 +501,11 @@ def batched_local_mixing_times(
         asymptotically better for doubling schedules with long gaps, but
         floating-point-different from the iterative trajectory (results can
         differ where a deviation sits within rounding noise of the
-        threshold).
+        threshold).  Its bits also depend on the call's shape: BLAS rounds
+        each column according to the block it is evaluated in, so a
+        spectral answer's bits are reproducible only for the same call
+        (the same sources and the same ``batch_size``), and the service
+        serves the first spectral answer it cached.
     batch_size:
         Maximum number of source columns propagated at once, summed over
         the threads (memory control for large graphs).  An iterative

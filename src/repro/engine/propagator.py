@@ -36,7 +36,6 @@ __all__ = [
     "BlockPropagator",
     "block_distribution_at",
     "shared_spectral_propagator",
-    "seed_shared_propagator",
     "clear_propagator_cache",
     "set_propagator_cache_maxsize",
     "propagator_cache_info",
@@ -139,29 +138,6 @@ def set_propagator_cache_maxsize(maxsize: int) -> None:
         _cache_maxsize = int(maxsize)
         while len(_cache) > _cache_maxsize:
             _cache.popitem(last=False)
-
-
-def seed_shared_propagator(prop: SpectralPropagator) -> SpectralPropagator:
-    """Insert an externally constructed propagator into the shared cache
-    under its ``(graph, lazy)`` key and return the cached instance.
-
-    First-publish-wins: if the key is already cached (another thread, or a
-    previous seed), the existing instance is returned and ``prop`` is
-    dropped, so every caller shares one eigenbasis.  This is how parallel
-    workers adopt a :class:`~repro.parallel.SharedEigenbasis` — the parent
-    decomposes once, workers seed their process-local cache with zero-copy
-    views instead of re-deriving ``O(n³)`` per process.  The seed counts
-    as neither hit nor miss (it answers no lookup)."""
-    key = (prop.graph, prop.lazy)
-    with _cache_lock:
-        existing = _cache.get(key)
-        if existing is not None:
-            _cache.move_to_end(key)
-            return existing
-        _cache[key] = prop
-        while len(_cache) > _cache_maxsize:
-            _cache.popitem(last=False)
-    return prop
 
 
 def propagator_cache_info() -> PropagatorCacheInfo:

@@ -6,15 +6,11 @@ time; this subsystem is the shared-memory realization of that idea on one
 machine.  It multiplies the batched engine (:mod:`repro.engine`) across
 cores without giving up a single bit of exactness:
 
-* :class:`~repro.parallel.shared.SharedArrays` — a tuple of arrays placed
+* :class:`~repro.parallel.shared.SharedCSR` — a graph's CSR arrays placed
   in one :mod:`multiprocessing.shared_memory` segment once and mapped
   zero-copy by every worker through a tiny picklable
-  :class:`~repro.parallel.shared.SharedHandle`.  Two formats:
-  :class:`~repro.parallel.shared.SharedCSR` carries the graph's CSR arrays
-  (no per-task pickling of the topology, no re-validation) and
-  :class:`~repro.parallel.shared.SharedEigenbasis` the parent's ``O(n³)``
-  eigendecomposition for spectral solves (memory order preserved, so BLAS
-  products stay bitwise the parent's; no worker re-runs ``eigh``).
+  :class:`~repro.parallel.shared.SharedHandle` (no per-task pickling of
+  the topology, no re-validation).  It is the one segment format.
 * :class:`~repro.parallel.executor.ShardExecutor` — a persistent process
   pool with per-worker warm state (engine spectral-cache settings
   forwarded on spawn, attached graphs and their caches kept hot across
@@ -28,7 +24,10 @@ cores without giving up a single bit of exactness:
   outputs are **identical** to the serial engine (and therefore to the
   per-source reference loop) for every knob combination and any worker
   count.  Peak dense-block memory per process is at most ``n × ⌈k/W⌉``
-  (for τ, ``n`` times one column tile's width).
+  (for τ, ``n`` times one column tile's width).  A ``method="spectral"``
+  call is never sharded: it runs the serial batched driver in the calling
+  process, because a spectral column's bits depend on the shape of the
+  dense block BLAS evaluates it in.
 * :func:`~repro.parallel.api.shard_map` — the generic per-item fan-out the
   Monte-Carlo estimator sweeps and family sweeps ride on.
 
@@ -45,12 +44,7 @@ small graphs or few sources the serial batched call wins — reuse one
 few hundred sources.
 """
 
-from repro.parallel.shared import (
-    SharedArrays,
-    SharedCSR,
-    SharedEigenbasis,
-    SharedHandle,
-)
+from repro.parallel.shared import SharedCSR, SharedHandle
 from repro.parallel.executor import (
     ShardExecutor,
     default_start_method,
@@ -64,9 +58,7 @@ from repro.parallel.api import (
 )
 
 __all__ = [
-    "SharedArrays",
     "SharedCSR",
-    "SharedEigenbasis",
     "SharedHandle",
     "ShardExecutor",
     "default_start_method",

@@ -5,11 +5,16 @@
 once on spawn (engine spectral-cache settings forwarded via the pool
 initializer) and then reused across calls — the pool survives any number of
 solves, graphs and snapshots.  Graphs travel to workers through
-:class:`~repro.parallel.shared.SharedCSR` segments (and spectral solves'
-eigenbases through :class:`~repro.parallel.shared.SharedEigenbasis`, both
-:class:`~repro.parallel.shared.SharedArrays` formats) published once per
+:class:`~repro.parallel.shared.SharedCSR` segments published once per
 structure; tasks carry only the tiny
 :class:`~repro.parallel.shared.SharedHandle`.
+
+Spectral solves never enter the pool: :meth:`ShardExecutor.run_sharded`
+answers a ``method="spectral"`` call with the serial batched driver in
+the calling process.  A spectral column's bits depend on the shape of the
+dense block BLAS evaluates it in, so a shard cannot reproduce the serial
+answer; and sharding would buy no speed, since BLAS already threads the
+dense products and the ``eigh`` is paid once in the parent.
 
 Determinism contract
 --------------------
@@ -62,6 +67,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.engine.batch import (
+    batched_local_mixing_profiles,
+    batched_local_mixing_spectra,
+    batched_local_mixing_times,
+)
+from repro.engine.propagator import set_propagator_cache_maxsize
 from repro.graphs.base import Graph
 from repro.obs import (
     MetricsRegistry,
@@ -73,12 +84,7 @@ from repro.obs import (
     observability_enabled,
     use_span,
 )
-from repro.parallel.shared import (
-    SharedArrays,
-    SharedCSR,
-    SharedEigenbasis,
-    SharedHandle,
-)
+from repro.parallel.shared import SharedCSR, SharedHandle
 
 __all__ = ["ShardExecutor", "shard_bounds", "default_start_method"]
 
@@ -86,8 +92,8 @@ __all__ = ["ShardExecutor", "shard_bounds", "default_start_method"]
 #: portability matrix sets it to ``spawn``).
 START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
-#: How many segments (graphs and eigenbases together) an executor keeps
-#: published beyond those pinned by in-flight calls.
+#: How many graph segments an executor keeps published beyond those
+#: pinned by in-flight calls.
 MAX_PUBLISHED = 16
 
 
@@ -133,13 +139,13 @@ def shard_bounds(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 # Worker side (module-level so every start method can pickle the tasks)
 # ---------------------------------------------------------------------- #
 
-#: Per-worker LRU of attached segments (graphs and eigenbases alike, keyed
-#: by segment name): keeps the worker-side ``Graph`` (and its warm
-#: ``cached_property`` state) alive across tasks, bounded so long snapshot
-#: streams do not pin stale mappings.  Entries are only mappings — the
-#: arrays live once in shared memory.
+#: Per-worker LRU of attached graph segments (keyed by segment name):
+#: keeps the worker-side ``Graph`` (and its warm ``cached_property`` state)
+#: alive across tasks, bounded so long snapshot streams do not pin stale
+#: mappings.  Entries are only mappings — the arrays live once in shared
+#: memory.
 _WORKER_CACHE_SIZE = 16
-_worker_segments: "OrderedDict[str, SharedArrays]" = OrderedDict()
+_worker_segments: "OrderedDict[str, SharedCSR]" = OrderedDict()
 
 
 def _init_worker(cache_maxsize: int | None) -> None:
@@ -149,13 +155,11 @@ def _init_worker(cache_maxsize: int | None) -> None:
     The setting was validated parent-side, so a bad value fails fast in
     the submitting process instead of crashing the pool on spawn."""
     if cache_maxsize is not None:
-        from repro.engine import set_propagator_cache_maxsize
-
         set_propagator_cache_maxsize(cache_maxsize)
 
 
-def _attached(handle: SharedHandle, cls):
-    """Attach (or reuse) the segment behind ``handle`` as a ``cls``."""
+def _attached(handle: SharedHandle) -> SharedCSR:
+    """Attach (or reuse) the segment behind ``handle``."""
     shared = _worker_segments.get(handle.shm_name)
     if shared is None:
         # Pool workers inherit the publisher's resource tracker (under
@@ -163,7 +167,7 @@ def _attached(handle: SharedHandle, cls):
         # preparation data), so attach-registration dedups against the
         # publisher's entry and must NOT be untracked — the publisher's
         # unlink is the one and only deregistration.
-        shared = _worker_segments[handle.shm_name] = cls.attach(handle)
+        shared = _worker_segments[handle.shm_name] = SharedCSR.attach(handle)
         while len(_worker_segments) > _WORKER_CACHE_SIZE:
             _worker_segments.popitem(last=False)[1].close()
     else:
@@ -171,9 +175,18 @@ def _attached(handle: SharedHandle, cls):
     return shared
 
 
+#: The batched driver behind each shard kind, shared by the workers'
+#: :func:`_solve_shard` and the parent's serial spectral route in
+#: :meth:`ShardExecutor.run_sharded`.
+_SOLVERS = {
+    "times": batched_local_mixing_times,
+    "spectra": batched_local_mixing_spectra,
+    "profiles": batched_local_mixing_profiles,
+}
+
+
 def _solve_shard(
     handle: SharedHandle,
-    eigen_handle: SharedHandle | None,
     kind: str,
     shard: list[int],
     kwargs: dict,
@@ -190,35 +203,12 @@ def _solve_shard(
     The batched drivers are reused as-is — the shard's block is exactly the
     single-process engine's chunk for these sources, so per-source outputs
     are bitwise those of the serial call (loop equivalence; the
-    observability scope only changes what is *recorded*).  For spectral
-    solves the parent forwards its eigendecomposition as a
-    :class:`SharedEigenbasis` handle; seeding it here means no worker
-    re-derives the eigenbasis."""
-    from repro.engine import (
-        batched_local_mixing_profiles,
-        batched_local_mixing_spectra,
-        batched_local_mixing_times,
-    )
-
+    observability scope only changes what is *recorded*)."""
     # As a multiprocessing child, the engine runs this shard's column
     # tiles on this thread only: the shard pool already spreads work
     # over the CPUs.
-    g = _attached(handle, SharedCSR).graph
-    if eigen_handle is not None:
-        # Seed the worker's spectral-propagator cache with a zero-copy
-        # rebuild, so the engine's ``shared_spectral_propagator(g, lazy)``
-        # lookup hits instead of paying O(n³) per worker (first seed wins).
-        from repro.engine import seed_shared_propagator
-
-        seed_shared_propagator(
-            _attached(eigen_handle, SharedEigenbasis).propagator(g)
-        )
-    solvers = {
-        "times": batched_local_mixing_times,
-        "spectra": batched_local_mixing_spectra,
-        "profiles": batched_local_mixing_profiles,
-    }
-    solver = solvers.get(kind)
+    g = _attached(handle).graph
+    solver = _SOLVERS.get(kind)
     if solver is None:
         raise ValueError(f"unknown shard kind {kind!r}")
     if not collect:
@@ -249,7 +239,7 @@ def _map_shard(handle: SharedHandle | None, fn: Callable, chunk: list):
     caller published one); returns ``(worker_pid, results)``."""
     if handle is None:
         return os.getpid(), [fn(item) for item in chunk]
-    g = _attached(handle, SharedCSR).graph
+    g = _attached(handle).graph
     return os.getpid(), [fn(g, item) for item in chunk]
 
 
@@ -274,13 +264,18 @@ class ShardExecutor:
         :func:`~repro.engine.set_propagator_cache_maxsize` on spawn, so the
         per-worker spectral cache obeys the same memory bound the parent
         configured (workers otherwise start with the library default).
+        Workers use that cache only in :meth:`map_items` tasks (e.g.
+        :func:`~repro.analysis.sweeps.family_sweep`, whose
+        :func:`~repro.engine.batch.batched_mixing_times` defaults to
+        ``method="auto"``); sharded ``method="spectral"`` solves run in
+        the parent.
         Validated here — a bad value raises before the pool spawns.
 
-    At most :data:`MAX_PUBLISHED` segments (graphs and eigenbases
-    together) stay published; least recently used ones beyond the bound
-    are unlinked.  A call's segments are pinned from publication until its
-    futures resolve, so eviction never unlinks a segment a queued task
-    still needs — the bound may be exceeded while pins are held.
+    At most :data:`MAX_PUBLISHED` graph segments stay published; least
+    recently used ones beyond the bound are unlinked.  A call's segment is
+    pinned from publication until its futures resolve, so eviction never
+    unlinks a segment a queued task still needs — the bound may be
+    exceeded while pins are held.
 
     Use as a context manager (or call :meth:`close`) so the pool and every
     shared segment are torn down deterministically; tests assert that after
@@ -335,10 +330,9 @@ class ShardExecutor:
             # create/unlink) inherits it held and deadlocks on its first
             # segment attach.
             self._pool.submit(int).result()
-        #: Published segments keyed ``(g, None)`` for a CSR segment and
-        #: ``(g, lazy)`` for an eigenbasis, least recently used first.
-        self._published: "OrderedDict[tuple, SharedArrays]" = OrderedDict()
-        #: In-flight pin counts per key (see :meth:`_publish`).
+        #: Published segments keyed by graph, least recently used first.
+        self._published: "OrderedDict[Graph, SharedCSR]" = OrderedDict()
+        #: In-flight pin counts per graph (see :meth:`_publish`).
         self._pins: Counter = Counter()
         self._closed = False
         # The async serving layer calls one executor from several engine
@@ -378,56 +372,26 @@ class ShardExecutor:
         """Place ``g``'s CSR arrays in shared memory (idempotent per
         structure: :class:`Graph` hashes by its CSR bytes, so a revisited
         dynamic-snapshot topology reuses its existing segment)."""
-        return self._publish((g, None))
+        return self._publish(g)
 
-    def publish_eigenbasis(
-        self, g: Graph, *, lazy: bool = False
-    ) -> SharedHandle:
-        """Place the eigendecomposition of ``(g, lazy)`` in shared memory
-        (idempotent per operator, LRU-bounded like :meth:`publish`).
+    def _publish(self, g: Graph, pins: list | None = None) -> SharedHandle:
+        """The handle for ``g``, publishing its segment on first use.
 
-        The decomposition comes from the parent's own
-        :func:`~repro.engine.shared_spectral_propagator` cache — computed
-        at most once in this process, then mapped zero-copy by every
-        worker.  Spectral sharded solves call this automatically."""
-        return self._publish((g, bool(lazy)))
-
-    def _publish(self, key: tuple, pins: list | None = None) -> SharedHandle:
-        """The handle for ``key``, publishing the segment on first use.
-
-        With ``pins`` given, the key is pinned (and appended to ``pins``)
-        under the same lock hold that returns the handle, so no eviction
-        can slip in between; :meth:`_dispatch` releases it."""
-        from repro.engine import shared_spectral_propagator
-
+        The segment is built under the lock (a CSR copy is cheap), so
+        concurrent publishers of one graph never race.  With ``pins``
+        given, ``g`` is pinned (and appended to ``pins``) under the same
+        lock hold that returns the handle, so no eviction can slip in
+        between; :meth:`_dispatch` releases it."""
         self._check_open()
         with self._lock:
-            if key in self._published:
-                return self._touch(key, pins)
-        # Built outside the lock: for an eigenbasis this is the O(n³) eigh,
-        # which must not block other threads' publications.
-        g, lazy = key
-        if lazy is None:
-            fresh = SharedCSR.publish(g)
-        else:
-            prop = shared_spectral_propagator(g, lazy)
-            fresh = SharedEigenbasis.publish(prop)
-        with self._lock:
-            raced = self._published.setdefault(key, fresh) is not fresh
-            handle = self._touch(key, pins)
-        if raced:  # another thread published the same key first
-            fresh.dispose()
-        return handle
-
-    def _touch(self, key: tuple, pins: list | None) -> SharedHandle:
-        """Mark ``key`` most recently used, pin it for ``pins``, evict, and
-        return its handle (caller holds the lock)."""
-        self._published.move_to_end(key)
-        if pins is not None:
-            self._pins[key] += 1
-            pins.append(key)
-        self._evict()
-        return self._published[key].handle
+            if g not in self._published:
+                self._published[g] = SharedCSR.publish(g)
+            self._published.move_to_end(g)
+            if pins is not None:
+                self._pins[g] += 1
+                pins.append(g)
+            self._evict()
+            return self._published[g].handle
 
     def _evict(self) -> None:
         """Unlink least recently used unpinned segments beyond
@@ -442,12 +406,11 @@ class ShardExecutor:
                 excess -= 1
 
     def release(self, g: Graph) -> None:
-        """Unlink ``g``'s segments (CSR and any eigenbases) now instead of
-        waiting for :meth:`close` (workers' existing mappings stay valid
-        until they rotate out)."""
+        """Unlink ``g``'s segment now instead of waiting for :meth:`close`
+        (workers' existing mappings stay valid until they rotate out)."""
         with self._lock:
-            for key in [key for key in self._published if key[0] == g]:
-                self._published.pop(key).dispose()
+            if g in self._published:
+                self._published.pop(g).dispose()
 
     # -------------------------------------------------------------- #
     # Execution
@@ -470,23 +433,23 @@ class ShardExecutor:
         and a vertically stacked ``(k, t_max+1)`` array for
         ``"profiles"`` — in every case element-for-element identical to the
         corresponding single-process batched call.
+
+        A ``method="spectral"`` call is that single-process batched call:
+        it runs in the calling process, dispatches no task and publishes
+        nothing (see the module docstring).
         """
         self._check_open()
         n_shards = self._resolve_shards(n_shards)
         src = [int(s) for s in sources]
+        if kwargs.get("method") == "spectral":
+            return _SOLVERS[kind](g, sources=src, **kwargs)
         bounds = shard_bounds(len(src), n_shards)
         # Ask workers for their timelines only while the parent is
         # tracing; the shipped span dicts ride the normal result tuple.
         collect = observability_enabled()
-        # Spectral solves need the eigenbasis in every worker; publish the
-        # parent's decomposition once so workers map it instead of
-        # re-running eigh per process.
-        eigen_key = None
-        if kwargs.get("method") == "spectral":
-            eigen_key = (g, bool(kwargs.get("lazy", False)))
         parts = self._dispatch(
             _solve_shard,
-            [(g, None), eigen_key],
+            g,
             [(kind, src[lo:hi], kwargs, collect) for lo, hi in bounds],
         )
         self._record_dispatch(bounds, (pid for pid, _, _ in parts))
@@ -532,27 +495,24 @@ class ShardExecutor:
             return []
         bounds = shard_bounds(len(items), n_shards)
         parts = self._dispatch(
-            _map_shard,
-            [None if graph is None else (graph, None)],
-            [(fn, items[lo:hi]) for lo, hi in bounds],
+            _map_shard, graph, [(fn, items[lo:hi]) for lo, hi in bounds]
         )
         self._record_dispatch(bounds, (pid for pid, _ in parts))
         return [res for _, part in parts for res in part]
 
-    def _dispatch(self, fn: Callable, keys: list, tasks: list) -> list:
-        """Publish ``keys`` (a ``None`` key passes a ``None`` handle), run
-        ``fn(*handles, *args)`` on the pool for every task, and return the
-        results in task order.  The keys stay pinned until every submitted
-        task has finished, also when one of them fails."""
+    def _dispatch(
+        self, fn: Callable, graph: Graph | None, tasks: list
+    ) -> list:
+        """Publish ``graph`` (``None`` passes a ``None`` handle), run
+        ``fn(handle, *args)`` on the pool for every task, and return the
+        results in task order.  The graph stays pinned until every
+        submitted task has finished, also when one of them fails."""
         pins: list = []
         futures = []
         try:
-            handles = [
-                None if key is None else self._publish(key, pins)
-                for key in keys
-            ]
+            handle = None if graph is None else self._publish(graph, pins)
             for args in tasks:
-                futures.append(self._pool.submit(fn, *handles, *args))
+                futures.append(self._pool.submit(fn, handle, *args))
             return [f.result() for f in futures]
         finally:
             wait(futures)
@@ -582,12 +542,11 @@ class ShardExecutor:
         ``per_worker_solves`` (``{worker_pid: completed shard tasks}`` —
         how evenly the pool was used, **cumulative across calls**),
         ``last_shard_sizes`` (the shard partition of the most recent call
-        only), plus ``n_workers``, ``published_graphs`` and
-        ``published_eigenbases``.  The serving layer and ``bench_s1``
-        report these; they never affect results.
+        only), plus ``n_workers`` and ``published_graphs``.  A spectral
+        call runs in the parent and counts in none of them.  The serving
+        layer and ``bench_s1`` report these; they never affect results.
         """
         with self._lock:
-            graphs = sum(lazy is None for _, lazy in self._published)
             return {
                 "calls": self._calls.value,
                 "tasks_dispatched": self._tasks_dispatched.value,
@@ -598,8 +557,7 @@ class ShardExecutor:
                 },
                 "last_shard_sizes": list(self._last_shard_sizes),
                 "n_workers": self.n_workers,
-                "published_graphs": graphs,
-                "published_eigenbases": len(self._published) - graphs,
+                "published_graphs": len(self._published),
             }
 
     def reset(self) -> None:

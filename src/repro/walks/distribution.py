@@ -108,37 +108,6 @@ class SpectralPropagator:
         # eigh returns ascending eigenvalues.
         self._eigvals, self._eigvecs = np.linalg.eigh(N)
 
-    @classmethod
-    def from_arrays(
-        cls,
-        g: Graph,
-        *,
-        lazy: bool,
-        sqrt_deg: np.ndarray,
-        eigvals: np.ndarray,
-        eigvecs: np.ndarray,
-    ) -> "SpectralPropagator":
-        """Rebuild a propagator from a previously computed decomposition
-        without re-running ``eigh``.
-
-        The caller guarantees the arrays came from an *identical*
-        decomposition of this ``(g, lazy)`` operator — including memory
-        layout, since BLAS products can differ bitwise between C- and
-        F-contiguous operands.  This is the zero-copy attach path of
-        :class:`~repro.parallel.SharedEigenbasis`, the eigenbasis format
-        of :class:`~repro.parallel.SharedArrays`: the parent publishes its
-        eigenbasis once and every worker rebuilds the propagator on views
-        of the shared segment (their memory order travels on the
-        :class:`~repro.parallel.SharedHandle`), so evaluations match the
-        parent's bitwise."""
-        self = cls.__new__(cls)
-        self.graph = g
-        self.lazy = lazy
-        self._sqrt_deg = np.asarray(sqrt_deg, dtype=np.float64)
-        self._eigvals = np.asarray(eigvals, dtype=np.float64)
-        self._eigvecs = np.asarray(eigvecs, dtype=np.float64)
-        return self
-
     def _lambda_power(self, t: int) -> np.ndarray:
         # |λ| ≤ 1 so λ**t underflows gracefully to 0 for huge t.
         return self._eigvals ** int(t)

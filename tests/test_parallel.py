@@ -142,6 +142,39 @@ def test_times_spectral_method_matches_serial(reg, pool):
     assert par == serial
 
 
+#: The rest of the spectral parity matrix (the test above is the doubling,
+#: non-lazy case).  A spectral column's bits depend on the shape of the
+#: dense block BLAS evaluates it in, so only the serial call itself
+#: matches: two shards of 15 columns change the deviation bits of 2 of 30
+#: sources on the "all" schedule (3 of 30 lazy).
+SPECTRAL_KNOBS = [
+    dict(t_schedule="all"),
+    dict(t_schedule="all", lazy=True),
+    dict(t_schedule="doubling", lazy=True),
+    dict(batch_size=7),
+]
+
+
+@pytest.mark.parametrize("knobs", SPECTRAL_KNOBS)
+def test_times_spectral_knobs_match_serial(reg, pool, knobs):
+    serial = batched_local_mixing_times(reg, BETA, method="spectral", **knobs)
+    par = parallel_local_mixing_times(
+        reg, BETA, method="spectral", executor=pool, **knobs
+    )
+    assert par == serial
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_spectra_spectral_method_matches_serial(reg, pool, lazy):
+    serial = batched_local_mixing_spectra(
+        reg, method="spectral", lazy=lazy, t_max=40
+    )
+    par = parallel_local_mixing_spectra(
+        reg, method="spectral", lazy=lazy, t_max=40, executor=pool
+    )
+    assert par == serial
+
+
 @pytest.mark.parametrize("n_workers", [1, 2, 4])
 def test_times_worker_counts(reg, pool, n_workers):
     """Worker counts {1, 2, 4} (4 shards > pool size exercises queueing)
