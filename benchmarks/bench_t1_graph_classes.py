@@ -22,7 +22,7 @@ from repro.utils import format_table
 def measure(g, source, beta, eps, lazy=False):
     """One (τ_mix, τ_local) pair per instance — both on the batched engine
     (identical to the per-source ``mixing_time`` / ``local_mixing_time``
-    calls; the two measurements share the per-graph spectral cache)."""
+    calls)."""
     tm = batched_mixing_times(g, eps, sources=[source], lazy=lazy)[0]
     tl = batched_local_mixing_times(
         g, beta, eps, sources=[source], lazy=lazy

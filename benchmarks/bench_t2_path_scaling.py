@@ -16,7 +16,7 @@ SIZES = (48, 96, 192, 384)
 
 def run_sweep():
     # Both measurements per size ride the batched engine (identical to the
-    # per-source calls; one shared spectral cache entry per graph).
+    # per-source calls).
     rows = []
     for n in SIZES:
         g = path_graph(n)

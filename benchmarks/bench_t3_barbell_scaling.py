@@ -14,7 +14,7 @@ BETAS = (2, 4, 8, 16)
 
 def run_sweep():
     # Both measurements per β ride the batched engine (identical to the
-    # per-source calls; one shared spectral cache entry per graph).
+    # per-source calls).
     rows = []
     for beta in BETAS:
         g = beta_barbell(beta, CLIQUE)

@@ -36,9 +36,7 @@ def measure_graph(
     """Measure one instance: τ_mix, τ_local, ratio, and structure.
 
     Both quantities run on the batched engine — identical outputs to the
-    per-source ``mixing_time`` / ``local_mixing_time`` calls, but the two
-    measurements (and, with ``all_sources=True``, the full τ pass) share
-    the per-graph spectral cache instead of re-deriving the operator.
+    per-source ``mixing_time`` / ``local_mixing_time`` calls.
 
     With ``all_sources=True`` the row also carries the paper's worst-case
     ``τ(β,ε) = max_v τ_v(β,ε)`` — affordable on the batched multi-source

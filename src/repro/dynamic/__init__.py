@@ -7,8 +7,8 @@ The subsystem layers three pieces on top of the immutable CSR
 * :class:`~repro.dynamic.graph.DynamicGraph` — a mutable edge-set overlay
   with ``add_edge`` / ``remove_edge`` / ``rewire`` / node join–leave and a
   structurally memoized ``snapshot()`` (unchanged or revisited topologies
-  return the same :class:`Graph` object, so downstream per-graph caches —
-  including the engine's shared eigenbasis cache — keep hitting).
+  return the same :class:`Graph` object, so downstream per-graph caches
+  keep hitting).
 * :mod:`~repro.dynamic.schedules` — reproducible update-schedule
   generators: edge-Markovian churn, random rewiring, barbell bridge
   insertion/removal, node join/leave.

@@ -9,9 +9,9 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
 
 * :class:`~repro.engine.propagator.BlockPropagator` advances an ``n × k``
   block of distributions with **one sparse mat-mat per step** (``P ← A @ P``)
-  instead of ``k`` independent matvec trajectories, plus an optional shared
+  instead of ``k`` independent matvec trajectories, plus a shared
   :class:`~repro.walks.distribution.SpectralPropagator` cache keyed by
-  ``(graph, lazy)`` for random access in ``t``.
+  ``(graph, lazy)`` for the global mixing time's random access in ``t``.
 * :class:`~repro.engine.oracle.BatchedUniformDeviationOracle` sorts all ``k``
   columns at once and answers ``min_{|S|=R} Σ|p − 1/R|`` for every source per
   ``(t, R)`` grid point in ``O(k log n)`` via a unimodal bracket search —
@@ -38,9 +38,11 @@ deviation scan of :mod:`repro.engine.oracle` — are plain functions the
 drivers call directly; while observability is enabled each driver call
 binds them once to :class:`~repro.obs.KernelProfiler` timing closures.
 
-The shared spectral cache is controllable — dynamic-network workloads
-(:mod:`repro.dynamic`) stream many snapshots through the engine, and each
-cached entry pins a dense ``n × n`` eigenbasis:
+τ computations have one method, the iterative block trajectory, and never
+touch the spectral cache; only global-mixing-time calls
+(:func:`~repro.engine.batch.batched_mixing_times` and the batch engine of
+:func:`~repro.walks.mixing.graph_mixing_time`) fill it.  Each cached
+entry pins a dense ``n × n`` eigenbasis, so the cache is controllable:
 :func:`~repro.engine.propagator.clear_propagator_cache`,
 :func:`~repro.engine.propagator.set_propagator_cache_maxsize` and
 :func:`~repro.engine.propagator.propagator_cache_info` bound and inspect it.
@@ -48,7 +50,6 @@ cached entry pins a dense ``n × n`` eigenbasis:
 
 from repro.engine.propagator import (
     BlockPropagator,
-    block_distribution_at,
     clear_propagator_cache,
     propagator_cache_info,
     set_propagator_cache_maxsize,
@@ -69,7 +70,6 @@ from repro.engine.batch import (
 
 __all__ = [
     "BlockPropagator",
-    "block_distribution_at",
     "shared_spectral_propagator",
     "clear_propagator_cache",
     "set_propagator_cache_maxsize",

@@ -62,13 +62,10 @@ block fits :data:`_TILE_BYTES` (and with it the ``(candidates × columns)``
 screen grid: there are at most ``n`` candidates), and solves the tiles'
 trajectories concurrently on a thread pool owned by the call, one thread
 per usable CPU.  Sorting, scanning, the CSR mat-mat and the exact kernel
-are per-column computations, so an iterative solve is bitwise the same
+are per-column computations, so a solve is bitwise the same
 for any tiling and any thread count.  A one-tile call runs inline and
 starts no thread; a multiprocessing child (a shard-pool worker) solves
-its tiles on its own thread only.  A ``method="spectral"`` solve is not
-tiled: its dense ``n × n`` product already spreads over the cores through
-BLAS, so it keeps one block (or ``batch_size`` chunks) on the calling
-thread.
+its tiles on its own thread only.
 """
 
 from __future__ import annotations
@@ -92,12 +89,7 @@ from repro.engine.oracle import (
     sorted_scan_arrays,
     split_points_kernel,
 )
-from repro.engine.propagator import (
-    BlockPropagator,
-    _one_hot_block,
-    block_distribution_at,
-    shared_spectral_propagator,
-)
+from repro.engine.propagator import BlockPropagator
 from repro.obs import (
     default_registry,
     kernel_profiler,
@@ -154,20 +146,14 @@ def _usable_cpus() -> int:
 
 
 def _tile_plan(
-    k: int, n: int, batch_size: int | None, spectral: bool = False
+    k: int, n: int, batch_size: int | None
 ) -> tuple[list[tuple[int, int]], int]:
     """``(tiles, threads)`` for a ``k``-source call on ``n`` nodes:
     contiguous near-even ``[lo, hi)`` tiles, each within
     :data:`_TILE_BYTES` of block and at most ``batch_size`` wide, and the
     number of threads to run them on — capped so the columns in flight
     never exceed ``batch_size``, and 1 in a multiprocessing child, whose
-    parent already spreads the work over processes.  A ``spectral`` call
-    keeps one block, or ``batch_size`` chunks, on one thread: its dense
-    products already use every core through BLAS, and narrow tiles
-    measured slower."""
-    if spectral:
-        width = batch_size or k
-        return [(lo, min(lo + width, k)) for lo in range(0, k, width)], 1
+    parent already spreads the work over processes."""
     width = max(1, _TILE_BYTES // (8 * n))
     if batch_size is not None:
         width = min(width, batch_size)
@@ -281,7 +267,6 @@ def _prepare_times_call(
     t_max: int | None,
     lazy: bool,
     target: str,
-    method: str,
     batch_size: int | None,
 ) -> tuple[list[int], list[int], int]:
     """Shared fail-fast validation head of the multi-source τ drivers
@@ -302,8 +287,6 @@ def _prepare_times_call(
         raise ValueError("beta must be >= 1 (sets of size at least n/beta)")
     if threshold_factor <= 0:
         raise ValueError("threshold_factor must be positive")
-    if method not in ("iterative", "spectral"):
-        raise ValueError(f"unknown method {method!r}")
     if target not in ("uniform", "degree"):
         raise ValueError(f"unknown target {target!r}")
     _validate_schedule(t_schedule)
@@ -328,16 +311,8 @@ class TimesKey(NamedTuple):
     raw ``(beta, eps, sizes, grid_factor, …)`` spellings, nor through the
     execution-only knob ``batch_size``.  The serving layer's
     :class:`~repro.service.ResultCache` keys on ``(graph, source,
-    TimesKey)`` for exactly this reason.
-
-    For ``method="iterative"`` the loop-equivalence contract makes
-    ``batch_size`` and the source set unable to change any output.  For
-    ``method="spectral"`` they cannot change ``time`` or ``set_size`` in
-    any case measured, but they can change the deviation bits (BLAS
-    rounds a column according to the shape of its block): a spectral
-    answer's bits are reproducible only for the same call — the same
-    sources and the same ``batch_size`` — and the service serves the
-    first spectral answer it cached.
+    TimesKey)`` for exactly this reason: by the loop-equivalence contract
+    neither ``batch_size`` nor the source set can change any output.
     """
 
     sizes: tuple[int, ...]
@@ -347,7 +322,6 @@ class TimesKey(NamedTuple):
     lazy: bool
     require_source: bool
     target: str
-    method: str
 
 
 def canonical_times_key(
@@ -363,7 +337,6 @@ def canonical_times_key(
     lazy: bool = False,
     require_source: bool = False,
     target: str = "uniform",
-    method: str = "iterative",
     batch_size: int | None = None,
 ) -> TimesKey:
     """Validate a full :func:`batched_local_mixing_times` knob set against
@@ -394,7 +367,6 @@ def canonical_times_key(
         t_max=t_max,
         lazy=lazy,
         target=target,
-        method=method,
         batch_size=batch_size,
     )
     return TimesKey(
@@ -405,7 +377,6 @@ def canonical_times_key(
         lazy=bool(lazy),
         require_source=bool(require_source),
         target=target,
-        method=method,
     )
 
 
@@ -443,7 +414,6 @@ def _prepare_spectra_call(
     grid_factor: float | None,
     t_max: int | None,
     lazy: bool,
-    method: str,
 ) -> tuple[list[int], list[int], int]:
     """Fail-fast validation head of the spectrum drivers (batched and
     parallel): knobs — including the explicit ``sizes`` list — are checked
@@ -453,8 +423,6 @@ def _prepare_spectra_call(
 
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
-    if method not in ("iterative", "spectral"):
-        raise ValueError(f"unknown method {method!r}")
     if sizes is None:
         sizes = size_grid(g.n, g.n, eps if grid_factor is None else grid_factor)
     else:
@@ -480,7 +448,6 @@ def batched_local_mixing_times(
     lazy: bool = False,
     require_source: bool = False,
     target: str = "uniform",
-    method: str = "iterative",
     batch_size: int | None = None,
 ) -> list["LocalMixingResult"]:
     """``τ_s(β,ε)`` for every source in ``sources`` (default: all nodes).
@@ -493,28 +460,13 @@ def batched_local_mixing_times(
     evaluated by the bitwise-equal batched transcript of the per-source
     fixed-point heuristic) — plus:
 
-    method:
-        ``"iterative"`` (default) advances the block one sparse mat-mat per
-        step — bitwise identical to the per-source loop.  ``"spectral"``
-        evaluates each scheduled ``t`` by random access through the shared
-        :func:`~repro.engine.propagator.shared_spectral_propagator` cache —
-        asymptotically better for doubling schedules with long gaps, but
-        floating-point-different from the iterative trajectory (results can
-        differ where a deviation sits within rounding noise of the
-        threshold).  Its bits also depend on the call's shape: BLAS rounds
-        each column according to the block it is evaluated in, so a
-        spectral answer's bits are reproducible only for the same call
-        (the same sources and the same ``batch_size``), and the service
-        serves the first spectral answer it cached.
     batch_size:
         Maximum number of source columns propagated at once, summed over
-        the threads (memory control for large graphs).  An iterative
-        solve always runs as column tiles of at most :data:`_TILE_BYTES`
+        the threads (memory control for large graphs).  A solve always
+        runs as column tiles of at most :data:`_TILE_BYTES`
         of block each, on up to one thread per usable CPU; a
         ``batch_size`` makes the tiles at most that wide and runs only as
-        many at once as fit in it.  A spectral solve propagates all its
-        sources as one block, or ``batch_size`` columns at a time.
-        Default: no cap beyond the tiles.
+        many at once as fit in it.  Default: no cap beyond the tiles.
 
     Returns the results in ``sources`` order; every result is identical —
     same time, set size, bitwise-equal deviation and same bookkeeping
@@ -535,15 +487,10 @@ def batched_local_mixing_times(
         t_max=t_max,
         lazy=lazy,
         target=target,
-        method=method,
         batch_size=batch_size,
     )
     threshold = eps * threshold_factor
     kernels = _kernels()
-    # Resolved once here, not per tile and step.
-    spectral = (
-        shared_spectral_propagator(g, lazy) if method == "spectral" else None
-    )
 
     def solve_tile(lo: int, hi: int) -> list:
         return list(
@@ -555,7 +502,6 @@ def batched_local_mixing_times(
                 t_schedule,
                 t_max,
                 lazy,
-                spectral,
                 target=target,
                 require_source=require_source,
                 kernels=kernels,
@@ -563,9 +509,7 @@ def batched_local_mixing_times(
         )
 
     results: list[LocalMixingResult | None] = [None] * len(src)
-    tiles, threads = _tile_plan(
-        len(src), g.n, batch_size, spectral is not None
-    )
+    tiles, threads = _tile_plan(len(src), g.n, batch_size)
     with trace(
         "engine_solve", kind="times", sources=len(src), tiles=len(tiles),
         workers=threads,
@@ -611,17 +555,12 @@ def _solve_chunk(
     t_schedule: str,
     t_max: int,
     lazy: bool,
-    spectral,
     *,
     target: str = "uniform",
     require_source: bool = False,
     kernels: _Kernels,
 ):
     """Yield ``(position_in_chunk, LocalMixingResult)`` as sources resolve.
-
-    ``spectral`` is the ``method="spectral"`` solve's
-    :class:`~repro.walks.distribution.SpectralPropagator` (``None``: the
-    iterative block step).
 
     Per scheduled step: one batched prefilter over the whole
     ``(R, live column)`` grid (a valid lower bound for every target /
@@ -659,21 +598,12 @@ def _solve_chunk(
     if target == "uniform":  # the tile's scan workspace (sorted, prefix)
         work = np.empty((len(chunk), g.n)), np.zeros((len(chunk), g.n + 1))
         flat = work[0].reshape(-1)  # the drift diff's buffer
-    P = prop = None
-    if spectral is None:
-        prop = BlockPropagator(
-            g, chunk, lazy=lazy, step_block=kernels.step_block
-        )
-    else:
-        chunk_arr = np.asarray(chunk, dtype=np.int64)
+    prop = BlockPropagator(g, chunk, lazy=lazy, step_block=kernels.step_block)
     for steps, t in enumerate(_t_iter(t_schedule, t_max), start=1):
         if col_pos.size == 0:
             return
-        P_prev = prop.block if prop is not None else P
-        if prop is not None:
-            P = prop.advance_to(t)
-        else:
-            P = spectral.propagate(_one_hot_block(g.n, chunk_arr[col_pos]), t)
+        P_prev = prop.block
+        P = prop.advance_to(t)
         cred = np.flatnonzero(credit > 0)
         if cred.size:  # charge the measured L1 drift, rounded down
             # The live block's diff, in the sorted buffer (this step's scan
@@ -783,10 +713,7 @@ def _solve_chunk(
         if not keep.all():
             keep = np.flatnonzero(keep)
             col_pos, credit = col_pos[keep], credit[keep]
-            if prop is not None:
-                prop.drop_columns(keep)
-            else:
-                P = P[:, keep]
+            prop.drop_columns(keep)
 
 
 def batched_local_mixing_profiles(
@@ -990,7 +917,6 @@ def batched_local_mixing_spectra(
     t_max: int | None = None,
     lazy: bool = False,
     require_source: bool = False,
-    method: str = "iterative",
 ) -> list[dict[int, int | float]]:
     """The multi-source local-mixing *spectrum*: for every source, for each
     candidate set size ``R``, the first ``t`` with
@@ -1012,7 +938,6 @@ def batched_local_mixing_spectra(
         grid_factor=grid_factor,
         t_max=t_max,
         lazy=lazy,
-        method=method,
     )
 
     kernels = _kernels()
@@ -1025,20 +950,13 @@ def batched_local_mixing_spectra(
     unresolved = np.ones((len(src), len(sizes)), dtype=bool)
     work = np.empty((len(src), g.n)), np.zeros((len(src), g.n + 1))
     with trace("engine_solve", kind="spectra", sources=len(src)) as _sp:
-        prop = (
-            BlockPropagator(g, src, lazy=lazy, step_block=kernels.step_block)
-            if method == "iterative"
-            else None
+        prop = BlockPropagator(
+            g, src, lazy=lazy, step_block=kernels.step_block
         )
         for t in range(t_max + 1):
             if col_pos.size == 0:
                 break
-            if prop is not None:
-                P = prop.advance_to(t)
-            else:
-                P = block_distribution_at(
-                    g, [src[i] for i in col_pos], t, lazy=lazy
-                )
+            P = prop.advance_to(t)
             S, pre = kernels.sorted_scan(P, None, work)
             k0_all = kernels.split_points(S, inv_r)
             bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
@@ -1067,8 +985,7 @@ def batched_local_mixing_spectra(
             keep = np.flatnonzero(unresolved[col_pos].any(axis=1))
             if keep.size < col_pos.size:
                 col_pos = col_pos[keep]
-                if prop is not None:
-                    prop.drop_columns(keep)
+                prop.drop_columns(keep)
     _observe_engine_span(_sp, "spectra")
     for pos in range(len(src)):
         for R in sizes:

@@ -12,10 +12,11 @@ nonzeros in the same order for matvec and matmat), so the block trajectory
 is **bitwise identical** to ``k`` independent
 :func:`~repro.walks.distribution.distribution_trajectory` runs.
 
-For random access in ``t`` (doubling schedules, binary searches) the module
-keeps a small shared cache of
+For random access in ``t`` — the doubling and binary search of the global
+mixing time (:func:`~repro.engine.batch.batched_mixing_times`) — the
+module keeps a small shared cache of
 :class:`~repro.walks.distribution.SpectralPropagator` instances keyed by
-``(graph, lazy)`` — the ``O(n³)`` eigendecomposition is paid once per
+``(graph, lazy)``: the ``O(n³)`` eigendecomposition is paid once per
 operator and reused by every caller.
 """
 
@@ -34,7 +35,6 @@ from repro.walks.distribution import SpectralPropagator
 
 __all__ = [
     "BlockPropagator",
-    "block_distribution_at",
     "shared_spectral_propagator",
     "clear_propagator_cache",
     "set_propagator_cache_maxsize",
@@ -76,7 +76,7 @@ def shared_spectral_propagator(g: Graph, lazy: bool = False) -> SpectralPropagat
     arrays, so two structurally equal graphs share one eigendecomposition —
     in particular, a :class:`~repro.dynamic.DynamicGraph` snapshot that
     returns to a previously seen structure hits the cache.  Each entry stores
-    a dense ``n × n`` eigenbasis, so dynamic workloads that stream many
+    a dense ``n × n`` eigenbasis, so global-mixing-time workloads over many
     distinct snapshots should bound the held memory with
     :func:`set_propagator_cache_maxsize` or drop it with
     :func:`clear_propagator_cache`.
@@ -107,8 +107,9 @@ def shared_spectral_propagator(g: Graph, lazy: bool = False) -> SpectralPropagat
 def clear_propagator_cache() -> None:
     """Drop every cached eigendecomposition (and reset the hit counters).
 
-    Dynamic-network workloads stream many structurally distinct snapshots
-    through the engine; this releases the dense eigenbases they pinned."""
+    Global-mixing-time calls on many structurally distinct graphs (e.g.
+    the snapshots of a dynamic network) each pin one; this releases the
+    dense eigenbases they pinned."""
     global _cache_hits, _cache_misses
     with _cache_lock:
         _cache.clear()
@@ -152,20 +153,6 @@ def _one_hot_block(n: int, sources: np.ndarray) -> np.ndarray:
     P = np.zeros((n, sources.size), dtype=np.float64)
     P[sources, np.arange(sources.size)] = 1.0
     return P
-
-
-def block_distribution_at(
-    g: Graph, sources: Sequence[int], t: int, *, lazy: bool = False
-) -> np.ndarray:
-    """``p_t`` for every source as an ``n × k`` block, via the shared
-    spectral cache (``O(n² k)`` per call after the one-time setup)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    src = np.asarray(list(sources), dtype=np.int64)
-    if src.size and (src.min() < 0 or src.max() >= g.n):
-        raise ValueError("source out of range")
-    prop = shared_spectral_propagator(g, lazy)
-    return prop.propagate(_one_hot_block(g.n, src), t)
 
 
 class BlockPropagator:

@@ -12,22 +12,20 @@ cores without giving up a single bit of exactness:
   :class:`~repro.parallel.shared.SharedHandle` (no per-task pickling of
   the topology, no re-validation).  It is the one segment format.
 * :class:`~repro.parallel.executor.ShardExecutor` — a persistent process
-  pool with per-worker warm state (engine spectral-cache settings
-  forwarded on spawn, attached graphs and their caches kept hot across
+  pool with per-worker warm state (the engine's spectral-cache bound,
+  used by global-mixing-time :func:`~repro.parallel.api.shard_map` tasks,
+  forwarded on spawn; attached graphs and their caches kept hot across
   tasks), deterministic contiguous source sharding and ordered merges.
 * Front doors :func:`~repro.parallel.api.parallel_local_mixing_times`,
   :func:`~repro.parallel.api.parallel_local_mixing_spectra`,
   :func:`~repro.parallel.api.parallel_local_mixing_profiles` — drop-in
   counterparts of the batched drivers carrying the full knob space
-  (``target``, ``require_source``, ``method``, schedules, grids,
+  (``target``, ``require_source``, schedules, grids,
   ``batch_size`` — all validated in the parent), whose
   outputs are **identical** to the serial engine (and therefore to the
   per-source reference loop) for every knob combination and any worker
   count.  Peak dense-block memory per process is at most ``n × ⌈k/W⌉``
-  (for τ, ``n`` times one column tile's width).  A ``method="spectral"``
-  call is never sharded: it runs the serial batched driver in the calling
-  process, because a spectral column's bits depend on the shape of the
-  dense block BLAS evaluates it in.
+  (for τ, ``n`` times one column tile's width).
 * :func:`~repro.parallel.api.shard_map` — the generic per-item fan-out the
   Monte-Carlo estimator sweeps and family sweeps ride on.
 

@@ -70,7 +70,6 @@ def parallel_local_mixing_times(
     lazy: bool = False,
     require_source: bool = False,
     target: str = "uniform",
-    method: str = "iterative",
     batch_size: int | None = None,
     n_workers: int | None = None,
     executor: ShardExecutor | None = None,
@@ -80,7 +79,7 @@ def parallel_local_mixing_times(
 
     Accepts the full knob space of
     :func:`~repro.engine.batch.batched_local_mixing_times` (``target``,
-    ``require_source``, ``method``, schedules, grids,
+    ``require_source``, schedules, grids,
     ``batch_size`` — the latter bounds each *worker's* column tiles) and
     returns, in ``sources`` order, results **identical** to the serial
     batched call — and therefore to the per-source reference loop.  Each
@@ -105,7 +104,6 @@ def parallel_local_mixing_times(
         t_max=t_max,
         lazy=lazy,
         target=target,
-        method=method,
         batch_size=batch_size,
     )
     kwargs = dict(
@@ -119,7 +117,6 @@ def parallel_local_mixing_times(
         lazy=lazy,
         require_source=require_source,
         target=target,
-        method=method,
         batch_size=batch_size,
     )
     ex, owned = _resolve_executor(executor, n_workers, start_method)
@@ -140,7 +137,6 @@ def parallel_local_mixing_spectra(
     t_max: int | None = None,
     lazy: bool = False,
     require_source: bool = False,
-    method: str = "iterative",
     n_workers: int | None = None,
     executor: ShardExecutor | None = None,
     start_method: str | None = None,
@@ -148,8 +144,7 @@ def parallel_local_mixing_spectra(
     """Sharded counterpart of
     :func:`~repro.engine.batch.batched_local_mixing_spectra`: the full
     per-source spectrum ``R → first t``, in ``sources`` order, identical to
-    the serial call for every knob (``require_source`` and both methods
-    included)."""
+    the serial call for every knob (``require_source`` included)."""
     src, _, _ = _prepare_spectra_call(
         g,
         eps,
@@ -158,7 +153,6 @@ def parallel_local_mixing_spectra(
         grid_factor=grid_factor,
         t_max=t_max,
         lazy=lazy,
-        method=method,
     )
     kwargs = dict(
         eps=eps,
@@ -167,7 +161,6 @@ def parallel_local_mixing_spectra(
         t_max=t_max,
         lazy=lazy,
         require_source=require_source,
-        method=method,
     )
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:

@@ -9,13 +9,6 @@ solves, graphs and snapshots.  Graphs travel to workers through
 structure; tasks carry only the tiny
 :class:`~repro.parallel.shared.SharedHandle`.
 
-Spectral solves never enter the pool: :meth:`ShardExecutor.run_sharded`
-answers a ``method="spectral"`` call with the serial batched driver in
-the calling process.  A spectral column's bits depend on the shape of the
-dense block BLAS evaluates it in, so a shard cannot reproduce the serial
-answer; and sharding would buy no speed, since BLAS already threads the
-dense products and the ``eigh`` is paid once in the parent.
-
 Determinism contract
 --------------------
 Work is split by :func:`shard_bounds` into **contiguous** shards in input
@@ -175,9 +168,7 @@ def _attached(handle: SharedHandle) -> SharedCSR:
     return shared
 
 
-#: The batched driver behind each shard kind, shared by the workers'
-#: :func:`_solve_shard` and the parent's serial spectral route in
-#: :meth:`ShardExecutor.run_sharded`.
+#: The batched driver behind each shard kind (:func:`_solve_shard`).
 _SOLVERS = {
     "times": batched_local_mixing_times,
     "spectra": batched_local_mixing_spectra,
@@ -264,11 +255,11 @@ class ShardExecutor:
         :func:`~repro.engine.set_propagator_cache_maxsize` on spawn, so the
         per-worker spectral cache obeys the same memory bound the parent
         configured (workers otherwise start with the library default).
-        Workers use that cache only in :meth:`map_items` tasks (e.g.
+        Only global-mixing-time calls fill that cache, and in the workers
+        only :meth:`map_items` tasks make them (e.g.
         :func:`~repro.analysis.sweeps.family_sweep`, whose
         :func:`~repro.engine.batch.batched_mixing_times` defaults to
-        ``method="auto"``); sharded ``method="spectral"`` solves run in
-        the parent.
+        ``method="auto"``); sharded τ solves never touch it.
         Validated here — a bad value raises before the pool spawns.
 
     At most :data:`MAX_PUBLISHED` graph segments stay published; least
@@ -433,16 +424,10 @@ class ShardExecutor:
         and a vertically stacked ``(k, t_max+1)`` array for
         ``"profiles"`` — in every case element-for-element identical to the
         corresponding single-process batched call.
-
-        A ``method="spectral"`` call is that single-process batched call:
-        it runs in the calling process, dispatches no task and publishes
-        nothing (see the module docstring).
         """
         self._check_open()
         n_shards = self._resolve_shards(n_shards)
         src = [int(s) for s in sources]
-        if kwargs.get("method") == "spectral":
-            return _SOLVERS[kind](g, sources=src, **kwargs)
         bounds = shard_bounds(len(src), n_shards)
         # Ask workers for their timelines only while the parent is
         # tracing; the shipped span dicts ride the normal result tuple.
@@ -542,8 +527,7 @@ class ShardExecutor:
         ``per_worker_solves`` (``{worker_pid: completed shard tasks}`` —
         how evenly the pool was used, **cumulative across calls**),
         ``last_shard_sizes`` (the shard partition of the most recent call
-        only), plus ``n_workers`` and ``published_graphs``.  A spectral
-        call runs in the parent and counts in none of them.  The serving
+        only), plus ``n_workers`` and ``published_graphs``.  The serving
         layer and ``bench_s1`` report these; they never affect results.
         """
         with self._lock:

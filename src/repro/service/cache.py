@@ -16,13 +16,8 @@ A :class:`ResultCache` memoizes finished ``τ_s`` answers keyed by
 
 Entries are exact: a hit returns the very object an identical direct
 :func:`~repro.engine.batch.batched_local_mixing_times` call produced, so
-serving answers stay bitwise identical to the engine regardless of cache
-state.  For ``method="spectral"`` "identical call" is literal: a spectral
-answer's deviation bits are reproducible only for the same sources and the
-same ``batch_size`` (BLAS rounds a column according to the shape of its
-block), and ``batch_size`` is not part of the key, so the cache serves the
-first spectral answer it stored for a source — same ``time`` and
-``set_size`` as any other call, but its own deviation bits.
+serving answers stay bitwise identical to the engine (and to the
+per-source loop) regardless of cache state.
 
 Beyond plain LRU lookup the cache supports **locality carry-forward**
 (:meth:`ResultCache.carry_forward`): after a dynamic-graph mutation, the
@@ -78,10 +73,6 @@ class ResultCache:
     (entries re-keyed onto a mutated snapshot by locality pruning),
     ``evictions``.  All methods are thread-safe; the service calls them
     from the event loop while benchmarks may inspect them from anywhere.
-
-    A ``method="spectral"`` entry is the first spectral answer stored for
-    its key; a later call with other sources or another ``batch_size``
-    can differ from it in the deviation bits (see the module docstring).
     """
 
     def __init__(

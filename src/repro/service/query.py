@@ -15,10 +15,8 @@ shared canonicalization head
 (:func:`~repro.engine.batch.canonical_times_key`), so ``beta=4`` with
 ``sizes="all"`` and the explicitly enumerated equivalent size list land on
 the same cache line and in the same coalesced batch, while the
-execution-only ``batch_size`` (proven result-neutral for iterative solves
-by the loop-equivalence contract; a spectral answer's deviation bits depend
-on it, and the cache serves the first one it stored) is kept out of the
-cache key entirely: it
+execution-only ``batch_size`` (proven result-neutral by the
+loop-equivalence contract) is kept out of the cache key entirely: it
 splits coalescer groups, since one engine call runs with one chunk size,
 but never fragments the cache.
 """
@@ -59,7 +57,6 @@ _ENGINE_KNOBS = (
     "lazy",
     "require_source",
     "target",
-    "method",
     "batch_size",
 )
 
@@ -89,7 +86,6 @@ class MixingQuery:
     lazy: bool = False
     require_source: bool = False
     target: str = "uniform"
-    method: str = "iterative"
     batch_size: int | None = None
     #: Relative deadline in seconds from submission (``None`` — wait
     #: forever).  A deadline never changes *what* is computed — it is

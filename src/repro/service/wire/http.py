@@ -112,18 +112,24 @@ def _parse_headers(lines: list[str]) -> dict:
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        if name == "content-length" and name in headers:
+            # Which copy frames the body is ambiguous: request smuggling.
+            raise HttpError("repeated Content-Length header")
+        headers[name] = value.strip()
     return headers
 
 
 async def _read_body(reader, headers: dict) -> bytes:
     length = headers.get("content-length", "0")
-    try:
-        n = int(length)
-    except ValueError as exc:
-        raise HttpError(f"bad Content-Length {length!r}") from exc
-    if n < 0 or n > MAX_BODY_BYTES:
-        raise HttpError(f"unacceptable Content-Length {n}")
+    # RFC 9112: 1*DIGIT.  int() would also take a sign, "_" and non-ASCII
+    # digits.
+    if not (length.isascii() and length.isdigit()):
+        raise HttpError(f"bad Content-Length {length[:32]!r}")
+    # The length check first: int() refuses strings over 4300 digits.
+    if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
+        raise HttpError(f"unacceptable Content-Length {length[:32]}")
+    n = int(length)
     if "chunked" in headers.get("transfer-encoding", "").lower():
         raise HttpError("chunked transfer encoding not supported")
     if n == 0:

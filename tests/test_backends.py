@@ -1,19 +1,16 @@
-"""The seams shared by every solve path: the engine's scan kernel, the
-propagator-cache front door, and the shard pool's spectral route (the
-parent, never the pool).
+"""The seams shared by every solve path: the engine's scan kernel and the
+propagator-cache front door.
 
 The drivers call the float64 kernels of :mod:`repro.engine.oracle`
 directly; these tests pin that what they read is exactly what the
-oracle holds, that cache sizes are validated before they can change the
-eviction arithmetic, and that a spectral call dispatches no shard task.
+oracle holds, and that cache sizes are validated before they can change
+the eviction arithmetic.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import (
-    batched_local_mixing_spectra,
-    batched_local_mixing_times,
     propagator_cache_info,
     set_propagator_cache_maxsize,
 )
@@ -26,12 +23,7 @@ from repro.engine.oracle import (
     sorted_scan_arrays,
     split_points_kernel,
 )
-from repro.graphs import generators as gen
-from repro.parallel import (
-    ShardExecutor,
-    parallel_local_mixing_spectra,
-    parallel_local_mixing_times,
-)
+from repro.parallel import ShardExecutor
 
 # --------------------------------------------------------------------- #
 # Cache-maxsize front-door hardening
@@ -228,35 +220,3 @@ class TestSourceMajorLayout:
             _colmajor_exact(pre_col, Rs, cs, k0, r_idx, cols)
             if r_idx.size else np.empty(0),
         )
-
-
-# --------------------------------------------------------------------- #
-# Spectral calls stay in the parent
-# --------------------------------------------------------------------- #
-
-
-def test_spectral_calls_dispatch_no_shard_task():
-    """A spectral call through either sharded front door is the serial
-    call in the parent: no shard task, no published segment.  An
-    iterative call on the same executor still dispatches."""
-    g = gen.random_regular(24, 4, seed=5)
-    with ShardExecutor(2) as ex:
-        times = parallel_local_mixing_times(
-            g, 3.0, method="spectral", executor=ex, n_workers=2
-        )
-        assert times == batched_local_mixing_times(g, 3.0, method="spectral")
-        spectra = parallel_local_mixing_spectra(
-            g, method="spectral", sources=[0, 5], t_max=40, executor=ex
-        )
-        assert spectra == batched_local_mixing_spectra(
-            g, method="spectral", sources=[0, 5], t_max=40
-        )
-        stats = ex.stats()
-        assert stats["calls"] == 0
-        assert stats["tasks_dispatched"] == 0
-        assert stats["published_graphs"] == 0
-        parallel_local_mixing_times(g, 3.0, executor=ex, n_workers=2)
-        stats = ex.stats()
-        assert stats["calls"] == 1
-        assert stats["tasks_dispatched"] == 2
-        assert stats["published_graphs"] == 1

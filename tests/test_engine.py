@@ -33,7 +33,6 @@ from repro.engine import (
     batched_local_mixing_spectra,
     batched_local_mixing_times,
     batched_mixing_times,
-    block_distribution_at,
     clear_propagator_cache,
     propagator_cache_info,
     set_propagator_cache_maxsize,
@@ -141,13 +140,6 @@ class TestSpectralCache:
         g = gen.path_graph(8)
         assert shared_spectral_propagator(g, True) is not shared_spectral_propagator(g, False)
 
-    def test_block_distribution_at_matches_per_column(self):
-        g = gen.beta_barbell(3, 5)
-        prop = SpectralPropagator(g)
-        P = block_distribution_at(g, [0, 7], 6)
-        for j, s in enumerate([0, 7]):
-            np.testing.assert_allclose(P[:, j], prop.from_source(s, 6), atol=1e-12)
-
     def test_block_propagate_matches_vector_propagate(self):
         g = gen.cycle_graph(9)
         prop = SpectralPropagator(g, lazy=True)
@@ -219,12 +211,6 @@ class TestBatchedLocalMixingTimes:
             local_mixing_time(g, s, 4.0) for s in (11, 2, 5)
         )
 
-    def test_spectral_method_agrees_on_expander(self):
-        g = gen.random_regular(40, 6, seed=3)
-        it = batched_local_mixing_times(g, 4.0)
-        sp = batched_local_mixing_times(g, 4.0, method="spectral")
-        assert [r.time for r in sp] == [r.time for r in it]
-
     def test_require_source_batched_identically(self):
         # Lifted limit: require_source is handled in-block (no per-source
         # fallback) — results must still be identical to the loop.
@@ -268,7 +254,7 @@ class TestBatchedLocalMixingTimes:
             batched_local_mixing_times(g, 2.0, sources=[])
         with pytest.raises(ValueError):
             batched_local_mixing_times(g, 2.0, sources=[9])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # τ has no method knob
             batched_local_mixing_times(g, 2.0, method="magic")
         with pytest.raises(ValueError):
             batched_local_mixing_times(g, 2.0, t_schedule="fib")
@@ -412,19 +398,15 @@ class TestColumnTiles:
         sizes=st.sampled_from(["all", "grid"]),
         require_source=st.booleans(),
         target=st.sampled_from(["uniform", "degree"]),
-        schedule=st.sampled_from(
-            [("iterative", "all"), ("iterative", "doubling"),
-             ("spectral", "doubling")]
-        ),
+        t_schedule=st.sampled_from(["all", "doubling"]),
         t_max=st.sampled_from([4, 300]),
         cpus=st.integers(2, 3),
     )
     def test_tiled_equals_untiled_and_loop(
         self, gi, data, lazy, threshold_factor, sizes, require_source,
-        target, schedule, t_max, cpus,
+        target, t_schedule, t_max, cpus,
     ):
         g, beta, force_lazy = TILE_GRAPHS[gi]
-        method, t_schedule = schedule
         # At least 3 tiles, uneven whenever the width does not divide n.
         width = data.draw(st.integers(2, g.n // 3), label="width")
         batch_size = data.draw(
@@ -439,7 +421,6 @@ class TestColumnTiles:
             t_max=t_max,
             require_source=require_source,
             target=target,
-            method=method,
         )
 
         def solve(batch_size):
@@ -457,11 +438,6 @@ class TestColumnTiles:
             widest = max(hi - lo for lo, hi in tiles)
             assert engine_batch._tile_plan(g.n, g.n, widest) == (tiles, 1)
             serial = solve(widest)
-        # Spectral solves ignore the tile budget: dense products round by
-        # operand width, so only the same chunks give the same bits.
-        assert tiled == solve(batch_size)
-        if method == "spectral":
-            return
         assert tiled == serial
         whole = solve(None)
         assert tiled == whole
@@ -472,9 +448,8 @@ class TestColumnTiles:
                      unique=True),
             label="sample",
         )
-        loop_knobs = {k: v for k, v in knobs.items() if k != "method"}
         assert [tiled[s] for s in sample] == _bits(
-            local_mixing_time(g, s, beta, **loop_knobs) for s in sample
+            local_mixing_time(g, s, beta, **knobs) for s in sample
         )
 
     def test_plan_respects_budget_and_batch_size(self):
@@ -490,12 +465,6 @@ class TestColumnTiles:
                     assert 8 * n * widest <= engine_batch._TILE_BYTES
                 if batch_size is not None:
                     assert threads * widest <= batch_size
-                # Spectral: the untiled engine's batch_size chunks.
-                width = batch_size or k
-                assert engine_batch._tile_plan(k, n, batch_size, True) == (
-                    [(lo, min(lo + width, k)) for lo in range(0, k, width)],
-                    1,
-                )
 
     def test_run_tiles_solves_each_tile_once(self):
         # More threads than CPUs and a tiny switch interval: every tile is
@@ -603,18 +572,6 @@ class TestColumnTiles:
                 t.join(timeout=300)
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * 3 for w in want]
-
-    def test_spectral_chunks_share_one_eigendecomposition(self):
-        g = gen.random_regular(36, 4, seed=8)
-        clear_propagator_cache()
-        try:
-            batched_local_mixing_times(
-                g, 3.0, method="spectral", t_schedule="doubling",
-                batch_size=4,
-            )
-            assert propagator_cache_info().misses == 1
-        finally:
-            clear_propagator_cache()
 
 
 @contextmanager
@@ -741,19 +698,15 @@ class TestSizeAnchors:
         eps=st.sampled_from([0.05, DEFAULT_EPS, 0.2]),
         threshold_factor=st.floats(0.5, 3.0),
         require_source=st.booleans(),
-        schedule=st.sampled_from(
-            [("iterative", "all"), ("iterative", "doubling"),
-             ("spectral", "doubling")]
-        ),
+        t_schedule=st.sampled_from(["all", "doubling"]),
         t_max=st.sampled_from([3, 12, 400]),
         batch_size=st.sampled_from([None, 1, 5]),
     )
     def test_wide_anchors_equal_loop(
         self, gi, data, gamma, eps, threshold_factor, require_source,
-        schedule, t_max, batch_size,
+        t_schedule, t_max, batch_size,
     ):
         g, beta, lazy = ANCHOR_GRAPHS[gi]
-        method, t_schedule = schedule
         width = data.draw(st.sampled_from([g.n, g.n // 3, 4]), label="width")
         knobs = dict(
             eps=eps,
@@ -769,18 +722,9 @@ class TestSizeAnchors:
         with _anchor_span(gamma, threshold), _column_tiles(g.n, width):
             batch = _times_outcome(
                 lambda: batched_local_mixing_times(
-                    g, beta, batch_size=batch_size, method=method, **knobs
+                    g, beta, batch_size=batch_size, **knobs
                 )
             )
-        if method == "spectral":  # the reference is the unanchored solve
-            with _anchor_span(0.0, threshold):
-                assert batch == _times_outcome(
-                    lambda: batched_local_mixing_times(
-                        g, beta, batch_size=batch_size, method=method,
-                        **knobs
-                    )
-                )
-            return
         assert batch == _loop_outcome(g, beta, range(g.n), **knobs)
 
     @pytest.mark.parametrize(
@@ -873,19 +817,15 @@ class TestScanWorkspace:
         threshold_factor=st.floats(0.5, 3.0),
         require_source=st.booleans(),
         target=st.sampled_from(["uniform", "degree"]),
-        schedule=st.sampled_from(
-            [("iterative", "all"), ("iterative", "doubling"),
-             ("spectral", "doubling")]
-        ),
+        t_schedule=st.sampled_from(["all", "doubling"]),
         chunk=st.sampled_from([8, 97]),
         t_max=st.sampled_from([12, 400]),
     )
     def test_workspace_solve_equals_loop(
         self, gi, data, gamma, threshold_factor, require_source, target,
-        schedule, chunk, t_max,
+        t_schedule, chunk, t_max,
     ):
         g, beta, lazy = ANCHOR_GRAPHS[gi]
-        method, t_schedule = schedule
         width = data.draw(st.sampled_from([g.n // 3, 4]), label="width")
         knobs = dict(
             lazy=lazy,
@@ -899,9 +839,7 @@ class TestScanWorkspace:
         def solve(gamma):
             with _anchor_span(gamma, DEFAULT_EPS * threshold_factor):
                 return _times_outcome(
-                    lambda: batched_local_mixing_times(
-                        g, beta, method=method, **knobs
-                    )
+                    lambda: batched_local_mixing_times(g, beta, **knobs)
                 )
 
         # Multi-tile plans on two threads, exact-kernel chunks of a few
@@ -910,9 +848,6 @@ class TestScanWorkspace:
             oracle_mod, "EXACT_CHUNK_ELEMENTS", chunk
         ):
             batch = solve(gamma)
-            if method == "spectral":  # the reference is the unanchored solve
-                assert batch == solve(0.0)
-                return
         assert batch == _loop_outcome(g, beta, range(g.n), **knobs)
 
     @pytest.mark.parametrize("gi", [0, 2], ids=["rr40", "path23"])

@@ -28,6 +28,7 @@ from repro.engine import (
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
     batched_local_mixing_times,
+    canonical_times_key,
 )
 from repro.graphs import generators as gen
 from repro.parallel import (
@@ -39,6 +40,7 @@ from repro.parallel import (
     shard_bounds,
     shard_map,
 )
+from repro.service import MixingQuery
 
 BETA = 4.0
 
@@ -128,49 +130,6 @@ def test_times_degree_target_matches_serial(lolli, pool, knobs):
     )
     par = parallel_local_mixing_times(
         lolli, BETA, target="degree", lazy=True, executor=pool, **knobs
-    )
-    assert par == serial
-
-
-def test_times_spectral_method_matches_serial(reg, pool):
-    serial = batched_local_mixing_times(
-        reg, BETA, method="spectral", t_schedule="doubling"
-    )
-    par = parallel_local_mixing_times(
-        reg, BETA, method="spectral", t_schedule="doubling", executor=pool
-    )
-    assert par == serial
-
-
-#: The rest of the spectral parity matrix (the test above is the doubling,
-#: non-lazy case).  A spectral column's bits depend on the shape of the
-#: dense block BLAS evaluates it in, so only the serial call itself
-#: matches: two shards of 15 columns change the deviation bits of 2 of 30
-#: sources on the "all" schedule (3 of 30 lazy).
-SPECTRAL_KNOBS = [
-    dict(t_schedule="all"),
-    dict(t_schedule="all", lazy=True),
-    dict(t_schedule="doubling", lazy=True),
-    dict(batch_size=7),
-]
-
-
-@pytest.mark.parametrize("knobs", SPECTRAL_KNOBS)
-def test_times_spectral_knobs_match_serial(reg, pool, knobs):
-    serial = batched_local_mixing_times(reg, BETA, method="spectral", **knobs)
-    par = parallel_local_mixing_times(
-        reg, BETA, method="spectral", executor=pool, **knobs
-    )
-    assert par == serial
-
-
-@pytest.mark.parametrize("lazy", [False, True])
-def test_spectra_spectral_method_matches_serial(reg, pool, lazy):
-    serial = batched_local_mixing_spectra(
-        reg, method="spectral", lazy=lazy, t_max=40
-    )
-    par = parallel_local_mixing_spectra(
-        reg, method="spectral", lazy=lazy, t_max=40, executor=pool
     )
     assert par == serial
 
@@ -697,7 +656,6 @@ class TestKnobValidationOrdering:
             (dict(sizes="bogus"), "unknown sizes mode"),
             (dict(target="bogus"), "unknown target"),
             (dict(eps=1.5), "eps must be in"),
-            (dict(method="bogus"), "unknown method"),
             (dict(threshold_factor=0.0), "threshold_factor must be positive"),
         ],
     )
@@ -712,6 +670,28 @@ class TestKnobValidationOrdering:
         # the same message.
         with pytest.raises(ValueError, match=match):
             batched_local_mixing_times(reg, BETA, **bad_kwargs)
+
+    #: Every τ / spectra front door, called with only a graph and knobs.
+    METHODLESS = {
+        "batched_times": lambda g, **kw: batched_local_mixing_times(
+            g, BETA, **kw
+        ),
+        "batched_spectra": batched_local_mixing_spectra,
+        "canonical_key": lambda g, **kw: canonical_times_key(g, BETA, **kw),
+        "parallel_times": lambda g, **kw: parallel_local_mixing_times(
+            g, BETA, n_workers=2, **kw
+        ),
+        "parallel_spectra": lambda g, **kw: parallel_local_mixing_spectra(
+            g, n_workers=2, **kw
+        ),
+        "query": lambda g, **kw: MixingQuery(g, 0, BETA, **kw),
+    }
+
+    @pytest.mark.parametrize("door", sorted(METHODLESS))
+    def test_no_method_knob(self, reg, door):
+        """τ_s has one computation, so no front door takes ``method``."""
+        with pytest.raises(TypeError, match="method"):
+            self.METHODLESS[door](reg, method="iterative")
 
     def test_profiles_beta_rejected_uniformly(self, reg):
         for call in (batched_local_mixing_profiles,

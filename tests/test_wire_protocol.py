@@ -63,7 +63,6 @@ _queries = st.builds(
     lazy=st.booleans(),
     require_source=st.booleans(),
     target=st.sampled_from(["uniform", "degree"]),
-    method=st.sampled_from(["iterative", "spectral"]),
     batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=512)),
     deadline=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e6,
                                             allow_nan=False)),
@@ -161,6 +160,14 @@ class TestStrictness:
         req["query"]["betaa"] = 4.0
         with pytest.raises(WireError, match="betaa"):
             self._decode(req)
+
+    def test_method_field_rejected(self):
+        # Protocol v3 dropped the field: τ has one method.
+        with pytest.raises(WireError, match="method") as e:
+            protocol.decode_query(
+                {"graph": "g", "source": 0, "beta": 4.0, "method": "iterative"}
+            )
+        assert e.value.code == "bad_request"
 
     def test_graph_object_refused_at_encode(self, expander16):
         with pytest.raises(WireError, match="registered name"):
@@ -365,5 +372,33 @@ class TestFraming:
             )
             with pytest.raises(wire_http.HttpError, match="Content-Length"):
                 await wire_http.read_request(_feed_reader(raw))
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"Content-Length: +4",
+            b"Content-Length: 0_4",
+            b"Content-Length: -0",
+            b"Content-Length: 4\r\nContent-Length: 2",
+        ],
+        ids=["sign", "underscore", "negative-zero", "repeated"],
+    )
+    def test_malformed_content_length_rejected(self, header):
+        # RFC 9112: Content-Length = 1*DIGIT, and one framing per message
+        # (a second copy could leave bytes on the stream as a request).
+        async def main():
+            raw = b"POST /v1/query HTTP/1.1\r\n" + header + b"\r\n\r\nabcd"
+            with pytest.raises(wire_http.HttpError, match="Content-Length"):
+                await wire_http.read_request(_feed_reader(raw))
+
+        asyncio.run(main())
+
+    def test_content_length_over_int_digit_limit_rejected(self):
+        async def main():
+            raw = b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+            with pytest.raises(wire_http.HttpError, match="Content-Length"):
+                await wire_http.read_request(_feed_reader(raw + b"\r\n\r\n"))
 
         asyncio.run(main())
