@@ -25,21 +25,13 @@ Claims (observability subsystem):
    MixingService` answers bitwise identically with the always-on flight
    recorder at its default capacity and with ``flight_capacity=0``
    (recorder off), and the recorder + latency-exemplar overhead stays
-   **< 3 %** (interleaved min-of-``REPEATS``).  The run then feeds the
-   perf-trajectory: its reporter snapshot is distilled into a history
-   entry (``results/history/o1_flight.jsonl``, see
-   :mod:`repro.obs.history`), which the regression comparator must
-   accept against itself — the self-consistency check CI's
-   ``tools/bench_track.py check`` builds on.
+   **< 3 %** (interleaved min-of-``REPEATS``).
 
 Quick mode (``REPRO_BENCH_QUICK=1``, the CI smoke) shrinks the instance;
 the identity and overhead gates run everywhere.
 """
 
 import asyncio
-import hashlib
-import pathlib
-import time
 
 from repro.engine import batched_local_mixing_times
 from repro.graphs import random_regular
@@ -49,15 +41,12 @@ from repro.obs import (
     kernel_profiler,
     observability,
 )
-from repro.obs.history import append_entry, compare, extract_entry
 from repro.service import GraphRegistry, MixingQuery, MixingService
 from repro.utils import format_table
 
 BETA = 4
 REPEATS = 3
 OVERHEAD_GATE = 0.03
-
-HISTORY_DIR = pathlib.Path(__file__).parent / "results" / "history"
 
 
 def timed_repeats(rep, g, *, enabled: bool):
@@ -194,24 +183,6 @@ def test_o1_flight_recorder_service_overhead(record_table, quick_mode):
     ][0]
     assert series["exemplars"], "latency histogram carries no exemplars"
 
-    # Perf trajectory: distill this run into a history entry and require
-    # the comparator to accept the entry against itself (identity fields
-    # exact, timings at ratio 1.0) — the invariant CI's
-    # `bench_track.py check` builds on.
-    digest = hashlib.blake2b(
-        repr(direct).encode(), digest_size=8
-    ).hexdigest()
-    rep.record_identity(
-        result_digest=digest,
-        n_queries=g.n,
-        flight_records=on_stats["records"],
-    )
-    entry = extract_entry(
-        rep.snapshot(), quick=quick_mode, recorded_at=time.time()
-    )
-    append_entry(str(HISTORY_DIR), entry)
-    assert compare(entry, [entry]) == []
-
     table = format_table(
         ["mode", f"wall s (min of {repeats})", "overhead", "records"],
         [
@@ -224,8 +195,7 @@ def test_o1_flight_recorder_service_overhead(record_table, quick_mode):
         title=(
             f"O1b: flight-recorder overhead, E1 workload via "
             f"MixingService (n={g.n}, d={d}, tau(beta={BETA})) — bitwise "
-            f"identity asserted, gate < {OVERHEAD_GATE:.0%}, history "
-            f"entry appended to results/history/o1_flight.jsonl"
+            f"identity asserted, gate < {OVERHEAD_GATE:.0%}"
         ),
     )
     record_table("o1_flight", table, metrics=rep.snapshot())

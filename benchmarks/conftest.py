@@ -11,7 +11,7 @@ passes ``record_table(name, text, metrics=reporter.snapshot())`` and the
 harness dumps the snapshot as ``benchmarks/results/<name>.metrics.json``
 next to the table — so every artifact ships with the section timings and
 metric counters (kernel profile, cache/coalescer/executor state) that
-produced it.
+produced it, and the fingerprint of the machine that measured them.
 """
 
 from __future__ import annotations

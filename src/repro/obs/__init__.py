@@ -25,9 +25,8 @@ tracker, benchmarks):
 * :mod:`repro.obs.export` — the stable JSON schema flight records and
   span trees are served in (``/v1/debug/flight`` / ``/v1/debug/slow`` /
   ``/v1/debug/trace/<id>``).
-* :mod:`repro.obs.history` — append-only benchmark perf-trajectory
-  files and the regression comparator behind ``tools/bench_track.py``.
-* :mod:`repro.obs.reporting` — the shared benchmark reporter.
+* :mod:`repro.obs.reporting` — the shared benchmark reporter and the
+  machine fingerprint its artifacts carry.
 * :mod:`repro.obs.live` — live telemetry: the bucketed
   :class:`RollingWindow` of per-(graph, outcome) rates and
   streaming latency quantiles fed from the service completion path,
@@ -68,15 +67,6 @@ from .flight import (
     kernels_from_span,
     stages_from_span,
 )
-from .history import (
-    Finding,
-    append_entry,
-    check_history,
-    extract_entry,
-    load_history,
-    machine_fingerprint,
-)
-from .history import compare as compare_history_entry
 from .kernels import (
     KERNEL_LABEL,
     KernelProfiler,
@@ -99,7 +89,7 @@ from .slo import (
     SLOEngine,
     SLOVerdict,
 )
-from .reporting import BenchReporter
+from .reporting import BenchReporter, machine_fingerprint
 from .trace import (
     Span,
     attach_or_record,
@@ -114,7 +104,6 @@ from .trace import (
 __all__ = [
     "BenchReporter",
     "Counter",
-    "Finding",
     "FlightRecorder",
     "Gauge",
     "Histogram",
@@ -129,20 +118,15 @@ __all__ = [
     "SLOEngine",
     "SLOVerdict",
     "Span",
-    "append_entry",
     "attach_or_record",
-    "check_history",
     "clear_traces",
-    "compare_history_entry",
     "current_span",
     "default_registry",
     "diff_kernel_snapshots",
-    "extract_entry",
     "flight_payload",
     "graph_key",
     "kernel_profiler",
     "kernels_from_span",
-    "load_history",
     "machine_fingerprint",
     "observability",
     "observability_enabled",

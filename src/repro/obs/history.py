@@ -1,277 +1,6 @@
-"""Benchmark perf-trajectory history: record, load, compare.
+"""Old import path of :func:`~repro.obs.reporting.machine_fingerprint`,
+which ``perfbench/run.py`` still imports from here."""
 
-Every :class:`~repro.obs.reporting.BenchReporter` run already dumps a
-``results/<bench>.metrics.json`` snapshot — and then the next run
-overwrites it, so the suite has no memory.  This module gives each
-benchmark an **append-only** trajectory file
-(``benchmarks/results/history/<bench>.jsonl``, one JSON entry per line,
-one file per benchmark) and a comparator that can say whether the newest
-entry regressed:
+from .reporting import machine_fingerprint
 
-* :func:`extract_entry` distills one reporter snapshot into a compact
-  history entry: section timings, the reporter's *identity* fields
-  (counters and result digests that must never drift — see
-  :meth:`~repro.obs.reporting.BenchReporter.record_identity`), a quick-
-  vs-full flag, and a :func:`machine_fingerprint` so numbers from
-  different machines are never compared against each other.
-* :func:`append_entry` / :func:`load_history` are the JSONL append /
-  scan pair (append-only by construction: nothing here ever rewrites a
-  line).
-* :func:`compare` judges one entry against its trailing history —
-  **identity fields are compared exactly** against the most recent
-  comparable baseline (a mismatch is a gated finding: the computation
-  changed), while **timings are compared against the trailing median**
-  of comparable entries with a relative noise band (a crossing is a
-  warning by default — wall-clock noise on shared CI runners must not
-  fail builds — and gated only when the caller opts in).
-
-``tools/bench_track.py`` is the CLI front end (``record`` after a
-benchmark run, ``check`` in CI); ``tests/test_history.py`` pins the
-entry schema and the comparator's verdicts on synthetic regressions.
-"""
-
-from __future__ import annotations
-
-import json
-import os
-import platform
-from dataclasses import dataclass
-
-__all__ = [
-    "Finding",
-    "append_entry",
-    "check_history",
-    "compare",
-    "extract_entry",
-    "fingerprint_key",
-    "load_history",
-    "machine_fingerprint",
-]
-
-#: Default relative noise band for timing comparisons (a timing flags
-#: only when it exceeds ``(1 + noise) ×`` the trailing median).
-DEFAULT_NOISE = 0.25
-
-#: Default trailing-window size (entries) for the timing median.
-DEFAULT_WINDOW = 5
-
-
-def machine_fingerprint() -> dict:
-    """The measuring machine's identity, as stored in every history
-    entry: platform string, Python version, CPU count and NumPy version.
-    Entries with different fingerprints are never compared — a laptop's
-    numbers say nothing about CI's."""
-    try:
-        import numpy
-
-        numpy_version = numpy.__version__
-    except Exception:  # pragma: no cover - numpy is a hard dep in practice
-        numpy_version = None
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "numpy": numpy_version,
-    }
-
-
-def fingerprint_key(fp: dict) -> str:
-    """A stable string key for one fingerprint dict (sorted-key JSON) —
-    what :func:`compare` groups comparable entries by."""
-    return json.dumps(fp or {}, sort_keys=True)
-
-
-def extract_entry(
-    snapshot: dict,
-    *,
-    quick: bool | None = None,
-    recorded_at: float | None = None,
-) -> dict:
-    """Distill one :meth:`BenchReporter.snapshot
-    <repro.obs.reporting.BenchReporter.snapshot>` dict into a history
-    entry: ``bench`` name, section ``timings`` (seconds), ``identity``
-    fields (exact-match gated), the ``quick``-mode flag (defaulting to
-    the ``REPRO_BENCH_QUICK`` environment switch) and this machine's
-    fingerprint.  ``recorded_at`` is a caller-supplied Unix timestamp
-    (``None`` stores null — the comparator never reads it)."""
-    if quick is None:
-        quick = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
-    return {
-        "bench": snapshot.get("bench"),
-        "recorded_at": recorded_at,
-        "quick": bool(quick),
-        "fingerprint": machine_fingerprint(),
-        "timings": {
-            str(k): float(v)
-            for k, v in (snapshot.get("sections") or {}).items()
-        },
-        "identity": dict(snapshot.get("identity") or {}),
-    }
-
-
-def append_entry(history_dir: str, entry: dict) -> str:
-    """Append ``entry`` as one JSON line to
-    ``<history_dir>/<bench>.jsonl`` (directory created, file created on
-    first append, existing lines never touched).  Returns the file
-    path."""
-    bench = entry.get("bench")
-    if not bench:
-        raise ValueError("history entry has no bench name")
-    os.makedirs(history_dir, exist_ok=True)
-    path = os.path.join(history_dir, f"{bench}.jsonl")
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return path
-
-
-def load_history(path: str) -> list[dict]:
-    """Every entry of one benchmark's JSONL history, oldest first
-    (missing file → empty list; blank lines skipped)."""
-    if not os.path.exists(path):
-        return []
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(json.loads(line))
-    return out
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One comparator verdict: ``field`` (``"timings.<section>"`` or
-    ``"identity.<name>"``), ``kind`` (``"timing_regression"`` or
-    ``"identity_mismatch"``), the observed ``value``, the ``baseline``
-    it was judged against, the ``ratio`` (timings only; ``None`` for
-    identity), whether the finding is ``gated`` (must fail the build)
-    and a human-readable ``message``."""
-
-    field: str
-    kind: str
-    value: object
-    baseline: object
-    ratio: float | None
-    gated: bool
-    message: str
-
-
-def _comparable(entry: dict, other: dict) -> bool:
-    """True when ``other`` is a valid baseline for ``entry``: same
-    benchmark, same quick/full mode, same machine fingerprint."""
-    return (
-        other.get("bench") == entry.get("bench")
-        and bool(other.get("quick")) == bool(entry.get("quick"))
-        and fingerprint_key(other.get("fingerprint"))
-        == fingerprint_key(entry.get("fingerprint"))
-    )
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
-def compare(
-    entry: dict,
-    history: list[dict],
-    *,
-    noise: float = DEFAULT_NOISE,
-    window: int = DEFAULT_WINDOW,
-    gate_timing: bool = False,
-) -> list[Finding]:
-    """Judge ``entry`` against its trailing ``history`` (older entries;
-    ``entry`` itself must not be in the list).
-
-    Identity fields are compared **exactly** against the most recent
-    comparable baseline entry that carries the same field — any mismatch
-    is a gated :class:`Finding` (the computation's answer changed, which
-    no noise band excuses).  Section timings are compared against the
-    trailing median of the last ``window`` comparable entries; a timing
-    beyond ``(1 + noise) × median`` is flagged, gated only when
-    ``gate_timing`` is set (CI keeps timing findings warn-only).  An
-    entry with no comparable history passes vacuously — the first run on
-    a machine *is* the baseline."""
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    baselines = [h for h in history if _comparable(entry, h)]
-    findings: list[Finding] = []
-
-    for name, value in (entry.get("identity") or {}).items():
-        for base in reversed(baselines):
-            base_identity = base.get("identity") or {}
-            if name in base_identity:
-                expected = base_identity[name]
-                if value != expected:
-                    findings.append(
-                        Finding(
-                            field=f"identity.{name}",
-                            kind="identity_mismatch",
-                            value=value,
-                            baseline=expected,
-                            ratio=None,
-                            gated=True,
-                            message=(
-                                f"identity field {name!r} changed: "
-                                f"{expected!r} -> {value!r}"
-                            ),
-                        )
-                    )
-                break
-
-    for section, value in (entry.get("timings") or {}).items():
-        trail = [
-            float(h["timings"][section])
-            for h in baselines[-window:]
-            if section in (h.get("timings") or {})
-        ]
-        if not trail:
-            continue
-        baseline = _median(trail)
-        if baseline <= 0:
-            continue
-        ratio = float(value) / baseline
-        if ratio > 1.0 + noise:
-            findings.append(
-                Finding(
-                    field=f"timings.{section}",
-                    kind="timing_regression",
-                    value=float(value),
-                    baseline=baseline,
-                    ratio=ratio,
-                    gated=gate_timing,
-                    message=(
-                        f"section {section!r} took {float(value):.6f}s, "
-                        f"{ratio:.2f}x the trailing median "
-                        f"{baseline:.6f}s (band: {1.0 + noise:.2f}x)"
-                    ),
-                )
-            )
-    return findings
-
-
-def check_history(
-    path: str,
-    *,
-    noise: float = DEFAULT_NOISE,
-    window: int = DEFAULT_WINDOW,
-    gate_timing: bool = False,
-) -> list[Finding]:
-    """Compare one history file's newest entry against everything before
-    it (the CI entry point behind ``tools/bench_track.py check``).  An
-    empty or single-entry file yields no findings."""
-    history = load_history(path)
-    if len(history) < 2:
-        return []
-    return compare(
-        history[-1],
-        history[:-1],
-        noise=noise,
-        window=window,
-        gate_timing=gate_timing,
-    )
+__all__ = ["machine_fingerprint"]

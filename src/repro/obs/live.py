@@ -2,10 +2,10 @@
 
 Every observability surface so far is a *pull* of accumulated state: the
 ``/metrics`` scrape is cumulative since process start, the flight
-recorder is a post-hoc ring, the perf trajectory only moves in CI.  None
-of them answers the operator's live questions — *what is the request
-rate right now, what is p99 over the last minute, is the error rate
-climbing as we watch?*  This module closes that gap with two pieces:
+recorder is a post-hoc ring.  Neither answers the operator's live
+questions — *what is the request rate right now, what is p99 over the
+last minute, is the error rate climbing as we watch?*  This module
+closes that gap with two pieces:
 
 * :class:`RollingWindow` — a thread-safe, bucketed sliding window
   (default 60 buckets × 1 s) fed from the same service completion path

@@ -9,7 +9,8 @@ gates on) and in a ``repro_bench_section_seconds{bench,section}``
 histogram, plus a :meth:`~BenchReporter.snapshot` JSON view that the
 benchmark harness dumps next to each ``benchmarks/results`` artifact —
 so a results table always ships with the metrics (kernel profile,
-cache/coalescer counters, section latencies) that produced it.
+cache/coalescer counters, section latencies) that produced it and the
+:func:`machine_fingerprint` of the machine that measured them.
 
 Section timing always records: a benchmark constructing a reporter *is*
 the explicit request to measure, so it does not ride the global
@@ -18,12 +19,28 @@ production hot paths, not out of benchmarks)."""
 
 from __future__ import annotations
 
+import os
+import platform
 import time
 from contextlib import contextmanager
 
+import numpy
+
 from .metrics import MetricsRegistry, default_registry
 
-__all__ = ["BenchReporter"]
+__all__ = ["BenchReporter", "machine_fingerprint"]
+
+
+def machine_fingerprint() -> dict:
+    """The measuring machine's identity: platform string, Python
+    version, CPU count and NumPy version — a laptop's numbers say
+    nothing about CI's."""
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "numpy": numpy.__version__,
+    }
 
 
 class BenchReporter:
@@ -43,7 +60,6 @@ class BenchReporter:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.registry.include(default_registry())
         self.timings: dict[str, float] = {}
-        self.identity: dict[str, object] = {}
         self._hist = self.registry.histogram(
             "repro_bench_section_seconds",
             "Wall seconds of benchmark timing sections.",
@@ -68,25 +84,16 @@ class BenchReporter:
         (``KeyError`` if the section never ran)."""
         return self.timings[label]
 
-    def record_identity(self, **fields) -> None:
-        """Record machine-independent *identity* facts of this run —
-        result digests, convergence counters, anything that must be
-        byte-for-byte reproducible across runs.  These land in the
-        snapshot's ``identity`` dict, which the perf-trajectory
-        comparator (:func:`repro.obs.history.compare`) gates **exactly**:
-        a changed identity field fails the check, no noise band applies.
-        Values must be JSON-serializable."""
-        self.identity.update(fields)
-
     def snapshot(self) -> dict:
-        """JSON-ready artifact payload: the benchmark name, the section
-        timings, the identity fields (:meth:`record_identity`), and the
-        full metrics snapshot visible through this reporter's registry
-        (sections, kernel profile, engine/component counters)."""
+        """JSON-ready artifact payload: the benchmark name, the
+        measuring ``machine`` (:func:`machine_fingerprint`), the section
+        timings, and the full metrics snapshot visible through this
+        reporter's registry (sections, kernel profile, engine/component
+        counters)."""
         return {
             "bench": self.name,
+            "machine": machine_fingerprint(),
             "sections": dict(self.timings),
-            "identity": dict(self.identity),
             "metrics": self.registry.snapshot(),
         }
 

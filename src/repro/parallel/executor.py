@@ -65,7 +65,10 @@ from repro.engine.batch import (
     batched_local_mixing_spectra,
     batched_local_mixing_times,
 )
-from repro.engine.propagator import set_propagator_cache_maxsize
+from repro.engine.propagator import (
+    propagator_cache_info,
+    set_propagator_cache_maxsize,
+)
 from repro.graphs.base import Graph
 from repro.obs import (
     MetricsRegistry,
@@ -141,14 +144,10 @@ _WORKER_CACHE_SIZE = 16
 _worker_segments: "OrderedDict[str, SharedCSR]" = OrderedDict()
 
 
-def _init_worker(cache_maxsize: int | None) -> None:
-    """Pool initializer: apply the forwarded spectral-cache bound once per
-    worker.
-
-    The setting was validated parent-side, so a bad value fails fast in
-    the submitting process instead of crashing the pool on spawn."""
-    if cache_maxsize is not None:
-        set_propagator_cache_maxsize(cache_maxsize)
+def _init_worker(cache_maxsize: int) -> None:
+    """Pool initializer: apply the parent's spectral-cache bound once per
+    worker (already validated when the parent set it)."""
+    set_propagator_cache_maxsize(cache_maxsize)
 
 
 def _attached(handle: SharedHandle) -> SharedCSR:
@@ -250,17 +249,10 @@ class ShardExecutor:
     start_method:
         Multiprocessing start method (default:
         :func:`default_start_method`).
-    cache_maxsize:
-        Forwarded to each worker's
-        :func:`~repro.engine.set_propagator_cache_maxsize` on spawn, so the
-        per-worker spectral cache obeys the same memory bound the parent
-        configured (workers otherwise start with the library default).
-        Only global-mixing-time calls fill that cache, and in the workers
-        only :meth:`map_items` tasks make them (e.g.
-        :func:`~repro.analysis.sweeps.family_sweep`, whose
-        :func:`~repro.engine.batch.batched_mixing_times` defaults to
-        ``method="auto"``); sharded τ solves never touch it.
-        Validated here — a bad value raises before the pool spawns.
+
+    Each worker's spectral cache obeys the bound the parent's
+    :func:`~repro.engine.set_propagator_cache_maxsize` set when the
+    executor was built, under every start method.
 
     At most :data:`MAX_PUBLISHED` graph segments stay published; least
     recently used ones beyond the bound are unlinked.  A call's segment is
@@ -280,27 +272,11 @@ class ShardExecutor:
         n_workers: int | None = None,
         *,
         start_method: str | None = None,
-        cache_maxsize: int | None = None,
     ):
         if n_workers is None:
             n_workers = os.cpu_count() or 1
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        # Validate forwarded worker settings at this front door: the pool
-        # initializer replays them in every worker, where a bad value would
-        # surface as an opaque BrokenProcessPool instead of a clear error.
-        if cache_maxsize is not None:
-            if isinstance(cache_maxsize, bool) or not isinstance(
-                cache_maxsize, (int, np.integer)
-            ):
-                raise ValueError(
-                    "cache_maxsize must be a non-negative integer, "
-                    f"got {cache_maxsize!r}"
-                )
-            if cache_maxsize < 0:
-                raise ValueError(
-                    f"cache_maxsize must be >= 0, got {cache_maxsize}"
-                )
         self.n_workers = int(n_workers)
         self.start_method = start_method or default_start_method()
         # Start the resource tracker before any worker can fork: workers
@@ -312,7 +288,7 @@ class ShardExecutor:
             max_workers=self.n_workers,
             mp_context=ctx,
             initializer=_init_worker,
-            initargs=(cache_maxsize,),
+            initargs=(propagator_cache_info().maxsize,),
         )
         if self.start_method == "fork":
             # A fork pool forks every worker on its first submit.  Do it

@@ -112,7 +112,11 @@ def _parse_headers(lines: list[str]) -> dict:
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(f"malformed header line {line!r}")
-        name = name.strip().lower()
+        # RFC 9112 §5.1: no whitespace in or around the field name, which
+        # also refuses obs-fold continuation lines.
+        if not name or any(c.isspace() for c in name):
+            raise HttpError(f"malformed header name {name[:32]!r}")
+        name = name.lower()
         if name == "content-length" and name in headers:
             # Which copy frames the body is ambiguous: request smuggling.
             raise HttpError("repeated Content-Length header")
@@ -130,8 +134,9 @@ async def _read_body(reader, headers: dict) -> bytes:
     if len(length) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
         raise HttpError(f"unacceptable Content-Length {length[:32]}")
     n = int(length)
-    if "chunked" in headers.get("transfer-encoding", "").lower():
-        raise HttpError("chunked transfer encoding not supported")
+    # Bodies are framed by Content-Length alone (RFC 9112 §6.3).
+    if "transfer-encoding" in headers:
+        raise HttpError("Transfer-Encoding not supported")
     if n == 0:
         return b""
     try:

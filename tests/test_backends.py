@@ -23,7 +23,6 @@ from repro.engine.oracle import (
     sorted_scan_arrays,
     split_points_kernel,
 )
-from repro.parallel import ShardExecutor
 
 # --------------------------------------------------------------------- #
 # Cache-maxsize front-door hardening
@@ -47,11 +46,6 @@ class TestCacheMaxsizeValidation:
     def test_numpy_integer_accepted(self):
         set_propagator_cache_maxsize(np.int64(4))
         assert propagator_cache_info().maxsize == 4
-
-    @pytest.mark.parametrize("bad", [-3, 1.5, True])
-    def test_executor_rejects_bad_cache_maxsize(self, bad):
-        with pytest.raises(ValueError, match="cache_maxsize must be"):
-            ShardExecutor(1, cache_maxsize=bad)
 
 
 # --------------------------------------------------------------------- #

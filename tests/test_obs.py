@@ -43,6 +43,7 @@ from repro.obs import (
     default_registry,
     diff_kernel_snapshots,
     kernel_profiler,
+    machine_fingerprint,
     observability,
     observability_enabled,
     recent_traces,
@@ -642,3 +643,10 @@ def test_bench_reporter_sections_always_record():
     assert "repro_bench_section_seconds" in snap["metrics"]
     with pytest.raises(KeyError):
         rep.seconds("never_ran")
+
+
+def test_fingerprint_is_stable_and_stamped_on_snapshots():
+    a, b = machine_fingerprint(), machine_fingerprint()
+    assert a == b
+    assert a["python"] and a["platform"] and a["numpy"]
+    assert BenchReporter("unit").snapshot()["machine"] == a

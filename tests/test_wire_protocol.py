@@ -395,6 +395,26 @@ class TestFraming:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize(
+        "headers",
+        [
+            b"Content-Length : 4",
+            b"Host: h\r\n Content-Length: 4",
+            b"Transfer-Encoding: gzip\r\nContent-Length: 4",
+            b"Transfer-Encoding: chunked\r\nContent-Length: 4",
+        ],
+        ids=["space-before-colon", "obs-fold", "te-gzip", "te-chunked"],
+    )
+    def test_ambiguous_framing_rejected(self, headers):
+        # RFC 9112 §5.1: whitespace in a field name is a 400; §6.3: a
+        # Transfer-Encoding this server cannot decode is a 400 too.
+        async def main():
+            raw = b"POST /v1/query HTTP/1.1\r\n" + headers + b"\r\n\r\nabcd"
+            with pytest.raises(wire_http.HttpError):
+                await wire_http.read_request(_feed_reader(raw))
+
+        asyncio.run(main())
+
     def test_content_length_over_int_digit_limit_rejected(self):
         async def main():
             raw = b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 5000
