@@ -24,6 +24,14 @@ completion:
   whose duration crosses a configurable threshold, with slowest-N
   retrieval filterable per graph.
 
+One record per finished query: ``MixingService`` builds a single frozen
+:class:`QueryRecord` at completion, and every telemetry view reads it —
+the ``repro_service_query_seconds`` histogram, the
+:class:`~repro.obs.live.RollingWindow` and this recorder.  The recorder's
+record total is therefore a plain count kept under the ring lock, not a
+registry counter: ``repro_service_query_seconds_count`` already exports
+it.
+
 Cost contract (the same one :mod:`repro.obs.config` documents): a record
 is an O(1) append of numbers the serving path already computed — two
 ``perf_counter`` reads and one deque append per query, no serialization,
@@ -118,9 +126,9 @@ def kernels_from_span(span) -> dict:
     return merged
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryRecord:
-    """One completed query, as the flight recorder remembers it.
+    """One completed query: the record every telemetry view reads.
 
     Every field is a number or small string the serving path had already
     computed when the query finished — building a record allocates one
@@ -194,9 +202,11 @@ class FlightRecorder:
         Slow-ring bound.
     registry:
         Optional shared :class:`~repro.obs.metrics.MetricsRegistry` for
-        the recorder counters (``repro_flight_records_total``,
-        ``repro_flight_slow_total``, ``repro_flight_errors_total``);
-        private when omitted, exposed as :attr:`metrics`.
+        the recorder counters (``repro_flight_slow_total``,
+        ``repro_flight_errors_total``); private when omitted, exposed as
+        :attr:`metrics`.  The record total is a plain count kept under
+        the ring lock: ``repro_service_query_seconds_count`` already
+        exports it.
 
     Thread-safety: one lock guards both rings; every public method takes
     it for O(ring) at most (reads copy), appends are O(1).  The serving
@@ -226,11 +236,8 @@ class FlightRecorder:
         self._slow: deque[QueryRecord] = deque(maxlen=slow_capacity)
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
+        self._records = 0
         self.metrics = registry if registry is not None else MetricsRegistry()
-        self._records_total = self.metrics.counter(
-            "repro_flight_records_total",
-            "Query records appended to the flight recorder.",
-        )
         self._slow_total = self.metrics.counter(
             "repro_flight_slow_total",
             "Flight records at or above the slow-query threshold.",
@@ -239,12 +246,6 @@ class FlightRecorder:
             "repro_flight_errors_total",
             "Flight records whose outcome was not ok.",
         )
-
-    @property
-    def enabled(self) -> bool:
-        """False when constructed with ``capacity=0`` — every
-        :meth:`record` call is then a no-op costing one attribute read."""
-        return self.capacity > 0
 
     def next_trace_id(self) -> str:
         """A fresh trace id (``"q-<n>"``, monotonically increasing per
@@ -261,9 +262,9 @@ class FlightRecorder:
         slow = rec.duration >= self.slow_threshold
         with self._lock:
             self._ring.append(rec)
+            self._records += 1
             if slow:
                 self._slow.append(rec)
-        self._records_total.inc()
         if slow:
             self._slow_total.inc()
         if rec.outcome != "ok":
@@ -332,9 +333,10 @@ class FlightRecorder:
         ``records`` / ``slow`` / ``errors`` totals plus current ring
         sizes and the configured bounds."""
         with self._lock:
+            records = self._records
             retained, slow_retained = len(self._ring), len(self._slow)
         return {
-            "records": self._records_total.value,
+            "records": records,
             "slow": self._slow_total.value,
             "errors": self._errors_total.value,
             "retained": retained,

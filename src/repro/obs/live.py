@@ -8,18 +8,20 @@ last minute, is the error rate climbing as we watch?*  This module
 closes that gap with two pieces:
 
 * :class:`RollingWindow` — a thread-safe, bucketed sliding window
-  (default 60 buckets × 1 s) fed from the same service completion path
+  (default 60 buckets × 1 s) fed from the same completed-query record
   as the :class:`~repro.obs.flight.FlightRecorder`.  Each time bucket
-  holds per-``(graph_key, outcome)`` request counts plus a
-  fixed-bucket latency histogram (the same bounds as
-  :attr:`~repro.obs.metrics.Histogram.DEFAULT_BUCKETS`), so a
+  holds per-``(graph_key, outcome)`` request counts plus one
+  unregistered :class:`~repro.obs.metrics.Histogram` (the same bounds as
+  :attr:`~repro.obs.metrics.Histogram.DEFAULT_BUCKETS` by default), so a
   :meth:`RollingWindow.snapshot` yields instantaneous rates, error
   rates, and streaming p50/p95/p99 via linear interpolation inside the
-  histogram buckets.  :meth:`RollingWindow.record` is O(1) — one bucket
-  index, a few dict increments — and observing never touches the
-  computation, so served results are bitwise identical with the window
-  on or off (``benchmarks/bench_o2_live_telemetry.py`` gates the
-  enabled overhead < 3 % alongside ``bench_o1``'s).
+  histogram buckets.  The same interpolation serves the
+  :class:`~repro.obs.slo.SLOEngine`.  :meth:`RollingWindow.record` is
+  O(1) — one bucket index, one histogram observation, a few dict
+  increments — and observing never touches the computation, so served
+  results are bitwise identical with the window on or off
+  (``benchmarks/bench_o2_live_telemetry.py`` gates the enabled overhead
+  < 3 % alongside ``bench_o1``'s).
 * :class:`ResourceSampler` — a background asyncio task sampling the
   *runtime* (not the queries): event-loop lag, resident set size
   (``/proc/self/statm``, stdlib only), GC generation counts and
@@ -44,7 +46,6 @@ stamps.
 from __future__ import annotations
 
 import asyncio
-import bisect
 import gc
 import os
 import threading
@@ -60,30 +61,27 @@ __all__ = [
 
 class _TimeBucket:
     """One slot of the circular window: an epoch tag (which absolute
-    time bucket this slot currently represents) plus the counts recorded
-    during that bucket's second(s).  Slots are reused in place — a
-    record landing in a slot whose epoch has moved on resets it first,
-    so the window never allocates after construction (beyond the
-    per-key dict entries)."""
+    time bucket this slot currently represents), the error count and
+    per-``(graph, outcome)`` counts recorded during that bucket's
+    second(s), and an unregistered :class:`~repro.obs.metrics.Histogram`
+    holding the slot's latency count, sum and buckets.  Slots are reused
+    in place — a record landing in a slot whose epoch has moved on
+    resets it first."""
 
-    __slots__ = ("epoch", "count", "errors", "sum", "latency", "keys")
+    __slots__ = ("epoch", "errors", "keys", "hist")
 
-    def __init__(self, n_bounds: int):
+    def __init__(self, bounds):
         self.epoch = -1
-        self.count = 0
         self.errors = 0
-        self.sum = 0.0
-        self.latency = [0] * (n_bounds + 1)  # trailing +Inf bucket
         self.keys: dict[tuple, int] = {}
+        self.hist = Histogram("repro_window_latency_seconds", buckets=bounds)
 
     def reset(self, epoch: int) -> None:
         """Re-tag this slot for a new epoch, zeroing its counts."""
         self.epoch = epoch
-        self.count = 0
         self.errors = 0
-        self.sum = 0.0
-        self.latency = [0] * len(self.latency)
         self.keys = {}
+        self.hist.reset()
 
 
 class RollingWindow:
@@ -98,8 +96,8 @@ class RollingWindow:
     width:
         Seconds per bucket (default 1.0).
     bounds:
-        Strictly increasing latency-histogram upper bounds (seconds);
-        defaults to the registry histograms'
+        Strictly increasing latency-histogram upper bounds (seconds),
+        validated by :class:`~repro.obs.metrics.Histogram`; defaults to
         :attr:`~repro.obs.metrics.Histogram.DEFAULT_BUCKETS`, so window
         quantiles and the cumulative ``/metrics`` histograms speak the
         same bucket vocabulary.
@@ -124,21 +122,11 @@ class RollingWindow:
             raise ValueError("buckets must be >= 1")
         if width <= 0:
             raise ValueError("width must be > 0")
-        bounds = tuple(
-            float(b)
-            for b in (Histogram.DEFAULT_BUCKETS if bounds is None else bounds)
-        )
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise ValueError(
-                "bounds must be a non-empty strictly increasing sequence"
-            )
         self.n_buckets = int(buckets)
         self.width = float(width)
-        self.bounds = bounds
         self._clock = clock
-        self._slots = [_TimeBucket(len(bounds)) for _ in range(buckets)]
+        self._slots = [_TimeBucket(bounds) for _ in range(buckets)]
+        self.bounds = self._slots[0].hist.buckets
         self._lock = threading.Lock()
         self._t0 = clock()
         self._total = 0  # lifetime records, monotonic (never ages out)
@@ -156,23 +144,20 @@ class RollingWindow:
         outcome: str = "ok",
     ) -> None:
         """Fold one completed query into the current time bucket — O(1):
-        one bucket-index division, one bisect into the fixed latency
-        bounds, a handful of integer adds.  ``outcome != "ok"`` counts
-        as an error; ``graph``/``outcome`` key the per-combination rate
-        counts the stream and ``snapshot()`` group by."""
+        one bucket-index division, one histogram observation, a handful
+        of integer adds.  ``outcome != "ok"`` counts as an error;
+        ``graph``/``outcome`` key the per-combination rate counts the
+        stream and ``snapshot()`` group by."""
         now = self._clock()
         epoch = int((now - self._t0) / self.width)
-        lat_idx = bisect.bisect_left(self.bounds, float(duration))
         key = (graph, outcome)
         with self._lock:
             slot = self._slots[epoch % self.n_buckets]
             if slot.epoch != epoch:
                 slot.reset(epoch)
-            slot.count += 1
-            slot.sum += float(duration)
+            slot.hist.observe(duration)
             if outcome != "ok":
                 slot.errors += 1
-            slot.latency[lat_idx] += 1
             slot.keys[key] = slot.keys.get(key, 0) + 1
             self._total += 1
 
@@ -190,20 +175,6 @@ class RollingWindow:
             if oldest <= slot.epoch <= epoch_now
         ]
 
-    def quantiles(self, qs=(0.5, 0.95, 0.99)) -> dict[str, float | None]:
-        """Streaming latency quantiles over the whole window via linear
-        interpolation inside the fixed histogram buckets (``None`` per
-        quantile while the window is empty).  Keys are ``"p50"``-style
-        labels.  An observation beyond the last finite bound reports
-        that bound — the histogram cannot resolve further."""
-        snap = self.snapshot()
-        return {
-            f"p{round(q * 100)}": _interpolate(
-                snap["latency"], self.bounds, q, snap["count"]
-            )
-            for q in qs
-        }
-
     def snapshot(self, *, span: float | None = None) -> dict:
         """Merge the live buckets into one JSON-ready view of the
         trailing window (optionally only its last ``span`` seconds):
@@ -220,17 +191,20 @@ class RollingWindow:
         now = self._clock()
         with self._lock:
             slots = self._live_slots(now, span)
-            count = sum(s.count for s in slots)
             errors = sum(s.errors for s in slots)
-            total_sum = sum(s.sum for s in slots)
-            latency = [0] * (len(self.bounds) + 1)
+            total_sum = sum(s.hist.sum for s in slots)
+            cumulative = [0] * (len(self.bounds) + 1)
             keys: dict[tuple, int] = {}
             for s in slots:
-                for i, c in enumerate(s.latency):
-                    latency[i] += c
+                cumulative = [
+                    a + b
+                    for a, b in zip(cumulative, s.hist.cumulative_counts())
+                ]
                 for key, c in s.keys.items():
                     keys[key] = keys.get(key, 0) + c
             total = self._total
+        count = cumulative[-1]
+        latency = [c - p for p, c in zip([0] + cumulative, cumulative)]
         full_span = self.span if span is None else min(span, self.span)
         covered = max(min(now - self._t0, full_span), self.width)
         return {

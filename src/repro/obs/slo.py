@@ -29,10 +29,11 @@ sequence received) and ``/healthz`` can say *degraded* without saying
 ``repro_slo_burn_rate`` gauges and a ``repro_slo_alerts_total``
 counter on its registry so SLO state rides ``/metrics`` too.
 
-Evaluation is pull-based and cheap (one window snapshot, a handful of
-divisions): the wire tier evaluates on each stream tick and on
-``/healthz``; nothing here runs in the background or touches the
-query path.  Clocks are injectable for deterministic transition tests
+Evaluation is pull-based and cheap: one window snapshot, a handful of
+divisions, and the latency quantile interpolated inside the snapshot's
+buckets by the helper that computes the window's own p50/p95/p99.  The
+wire tier evaluates on each stream tick and on ``/healthz``; nothing
+here runs in the background or touches the query path.  Clocks are injectable for deterministic transition tests
 (``tests/test_wire_stream.py`` drives ok→breach→ok through the wire
 fault harness).
 """
@@ -44,7 +45,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from .live import RollingWindow
+from .live import RollingWindow, _interpolate
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -258,24 +259,20 @@ class SLOEngine:
         budget = 1.0 - slo.availability
         burn = snap["error_rate"] / budget
         error_budget = max(0.0, 1.0 - burn)
-        qkey = f"p{round(slo.quantile * 100)}"
-        latency = snap["quantiles"].get(qkey)
-        if latency is None:
-            latency = _quantile_of(snap, slo.quantile)
+        latency = _interpolate(
+            snap["latency"], snap["bounds"], slo.quantile, count
+        )
         reasons = []
         if availability < slo.availability:
             reasons.append("availability")
-        if latency is not None and latency > slo.target_latency:
+        if latency > slo.target_latency:
             reasons.append("latency")
         if reasons:
             status = "breach"
         else:
             if burn >= slo.warn_burn:
                 reasons.append("burn_rate")
-            if (
-                latency is not None
-                and latency > slo.warn_latency_ratio * slo.target_latency
-            ):
+            if latency > slo.warn_latency_ratio * slo.target_latency:
                 reasons.append("latency_warn")
             status = "warn" if reasons else "ok"
         return SLOVerdict(
@@ -340,13 +337,3 @@ class SLOEngine:
             f"SLOEngine({self.slo.name!r}, status={self.last_status!r}, "
             f"window={self.slo.window:g}s)"
         )
-
-
-def _quantile_of(snap: dict, q: float) -> float | None:
-    """Interpolate an arbitrary quantile from a snapshot's latency
-    histogram (fallback for quantiles outside the snapshot's standard
-    p50/p95/p99 set)."""
-    from .live import _interpolate
-
-    return _interpolate(snap["latency"], tuple(snap["bounds"]), q,
-                        snap["count"])

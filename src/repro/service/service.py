@@ -363,19 +363,11 @@ class MixingService:
         state: dict, qspan,
     ) -> None:
         """Completion hook of :meth:`submit` (runs for every outcome):
-        observe the end-to-end latency with the query's trace id as the
-        bucket exemplar and append the flight record — O(1) appends of
-        numbers the pipeline already computed, never touching the result."""
-        self._query_seconds.observe(dt, exemplar=tid)
-        g = state.get("graph")
-        if self.live is not None:
-            self.live.record(
-                dt,
-                graph=graph_key(g) if g is not None else None,
-                outcome=outcome,
-            )
-        if not self.flight.enabled:
-            return
+        build the query's one :class:`~repro.obs.flight.QueryRecord` and
+        feed it to every telemetry view — the latency histogram (the
+        trace id as the bucket exemplar), the rolling window and the
+        flight recorder.  Each reads numbers the pipeline already
+        computed and never touches the result."""
         try:
             source = int(query.source)
         except (TypeError, ValueError):
@@ -388,24 +380,29 @@ class MixingService:
                     "sources": bspan.meta.get("sources"),
                     "trigger": bspan.meta.get("trigger"),
                 }
-        self.flight.record(
-            QueryRecord(
-                trace_id=tid,
-                graph=graph_key(g) if g is not None else None,
-                source=source,
-                outcome=outcome,
-                duration=dt,
-                knobs=state.get("knobs"),
-                cache=state.get("cache"),
-                batch=batch,
-                kernels=kernels_from_span(qspan),
-                stages=stages_from_span(qspan),
-                priority=query.priority,
-                deadline=query.deadline,
-                unix_ts=time.time(),
-                span=qspan,
-            )
+        g = state.get("graph")
+        rec = QueryRecord(
+            trace_id=tid,
+            graph=graph_key(g) if g is not None else None,
+            source=source,
+            outcome=outcome,
+            duration=dt,
+            knobs=state.get("knobs"),
+            cache=state.get("cache"),
+            batch=batch,
+            kernels=kernels_from_span(qspan),
+            stages=stages_from_span(qspan),
+            priority=query.priority,
+            deadline=query.deadline,
+            unix_ts=time.time(),
+            span=qspan,
         )
+        self._query_seconds.observe(rec.duration, exemplar=rec.trace_id)
+        if self.live is not None:
+            self.live.record(
+                rec.duration, graph=rec.graph, outcome=rec.outcome
+            )
+        self.flight.record(rec)
 
     async def _await_answer(
         self,

@@ -39,6 +39,7 @@ silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields as dataclass_fields
 
 from repro.errors import ConvergenceError, GraphError, ReproError
@@ -115,6 +116,49 @@ _QUERY_DEFAULTS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the double range
+        return False
+
+
+def _optional(check):
+    return lambda value: value is None or check(value)
+
+
+#: The JSON type each query field must carry, with the phrase a
+#: ``bad_request`` names it by.  Python would quietly coerce a bool to
+#: an int, a float source to its floor, or a string ``"false"`` to a
+#: true flag, so the decoder checks types before anything reads them.
+_FIELD_TYPES = {
+    "source": (_is_int, "an integer"),
+    "beta": (_is_number, "a finite number"),
+    "eps": (_is_number, "a finite number"),
+    "sizes": (
+        lambda v: isinstance(v, str)
+        or (isinstance(v, list) and all(_is_int(s) for s in v)),
+        "a mode string or a list of integers",
+    ),
+    "threshold_factor": (_is_number, "a finite number"),
+    "grid_factor": (_optional(_is_number), "null or a finite number"),
+    "t_schedule": (lambda v: isinstance(v, str), "a string"),
+    "t_max": (_optional(_is_int), "null or an integer"),
+    "lazy": (lambda v: isinstance(v, bool), "a boolean"),
+    "require_source": (lambda v: isinstance(v, bool), "a boolean"),
+    "target": (lambda v: isinstance(v, str), "a string"),
+    "batch_size": (_optional(_is_int), "null or an integer"),
+    "deadline": (_optional(_is_number), "null or a finite number"),
+    "priority": (_is_int, "an integer"),
+}
+
+
 def encode_query(query: MixingQuery) -> dict:
     """The wire form of one query: every knob spelled explicitly (the
     protocol has no implicit defaults — what was sent is what is meant),
@@ -141,8 +185,10 @@ def decode_query(obj: dict) -> MixingQuery:
     Strict: ``graph`` (a name) and ``source`` are required, every other
     field falls back to the query model's default, and *unknown* fields
     raise ``bad_request`` — a misspelled knob must never be silently
-    ignored.  Type errors surface as ``bad_request`` too (the engine's
-    own fail-fast validation still runs server-side on submission).
+    ignored.  A field of the wrong JSON type (see :data:`_FIELD_TYPES`:
+    a bool where an integer belongs, a fraction for an integer, a string
+    for a flag) is ``bad_request`` too; the engine's own fail-fast
+    validation of values still runs server-side on submission.
     """
     if not isinstance(obj, dict):
         raise WireError("bad_request", "query must be a JSON object")
@@ -158,16 +204,18 @@ def decode_query(obj: dict) -> MixingQuery:
         )
     if "source" not in obj:
         raise WireError("bad_request", "query.source is required")
+    for name, value in obj.items():
+        if name != "graph" and not _FIELD_TYPES[name][0](value):
+            raise WireError(
+                "bad_request",
+                f"query.{name} must be {_FIELD_TYPES[name][1]}, "
+                f"got {value!r:.60}",
+            )
     kwargs = {}
     for name, default in _QUERY_DEFAULTS.items():
         value = obj.get(name, default)
-        if name == "sizes" and isinstance(value, list):
-            value = [int(s) for s in value]
-        kwargs[name] = value
-    try:
-        return MixingQuery(graph=graph, source=obj["source"], **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise WireError("bad_request", str(exc)) from exc
+        kwargs[name] = list(value) if isinstance(value, list) else value
+    return MixingQuery(graph=graph, source=obj["source"], **kwargs)
 
 
 def encode_request(query: MixingQuery, *, id: object = None) -> dict:
@@ -322,10 +370,27 @@ def dumps(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is not a finite double")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def loads(data: bytes | str) -> dict:
-    """Parse protocol JSON, mapping syntax errors to ``bad_request``."""
+    """Parse protocol JSON, mapping syntax errors to ``bad_request``.
+    ``NaN``/``Infinity`` and numbers that overflow a double (``1e400``)
+    are syntax errors too: no protocol field can carry them."""
     try:
-        obj = json.loads(data)
+        obj = json.loads(
+            data,
+            parse_float=_finite_float,
+            parse_constant=_reject_constant,
+        )
     except (ValueError, UnicodeDecodeError) as exc:
         raise WireError("bad_request", f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -96,6 +96,7 @@ returns, floats included (see :mod:`repro.service.wire.protocol`).
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from urllib.parse import parse_qs
 
@@ -371,8 +372,7 @@ class WireServer:
         self._admitted.inc()
         self._pending += 1
         self._queue_depth.set(self._pending)
-        flight = getattr(self.service, "flight", None)
-        tid = flight.next_trace_id() if flight is not None else None
+        tid = self.service.flight.next_trace_id()
         token = object()
         preempt_fut = asyncio.get_running_loop().create_future()
         t0 = time.perf_counter()
@@ -382,8 +382,6 @@ class WireServer:
                 self._admissions[token] = (query.priority, preempt_fut)
                 submit = asyncio.ensure_future(
                     self.service.submit(query, trace_id=tid)
-                    if tid is not None
-                    else self.service.submit(query)
                 )
                 await asyncio.wait(
                     {submit, preempt_fut},
@@ -565,9 +563,9 @@ class WireServer:
         params = parse_qs(request.path.partition("?")[2])
         if params.get("live"):
             return protocol.dumps({"status": "ok"})
-        engine = getattr(self.service, "slo_engine", None)
+        engine = self.service.slo_engine
         verdict = engine.evaluate().to_dict() if engine is not None else None
-        live = getattr(self.service, "live", None)
+        live = self.service.live
         window = None
         if live is not None:
             snap = live.snapshot()
@@ -611,11 +609,7 @@ class WireServer:
         the stable :mod:`repro.obs.export` schema.  An unknown query
         parameter is a 400 ``bad_request``: a filter the route does not
         read must not return unfiltered records that look filtered."""
-        flight = getattr(self.service, "flight", None)
-        if flight is None:
-            return self._debug_error(
-                404, "not_found", "service has no flight recorder"
-            )
+        flight = self.service.flight
         params = parse_qs(
             request.path.partition("?")[2], keep_blank_values=True
         )
@@ -798,10 +792,9 @@ class WireServer:
         (window snapshot + SLO verdict + sampler values), the SLO
         transition alerts this subscriber has not seen (advancing its
         cursor), and the wire tier's own instantaneous gauges."""
-        telemetry_of = getattr(self.service, "telemetry", None)
-        telemetry = telemetry_of() if telemetry_of is not None else {}
+        telemetry = self.service.telemetry()
         alerts: list = []
-        engine = getattr(self.service, "slo_engine", None)
+        engine = self.service.slo_engine
         if engine is not None:
             alerts, alert_cursor = engine.alerts(alert_cursor)
         frame = flight_export.telemetry_payload(
@@ -830,6 +823,8 @@ class WireServer:
         try:
             interval = float(params.get("interval", ["1.0"])[-1])
         except ValueError:
+            interval = 1.0
+        if not math.isfinite(interval):
             interval = 1.0
         interval = min(
             max(interval, self._STREAM_MIN_INTERVAL),

@@ -107,7 +107,6 @@ class TestRing:
 
     def test_capacity_zero_disables_everything(self):
         fr = FlightRecorder(0)
-        assert not fr.enabled
         fr.record(make_rec(0, duration=99.0, outcome="bad_request"))
         st = fr.stats()
         assert st["records"] == 0

@@ -149,7 +149,6 @@ class TestRollingWindow:
         # An observation beyond the last finite bound pins to it.
         w.record(99.0)
         assert w.snapshot()["quantiles"]["p99"] == 0.4
-        assert w.quantiles()["p99"] == 0.4
 
     def test_latency_histogram_bounds_vocabulary(self):
         clock = FakeClock()

@@ -33,6 +33,9 @@ from repro.dynamic import barbell_bridge_schedule, track_local_mixing
 from repro.graphs import path_graph, random_regular
 from repro.obs import (
     BenchReporter,
+    Counter,
+    Gauge,
+    Histogram,
     KERNEL_LABEL,
     KernelProfiler,
     MetricsRegistry,
@@ -53,7 +56,7 @@ from repro.obs import (
     use_span,
 )
 from repro.parallel import ShardExecutor, parallel_local_mixing_times
-from repro.service import MixingQuery, MixingService
+from repro.service import DeadlineExceededError, MixingQuery, MixingService
 
 BETA = 4.0
 
@@ -628,6 +631,90 @@ def test_service_metrics_render_covers_every_tier():
         q.find("coalesced_batch") is not None for q in solved
     )
     assert all(q.find("cache_lookup") is not None for q in queries[:6])
+
+
+def _count_series_writes(monkeypatch) -> list:
+    """Patch every metric mutator to log the series object it writes;
+    returns the (growing) log."""
+    writes: list = []
+    for cls, names in (
+        (Counter, ("inc",)),
+        (Gauge, ("set", "inc", "set_max")),
+        (Histogram, ("observe",)),
+    ):
+        for name in names:
+            def logged(self, *args, _orig=getattr(cls, name), **kwargs):
+                writes.append(self)
+                return _orig(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, logged)
+    return writes
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_cache_hit_writes_three_registered_series(monkeypatch, n):
+    """A warmed cache hit writes three registered series — registry
+    resolve, cache hit, query latency — at every graph size, and feeds
+    the window and the flight ring once each from the same record."""
+    g = random_regular(n, 8, seed=1)
+    hits = 100
+
+    async def main():
+        async with MixingService() as svc:
+            query = MixingQuery(g, 0, beta=BETA)
+            await svc.submit(query)
+            writes = _count_series_writes(monkeypatch)
+            window0 = svc.live.stats()["total"]
+            ring0 = svc.flight.stats()["records"]
+            for _ in range(hits):
+                await svc.submit(query)
+            monkeypatch.undo()
+            registered = {
+                id(leaf)
+                for metric in svc.metrics._collect()
+                for _, leaf in metric.series()
+            }
+            return (
+                sum(id(w) in registered for w in writes),
+                svc.live.stats()["total"] - window0,
+                svc.flight.stats()["records"] - ring0,
+                svc.stats()["cache"]["hits"],
+            )
+
+    writes, window, ring, cache_hits = asyncio.run(main())
+    assert cache_hits == hits
+    assert writes == 3 * hits
+    assert window == ring == hits
+
+
+def test_every_outcome_is_counted_once_by_every_view():
+    g = random_regular(30, 4, seed=5)
+
+    async def main():
+        async with MixingService() as svc:
+            for query in (
+                MixingQuery(g, 0, beta=BETA),
+                MixingQuery(g, 0, beta=BETA),
+                MixingQuery(g, 1, beta=BETA, deadline=0.0),
+                MixingQuery(g, g.n, beta=BETA),
+            ):
+                try:
+                    await svc.submit(query)
+                except (DeadlineExceededError, ValueError):
+                    pass
+            snap = svc.metrics.snapshot()
+            (series,) = snap["repro_service_query_seconds"]["series"]
+            outcomes = sorted(r.outcome for r in svc.flight.records())
+            return (
+                series["count"],
+                svc.flight.stats()["records"],
+                svc.live.stats()["total"],
+                outcomes,
+            )
+
+    histogram, flight, window, outcomes = asyncio.run(main())
+    assert histogram == flight == window == 4
+    assert outcomes == ["bad_request", "deadline_exceeded", "ok", "ok"]
 
 
 def test_bench_reporter_sections_always_record():

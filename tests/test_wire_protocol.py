@@ -25,12 +25,20 @@ from repro.errors import ConvergenceError, GraphError
 from repro.graphs import generators as gen
 from repro.service import (
     DeadlineExceededError,
+    GraphRegistry,
     MixingQuery,
+    MixingService,
     OverloadedError,
     ServiceClosedError,
 )
-from repro.service.wire import ERROR_STATUS, PROTOCOL_VERSION, WireError
+from repro.service.wire import (
+    ERROR_STATUS,
+    PROTOCOL_VERSION,
+    WireError,
+    WireServer,
+)
 from repro.service.wire import http as wire_http
+from repro.service.wire.client import http_get
 from repro.service.wire import protocol
 from repro.walks.local_mixing import LocalMixingResult
 
@@ -80,6 +88,13 @@ _results = st.builds(
 )
 
 _ids = st.one_of(st.none(), st.integers(), st.text(max_size=20))
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -187,6 +202,112 @@ class TestStrictness:
     def test_malformed_result_rejected(self):
         with pytest.raises(WireError, match="result"):
             protocol.decode_result({"time": 1})
+
+
+def _hostile_request(field: str, fragment: str) -> bytes:
+    """A valid request body whose ``query.<field>`` is the raw JSON text
+    ``fragment`` (spelled as a client would send it, so ``NaN`` and
+    ``1e400`` reach the parser as text)."""
+    req = protocol.encode_request(MixingQuery("g", 1, beta=4.0), id=1)
+    req["query"][field] = "__HOSTILE__"
+    return protocol.dumps(req).replace(b'"__HOSTILE__"', fragment.encode())
+
+
+#: Field values Python would quietly coerce into a different query.
+_HOSTILE_FIELDS = [
+    ("lazy", '"false"'),
+    ("source", "1.9"),
+    ("source", "true"),
+    ("sizes", "[2.7]"),
+    ("sizes", "[1e400]"),
+    ("t_max", "20.5"),
+    ("batch_size", "true"),
+    ("deadline", "NaN"),
+    ("priority", "Infinity"),
+]
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("field,fragment", _HOSTILE_FIELDS)
+    def test_mistyped_field_is_bad_request(self, field, fragment):
+        with pytest.raises(WireError) as e:
+            protocol.decode_request(
+                protocol.loads(_hostile_request(field, fragment))
+            )
+        assert e.value.code == "bad_request"
+
+    @given(
+        query=st.fixed_dictionaries(
+            {
+                name: st.one_of(valid, _json_values)
+                for name, valid in {
+                    "graph": st.text(min_size=1, max_size=4),
+                    "source": st.integers(min_value=0, max_value=99),
+                    "beta": _floats,
+                    "eps": _floats,
+                    "sizes": _sizes,
+                    "threshold_factor": _floats,
+                    "grid_factor": st.one_of(st.none(), _floats),
+                    "t_schedule": st.sampled_from(["all", "doubling"]),
+                    "t_max": st.one_of(st.none(), st.integers()),
+                    "lazy": st.booleans(),
+                    "require_source": st.booleans(),
+                    "target": st.sampled_from(["uniform", "degree"]),
+                    "batch_size": st.one_of(st.none(), st.integers()),
+                    "deadline": st.one_of(st.none(), _floats),
+                    "priority": st.integers(),
+                }.items()
+            }
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_decode_reproduces_or_rejects(self, query):
+        """Any JSON value in any field either decodes to a query that
+        re-encodes to exactly what was sent, or is a ``bad_request`` —
+        never a silently different query, never another exception."""
+        req = {"v": PROTOCOL_VERSION, "op": "query", "query": query}
+        try:
+            _id, got = protocol.decode_request(req)
+        except WireError as exc:
+            assert exc.code == "bad_request"
+        else:
+            assert protocol.encode_query(got) == query
+
+    def test_flight_endpoint_survives_a_hostile_query(self, expander16):
+        """``"priority": Infinity`` is refused at decode, so it leaves no
+        flight record that the listing cannot export: the listing still
+        answers 200."""
+
+        async def main():
+            reg = GraphRegistry()
+            reg.register("g", expander16)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                async with WireServer(svc) as server:
+                    reader, writer = await asyncio.open_connection(
+                        server.host, server.port
+                    )
+                    try:
+                        writer.write(
+                            wire_http.render_request(
+                                "POST", "/v1/query",
+                                host=f"{server.host}:{server.port}",
+                                body=_hostile_request("priority", "Infinity"),
+                                extra_headers=(("Connection", "close"),),
+                            )
+                        )
+                        await writer.drain()
+                        answer = await wire_http.read_response(reader)
+                    finally:
+                        writer.close()
+                    listing = await http_get(
+                        server.host, server.port,
+                        "/v1/debug/flight?limit=256",
+                    )
+            return int(answer.method), listing[0]
+
+        answered, listed = asyncio.run(asyncio.wait_for(main(), timeout=30))
+        assert answered == 400
+        assert listed == 200
 
 
 # --------------------------------------------------------------------- #

@@ -205,22 +205,26 @@ class TestTelemetryStream:
 
     def test_interval_is_clamped_not_rejected(self, expander):
         """A hostile ``?interval=0`` (or garbage) must not spin the
-        server: the subscription still works at the clamped floor."""
+        server, and ``?interval=nan`` must not stall it: the
+        subscription still works at a clamped or default interval."""
 
         async def main():
             reg = make_registry(expander)
+            got = {}
             async with MixingService(registry=reg, window=0.0) as svc:
                 async with WireServer(svc) as server:
-                    got = []
-                    async for frame in stream_telemetry(
-                        server.host, server.port,
-                        interval=0.0, max_frames=2,
-                    ):
-                        got.append(frame["seq"])
-                    return got
+                    for interval in (0.0, float("nan")):
+                        got[interval] = [
+                            frame["seq"]
+                            async for frame in stream_telemetry(
+                                server.host, server.port,
+                                interval=interval, max_frames=2,
+                            )
+                        ]
+            return got
 
-        seqs = asyncio.run(main())
-        assert len(seqs) == 2
+        seqs = asyncio.run(asyncio.wait_for(main(), timeout=20))
+        assert [len(s) for s in seqs.values()] == [2, 2]
 
 
 async def _one_query(server, query):
