@@ -31,7 +31,7 @@ from repro.congest.tree_ops import convergecast_count
 from repro.constants import DEFAULT_C, DEFAULT_EPS, MAX_WALK_LENGTH_FACTOR
 from repro.errors import ConvergenceError
 from repro.utils.seeding import as_rng
-from repro.walks.local_mixing import size_grid
+from repro.walks.local_mixing import _check_knobs, size_grid
 
 __all__ = ["exact_local_mixing_time_congest"]
 
@@ -53,10 +53,9 @@ def exact_local_mixing_time_congest(
     With ``reuse_bfs=True`` a single full-depth BFS tree is built once
     (footnote 8's optimization) instead of one per iteration.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    _check_knobs(
+        source=source, beta=beta, eps=eps, grid_factor=grid_factor, t_max=t_max
+    )
     if not 0 <= source < net.n:
         raise ValueError("source out of range")
     n = net.n

@@ -35,7 +35,7 @@ from repro.congest.message import int_bits
 from repro.constants import DEFAULT_C, DEFAULT_EPS, MAX_WALK_LENGTH_FACTOR
 from repro.errors import ConvergenceError, ProtocolError
 from repro.utils.seeding import as_rng
-from repro.walks.local_mixing import size_grid
+from repro.walks.local_mixing import _check_knobs, size_grid
 
 __all__ = [
     "CongestLocalMixingResult",
@@ -147,10 +147,9 @@ def local_mixing_time_congest(
         connected non-bipartite graphs with a generous cap, since
         ``τ_s(β,ε) ≤ τ^mix_s(ε) = O(n³)``).
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
+    _check_knobs(
+        source=source, beta=beta, eps=eps, grid_factor=grid_factor, t_max=t_max
+    )
     if not 0 <= source < net.n:
         raise ValueError("source out of range")
     n = net.n

@@ -78,6 +78,7 @@ from repro.graphs.properties import multi_source_distances
 from repro.engine.batch import batched_local_mixing_times
 from repro.obs import MetricsRegistry
 from repro.dynamic.graph import DynamicGraph, GraphUpdate
+from repro.walks.local_mixing import _check_knobs, _resolve_walk_bounds
 
 __all__ = [
     "MixingTracker",
@@ -241,26 +242,18 @@ class MixingTracker:
         executor=None,
         n_workers: int | None = None,
     ):
-        if not 0 < eps < 1:
-            raise ValueError("eps must be in (0,1)")
-        if beta < 1:
-            raise ValueError("beta must be >= 1 (sets of size at least n/beta)")
-        if target not in ("uniform", "degree"):
-            raise ValueError(f"unknown target {target!r}")
+        #: The engine knobs every solve passes on.
+        self._knobs = dict(
+            beta=beta, eps=eps, sizes=sizes,
+            threshold_factor=threshold_factor, grid_factor=grid_factor,
+            t_schedule=t_schedule, t_max=t_max, lazy=lazy,
+            require_source=require_source, target=target,
+        )
+        _check_knobs(**self._knobs)
         if method not in ("incremental", "from_scratch"):
             raise ValueError(f"unknown method {method!r}")
         if memo_size < 0:
             raise ValueError("memo_size must be >= 0")
-        self.beta = beta
-        self.eps = eps
-        self.sizes = sizes
-        self.threshold_factor = threshold_factor
-        self.grid_factor = grid_factor
-        self.t_schedule = t_schedule
-        self.t_max = t_max
-        self.lazy = lazy
-        self.require_source = require_source
-        self.target = target
         self.method = method
         self.memo_size = memo_size
         if n_workers is not None and n_workers < 1:
@@ -388,27 +381,15 @@ class MixingTracker:
         re-solves) is partitioned into contiguous shards and solved on the
         worker pool — per-source results are identical either way, so the
         equivalence-to-from-scratch guarantee is untouched."""
-        knobs = dict(
-            sizes=self.sizes,
-            threshold_factor=self.threshold_factor,
-            grid_factor=self.grid_factor,
-            t_schedule=self.t_schedule,
-            t_max=self.t_max,
-            lazy=self.lazy,
-            require_source=self.require_source,
-            target=self.target,
-        )
         ex = self._get_executor()
         k = g.n if sources is None else len(sources)
         if ex is not None and k > 1:
             from repro.parallel import parallel_local_mixing_times
 
             return parallel_local_mixing_times(
-                g, self.beta, self.eps, sources=sources, executor=ex, **knobs
+                g, sources=sources, executor=ex, **self._knobs
             )
-        return batched_local_mixing_times(
-            g, self.beta, self.eps, sources=sources, **knobs
-        )
+        return batched_local_mixing_times(g, sources=sources, **self._knobs)
 
     def _solve_full(self, g: Graph):
         return self._solve_batch(g)
@@ -419,7 +400,7 @@ class MixingTracker:
         if prev_g == g:
             # Structurally identical but evicted from the memo.
             return prev_res, g.n, 0
-        if self.target == "degree" and not np.array_equal(
+        if self._knobs["target"] == "degree" and not np.array_equal(
             prev_g.degrees, g.degrees
         ):
             # The degree heuristic ranks every node against the global mean
@@ -441,9 +422,7 @@ class MixingTracker:
             # Nothing to re-solve — still run the driver's walk
             # preconditions so an invalid snapshot raises exactly as a
             # from-scratch call would.
-            from repro.walks.local_mixing import _resolve_walk_bounds
-
-            _resolve_walk_bounds(g, self.lazy, self.t_max)
+            _resolve_walk_bounds(g, self._knobs["lazy"], self._knobs["t_max"])
             fresh = []
         else:
             fresh = self._solve_batch(g, [int(s) for s in redo])

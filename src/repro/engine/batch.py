@@ -239,19 +239,19 @@ def _observe_engine_span(span, kind: str) -> None:
 
 
 def _normalize_sources(g: Graph, sources) -> list[int]:
+    from repro.walks.local_mixing import _check_knob_type
+
     if sources is None:
         sources = range(g.n)
-    out = [int(s) for s in sources]
+    out = []
+    for s in sources:
+        _check_knob_type("source", s)
+        out.append(int(s))
     if not out:
         raise ValueError("need at least one source")
     if min(out) < 0 or max(out) >= g.n:
         raise ValueError("source out of range")
     return out
-
-
-def _validate_schedule(schedule: str) -> None:
-    if schedule not in ("all", "doubling"):
-        raise ValueError(f"unknown t_schedule {schedule!r}")
 
 
 def _prepare_times_call(
@@ -266,6 +266,7 @@ def _prepare_times_call(
     t_schedule: str,
     t_max: int | None,
     lazy: bool,
+    require_source: bool,
     target: str,
     batch_size: int | None,
 ) -> tuple[list[int], list[int], int]:
@@ -273,25 +274,25 @@ def _prepare_times_call(
     (:func:`batched_local_mixing_times` and the sharded
     :func:`~repro.parallel.parallel_local_mixing_times`).
 
-    Every knob — scalars, ``t_schedule``, ``batch_size`` and the ``sizes``
-    grid — is validated *before* sources are normalized or
-    any candidate structure is built, so a bad call fails fast with the
-    same message from every driver.  Returns
-    ``(sources, candidate_sizes, t_max)``.
+    Every knob passes the knob table
+    (:func:`~repro.walks.local_mixing._check_knobs`, the rules
+    :func:`~repro.walks.local_mixing.local_mixing_time` checks too) and
+    the ``sizes`` grid is built *before* sources are normalized, so a bad
+    call fails fast with the same exception and message from every driver.
+    Returns ``(sources, candidate_sizes, t_max)``.
     """
-    from repro.walks.local_mixing import _candidate_sizes, _resolve_walk_bounds
+    from repro.walks.local_mixing import (
+        _candidate_sizes,
+        _check_knobs,
+        _resolve_walk_bounds,
+    )
 
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    if beta < 1:
-        raise ValueError("beta must be >= 1 (sets of size at least n/beta)")
-    if threshold_factor <= 0:
-        raise ValueError("threshold_factor must be positive")
-    if target not in ("uniform", "degree"):
-        raise ValueError(f"unknown target {target!r}")
-    _validate_schedule(t_schedule)
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    _check_knobs(
+        beta=beta, eps=eps, sizes=sizes, threshold_factor=threshold_factor,
+        grid_factor=grid_factor, t_schedule=t_schedule, t_max=t_max,
+        lazy=lazy, require_source=require_source, target=target,
+        batch_size=batch_size,
+    )
     grid_factor = eps if grid_factor is None else grid_factor
     candidates = _candidate_sizes(g.n, beta, sizes, grid_factor)
     src = _normalize_sources(g, sources)
@@ -356,18 +357,10 @@ def canonical_times_key(
     # default all-sources list would cost O(n) per key computation (the
     # serving layer derives one key per submitted query).
     _, candidates, t_max = _prepare_times_call(
-        g,
-        beta,
-        eps,
-        sources=[0],
-        sizes=sizes,
-        threshold_factor=threshold_factor,
-        grid_factor=grid_factor,
-        t_schedule=t_schedule,
-        t_max=t_max,
-        lazy=lazy,
-        target=target,
-        batch_size=batch_size,
+        g, beta, eps, sources=[0], sizes=sizes,
+        threshold_factor=threshold_factor, grid_factor=grid_factor,
+        t_schedule=t_schedule, t_max=t_max, lazy=lazy,
+        require_source=require_source, target=target, batch_size=batch_size,
     )
     return TimesKey(
         sizes=tuple(int(r) for r in candidates),
@@ -388,19 +381,20 @@ def _prepare_profiles_call(
     sizes,
     grid_factor: float,
     t_max: int,
+    lazy: bool,
+    require_source: bool,
 ) -> tuple[list[int], list[int]]:
     """Fail-fast validation head of the profile drivers (batched and
-    parallel): ``beta``, the ``sizes`` grid and ``t_max`` are checked
-    before sources are normalized.  Returns
-    ``(sources, candidate_sizes)``.
+    parallel): the knob table and the ``sizes`` grid are checked before
+    sources are normalized.  Returns ``(sources, candidate_sizes)``.
     """
-    from repro.walks.local_mixing import _candidate_sizes
+    from repro.walks.local_mixing import _candidate_sizes, _check_knobs
 
-    if beta < 1:
-        raise ValueError("beta must be >= 1 (sets of size at least n/beta)")
+    _check_knobs(
+        beta=beta, sizes=sizes, grid_factor=grid_factor, t_max=t_max,
+        lazy=lazy, require_source=require_source,
+    )
     candidates = _candidate_sizes(g.n, beta, sizes, grid_factor)
-    if t_max < 0:
-        raise ValueError("t_max must be non-negative")
     src = _normalize_sources(g, sources)
     return src, candidates
 
@@ -414,21 +408,18 @@ def _prepare_spectra_call(
     grid_factor: float | None,
     t_max: int | None,
     lazy: bool,
+    require_source: bool,
 ) -> tuple[list[int], list[int], int]:
     """Fail-fast validation head of the spectrum drivers (batched and
     parallel): knobs — including the explicit ``sizes`` list — are checked
     before sources are normalized.  Returns
     ``(sources, sizes, t_max)``."""
-    from repro.walks.local_mixing import _resolve_walk_bounds, size_grid
+    from repro.walks.local_mixing import _resolve_walk_bounds, _spectrum_sizes
 
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    if sizes is None:
-        sizes = size_grid(g.n, g.n, eps if grid_factor is None else grid_factor)
-    else:
-        sizes = sorted(set(int(s) for s in sizes))
-        if not sizes or sizes[0] < 1 or sizes[-1] > g.n:
-            raise ValueError("sizes out of range")
+    sizes = _spectrum_sizes(
+        g.n, eps, sizes, grid_factor, t_max=t_max, lazy=lazy,
+        require_source=require_source,
+    )
     src = _normalize_sources(g, sources)
     t_max = _resolve_walk_bounds(g, lazy, t_max)
     return src, sizes, t_max
@@ -476,18 +467,10 @@ def batched_local_mixing_times(
     reference this is tested against).
     """
     src, candidates, t_max = _prepare_times_call(
-        g,
-        beta,
-        eps,
-        sources=sources,
-        sizes=sizes,
-        threshold_factor=threshold_factor,
-        grid_factor=grid_factor,
-        t_schedule=t_schedule,
-        t_max=t_max,
-        lazy=lazy,
-        target=target,
-        batch_size=batch_size,
+        g, beta, eps, sources=sources, sizes=sizes,
+        threshold_factor=threshold_factor, grid_factor=grid_factor,
+        t_schedule=t_schedule, t_max=t_max, lazy=lazy,
+        require_source=require_source, target=target, batch_size=batch_size,
     )
     threshold = eps * threshold_factor
     kernels = _kernels()
@@ -747,7 +730,7 @@ def batched_local_mixing_profiles(
 
     src, candidates = _prepare_profiles_call(
         g, beta, sources=sources, sizes=sizes, grid_factor=grid_factor,
-        t_max=t_max,
+        t_max=t_max, lazy=lazy, require_source=require_source,
     )
     kernels = _kernels()
     Rs = np.asarray(candidates, dtype=np.int64)
@@ -938,6 +921,7 @@ def batched_local_mixing_spectra(
         grid_factor=grid_factor,
         t_max=t_max,
         lazy=lazy,
+        require_source=require_source,
     )
 
     kernels = _kernels()

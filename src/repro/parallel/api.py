@@ -92,20 +92,6 @@ def parallel_local_mixing_times(
     calls; otherwise a pool is created and torn down inside this call.
     ``n_workers`` doubles as the shard count when an executor is supplied.
     """
-    src, _, _ = _prepare_times_call(
-        g,
-        beta,
-        eps,
-        sources=sources,
-        sizes=sizes,
-        threshold_factor=threshold_factor,
-        grid_factor=grid_factor,
-        t_schedule=t_schedule,
-        t_max=t_max,
-        lazy=lazy,
-        target=target,
-        batch_size=batch_size,
-    )
     kwargs = dict(
         beta=beta,
         eps=eps,
@@ -119,6 +105,7 @@ def parallel_local_mixing_times(
         target=target,
         batch_size=batch_size,
     )
+    src, _, _ = _prepare_times_call(g, sources=sources, **kwargs)
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:
         return ex.run_sharded(g, "times", src, kwargs, n_shards=n_workers)
@@ -145,15 +132,6 @@ def parallel_local_mixing_spectra(
     :func:`~repro.engine.batch.batched_local_mixing_spectra`: the full
     per-source spectrum ``R → first t``, in ``sources`` order, identical to
     the serial call for every knob (``require_source`` included)."""
-    src, _, _ = _prepare_spectra_call(
-        g,
-        eps,
-        sources=sources,
-        sizes=sizes,
-        grid_factor=grid_factor,
-        t_max=t_max,
-        lazy=lazy,
-    )
     kwargs = dict(
         eps=eps,
         sizes=sizes,
@@ -162,6 +140,7 @@ def parallel_local_mixing_spectra(
         lazy=lazy,
         require_source=require_source,
     )
+    src, _, _ = _prepare_spectra_call(g, sources=sources, **kwargs)
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:
         return ex.run_sharded(g, "spectra", src, kwargs, n_shards=n_workers)
@@ -189,10 +168,6 @@ def parallel_local_mixing_profiles(
     ``(k, t_max + 1)`` deviation-profile block, rows in ``sources`` order
     and bitwise equal to the serial call (each worker propagates only its
     own row block, so peak memory drops by the worker count)."""
-    src, _ = _prepare_profiles_call(
-        g, beta, sources=sources, sizes=sizes, grid_factor=grid_factor,
-        t_max=t_max,
-    )
     kwargs = dict(
         beta=beta,
         sizes=sizes,
@@ -201,6 +176,7 @@ def parallel_local_mixing_profiles(
         lazy=lazy,
         require_source=require_source,
     )
+    src, _ = _prepare_profiles_call(g, sources=sources, **kwargs)
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:
         return ex.run_sharded(g, "profiles", src, kwargs, n_shards=n_workers)

@@ -19,16 +19,24 @@ execution-only ``batch_size`` (proven result-neutral by the
 loop-equivalence contract) is kept out of the cache key entirely: it
 splits coalescer groups, since one engine call runs with one chunk size,
 but never fragments the cache.
+
+A query checks its knob *types* at construction, against the engine's
+one knob table (:func:`~repro.walks.local_mixing._check_knob_types`): a
+float source, a string flag or a bool batch size raises ``TypeError``
+and a non-finite real ``ValueError``, so no coerced query reaches a
+cache key.  Value ranges need the resolved graph and are checked at
+submission, where a bad value is recorded as ``bad_request``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from repro.constants import DEFAULT_EPS
 from repro.engine.batch import TimesKey, canonical_times_key
 from repro.graphs.base import Graph
+from repro.walks.local_mixing import _check_knob_types
 
 __all__ = ["ExecutionKey", "MixingQuery"]
 
@@ -43,22 +51,6 @@ class ExecutionKey(NamedTuple):
 
     times: TimesKey
     batch_size: int | None
-
-
-#: Field names forwarded verbatim to the batched engine driver.
-_ENGINE_KNOBS = (
-    "beta",
-    "eps",
-    "sizes",
-    "threshold_factor",
-    "grid_factor",
-    "t_schedule",
-    "t_max",
-    "lazy",
-    "require_source",
-    "target",
-    "batch_size",
-)
 
 
 @dataclass(frozen=True)
@@ -101,6 +93,13 @@ class MixingQuery:
     #: identity.
     priority: int = 0
 
+    def __post_init__(self):
+        # Types only: ranges are checked at submission (module docstring).
+        _check_knob_types(
+            source=self.source, **self.engine_kwargs(),
+            deadline=self.deadline, priority=self.priority,
+        )
+
     def engine_kwargs(self) -> dict:
         """The knob dictionary a batched/parallel driver call takes
         (everything except the graph and the source list)."""
@@ -121,3 +120,10 @@ class MixingQuery:
     def execution_key(self, g: Graph) -> ExecutionKey:
         """The coalescing group key: semantics plus ``batch_size``."""
         return ExecutionKey(self.semantic_key(g), self.batch_size)
+
+
+#: Field names forwarded verbatim to the batched engine driver.
+_ENGINE_KNOBS = tuple(
+    f.name for f in fields(MixingQuery)
+    if f.name not in ("graph", "source", "deadline", "priority")
+)

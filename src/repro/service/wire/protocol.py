@@ -33,7 +33,10 @@ every v1 encoder sends, so a v1 client gets that typed version error.
 Version 3 dropped the ``method`` query field the same way (τ has one
 method, the iterative block trajectory).
 Unknown fields are rejected too — a typo'd knob must fail loudly, not
-silently fall back to a default.
+silently fall back to a default.  The decoder checks only JSON shape;
+field types are the query model's own check (the engine's knob table),
+so a mistyped field is ``bad_request`` with the message an in-process
+caller gets.
 """
 
 from __future__ import annotations
@@ -110,53 +113,6 @@ class WireError(ReproError):
 _QUERY_FIELDS = tuple(
     f.name for f in dataclass_fields(MixingQuery) if f.name != "graph"
 )
-_QUERY_DEFAULTS = {
-    f.name: f.default for f in dataclass_fields(MixingQuery)
-    if f.name not in ("graph", "source")
-}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer past the double range
-        return False
-
-
-def _optional(check):
-    return lambda value: value is None or check(value)
-
-
-#: The JSON type each query field must carry, with the phrase a
-#: ``bad_request`` names it by.  Python would quietly coerce a bool to
-#: an int, a float source to its floor, or a string ``"false"`` to a
-#: true flag, so the decoder checks types before anything reads them.
-_FIELD_TYPES = {
-    "source": (_is_int, "an integer"),
-    "beta": (_is_number, "a finite number"),
-    "eps": (_is_number, "a finite number"),
-    "sizes": (
-        lambda v: isinstance(v, str)
-        or (isinstance(v, list) and all(_is_int(s) for s in v)),
-        "a mode string or a list of integers",
-    ),
-    "threshold_factor": (_is_number, "a finite number"),
-    "grid_factor": (_optional(_is_number), "null or a finite number"),
-    "t_schedule": (lambda v: isinstance(v, str), "a string"),
-    "t_max": (_optional(_is_int), "null or an integer"),
-    "lazy": (lambda v: isinstance(v, bool), "a boolean"),
-    "require_source": (lambda v: isinstance(v, bool), "a boolean"),
-    "target": (lambda v: isinstance(v, str), "a string"),
-    "batch_size": (_optional(_is_int), "null or an integer"),
-    "deadline": (_optional(_is_number), "null or a finite number"),
-    "priority": (_is_int, "an integer"),
-}
 
 
 def encode_query(query: MixingQuery) -> dict:
@@ -185,10 +141,10 @@ def decode_query(obj: dict) -> MixingQuery:
     Strict: ``graph`` (a name) and ``source`` are required, every other
     field falls back to the query model's default, and *unknown* fields
     raise ``bad_request`` — a misspelled knob must never be silently
-    ignored.  A field of the wrong JSON type (see :data:`_FIELD_TYPES`:
-    a bool where an integer belongs, a fraction for an integer, a string
-    for a flag) is ``bad_request`` too; the engine's own fail-fast
-    validation of values still runs server-side on submission.
+    ignored.  Field types are the query model's own check (the engine's
+    knob table): a bool where an integer belongs, a fraction for an
+    integer or a string for a flag raises there and is ``bad_request``
+    here; value ranges are checked server-side on submission.
     """
     if not isinstance(obj, dict):
         raise WireError("bad_request", "query must be a JSON object")
@@ -204,18 +160,10 @@ def decode_query(obj: dict) -> MixingQuery:
         )
     if "source" not in obj:
         raise WireError("bad_request", "query.source is required")
-    for name, value in obj.items():
-        if name != "graph" and not _FIELD_TYPES[name][0](value):
-            raise WireError(
-                "bad_request",
-                f"query.{name} must be {_FIELD_TYPES[name][1]}, "
-                f"got {value!r:.60}",
-            )
-    kwargs = {}
-    for name, default in _QUERY_DEFAULTS.items():
-        value = obj.get(name, default)
-        kwargs[name] = list(value) if isinstance(value, list) else value
-    return MixingQuery(graph=graph, source=obj["source"], **kwargs)
+    try:
+        return MixingQuery(**obj)
+    except (TypeError, ValueError) as exc:
+        raise WireError("bad_request", str(exc)) from exc
 
 
 def encode_request(query: MixingQuery, *, id: object = None) -> dict:

@@ -115,6 +115,7 @@ from repro.service.wire.http import (
     ws_encode_frame,
     ws_read_message,
 )
+from repro.walks.local_mixing import _is_integer
 
 __all__ = ["WireServer"]
 
@@ -309,13 +310,13 @@ class WireServer:
     @staticmethod
     def _peek_priority(obj) -> int:
         """The ``priority`` of a not-yet-decoded request envelope (0 on
-        any malformation — a bad request never preempts anyone; it fails
-        in ``decode_request`` after admission like before)."""
+        any malformation, a non-integer priority included — a bad request
+        never preempts anyone; it fails in ``decode_request`` after
+        admission)."""
         if isinstance(obj, dict) and isinstance(obj.get("query"), dict):
-            try:
-                return int(obj["query"].get("priority", 0))
-            except (TypeError, ValueError):
-                return 0
+            priority = obj["query"].get("priority", 0)
+            if _is_integer(priority):
+                return priority
         return 0
 
     def _try_preempt(self, priority: int) -> bool:
@@ -493,7 +494,12 @@ class WireServer:
                 request.header("connection").lower() != "close"
                 and not self._draining
             )
-            status, body, ctype = await self._route(request)
+            try:
+                status, body, ctype = await self._route(request)
+            except Exception as exc:  # noqa: BLE001 - answered as 500
+                status, body, ctype = self._error_route(
+                    500, "internal", f"{type(exc).__name__}: {exc}"
+                )
             writer.write(
                 render_response(
                     status, body, content_type=ctype, keep_alive=keep_alive
@@ -519,36 +525,15 @@ class WireServer:
             return self._route_debug(request, path)
         if path == "/v1/query":
             if method != "POST":
-                return (
-                    405,
-                    protocol.dumps(
-                        protocol.encode_error_response(
-                            None, "bad_request", "POST /v1/query"
-                        )
-                    ),
-                    "application/json",
-                )
+                return self._error_route(405, "bad_request", "POST /v1/query")
             response, status = await self._answer(request.body, "http")
             return status, protocol.dumps(response), "application/json"
         if path == "/v1/ws":
-            return (
-                426,
-                protocol.dumps(
-                    protocol.encode_error_response(
-                        None, "bad_request",
-                        "/v1/ws requires a WebSocket upgrade",
-                    )
-                ),
-                "application/json",
+            return self._error_route(
+                426, "bad_request", "/v1/ws requires a WebSocket upgrade"
             )
-        return (
-            404,
-            protocol.dumps(
-                protocol.encode_error_response(
-                    None, "not_found", f"no route {method} {path}"
-                )
-            ),
-            "application/json",
+        return self._error_route(
+            404, "not_found", f"no route {method} {path}"
         )
 
     def _healthz_body(self, request: Request) -> bytes:
@@ -620,7 +605,7 @@ class WireServer:
         )
         unknown = sorted(set(params) - set(allowed or ()))
         if allowed is not None and unknown:
-            return self._debug_error(
+            return self._error_route(
                 400, "bad_request", f"unknown query parameters: {unknown}"
             )
 
@@ -633,7 +618,7 @@ class WireServer:
                 int(param("limit")) if param("limit") is not None else None
             )
         except ValueError:
-            return self._debug_error(
+            return self._error_route(
                 400, "bad_request", f"bad limit {param('limit')!r}"
             )
         if path == "/v1/debug/flight":
@@ -654,31 +639,28 @@ class WireServer:
             )
             return 200, protocol.dumps(payload), "application/json"
         if path == self._STREAM_PATH:
-            return (
-                426,
-                protocol.dumps(
-                    protocol.encode_error_response(
-                        None, "bad_request",
-                        f"{self._STREAM_PATH} requires a WebSocket upgrade",
-                    )
-                ),
-                "application/json",
+            return self._error_route(
+                426, "bad_request",
+                f"{self._STREAM_PATH} requires a WebSocket upgrade",
             )
         if path.startswith(trace_prefix):
             self._debug_requests.labels(endpoint="trace").inc()
             trace_id = path[len(trace_prefix):]
             payload = flight_export.trace_payload(flight, trace_id)
             if payload is None:
-                return self._debug_error(
+                return self._error_route(
                     404, "not_found", f"no flight record {trace_id!r}"
                 )
             return 200, protocol.dumps(payload), "application/json"
-        return self._debug_error(
+        return self._error_route(
             404, "not_found", f"no debug route {path}"
         )
 
     @staticmethod
-    def _debug_error(status: int, code: str, message: str) -> tuple[int, bytes, str]:
+    def _error_route(
+        status: int, code: str, message: str
+    ) -> tuple[int, bytes, str]:
+        """A plain-HTTP route's error answer: one protocol envelope."""
         return (
             status,
             protocol.dumps(

@@ -29,7 +29,9 @@ Semantics knobs mirror the paper exactly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,15 +192,20 @@ def best_uniform_deviation(
 def size_grid(n: int, beta: float, grid_factor: float) -> list[int]:
     """The algorithm's set-size grid ``R = n/β, (1+ε)n/β, …, n`` (integers,
     deduplicated, always ending at ``n``)."""
-    if beta < 1:
-        raise ValueError("beta must be >= 1")
-    if grid_factor <= 0:
-        raise ValueError("grid_factor must be positive")
+    _check_knobs(beta=beta, grid_factor=grid_factor)
+    growth = 1.0 + grid_factor
+    if n * (growth - 1.0) <= 0.5:
+        # Each step r·(growth − 1) is below n·(growth − 1) ≤ 1/2 while
+        # r < n, so consecutive ceilings differ by at most 1 and the loop
+        # below would hit every integer from ⌈n/β⌉ to n — and would never
+        # end once 1 + grid_factor rounds to 1.  Past this bound the loop
+        # runs O(n·ln β) steps (about 1.5 s at n = 1000, β = 1e300).
+        return list(range(int(math.ceil(n / beta)), n + 1))
     sizes = []
     r = n / beta
     while r < n:
         sizes.append(int(math.ceil(r)))
-        r *= 1.0 + grid_factor
+        r *= growth
     sizes.append(n)
     return sorted(set(min(max(s, 1), n) for s in sizes))
 
@@ -231,6 +238,96 @@ class LocalMixingResult:
     sizes_checked: int
 
 
+def _is_integer(value) -> bool:
+    # The exact-type test first: the ABC check costs ~10x more.
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+
+
+#: Knob type phrase → test.  Python would quietly read a bool as an
+#: integer, a float source as its floor or ``"false"`` as a true flag, so
+#: every front door checks types before it reads a value.
+_KINDS = {
+    "an integer": _is_integer,
+    "a finite real number": lambda v: type(v) is float or (
+        isinstance(v, numbers.Real) and not isinstance(v, bool)
+    ),
+    "a bool": lambda v: type(v) is bool,
+    "a string": lambda v: isinstance(v, str),
+    "a mode string or an iterable of integers": lambda v: isinstance(v, str)
+    or (
+        isinstance(v, Iterable)
+        and not isinstance(v, Mapping)
+        and all(map(_is_integer, v))
+    ),
+}
+
+#: The one table of τ knob rules (Definition 2: β ≥ 1, ε ∈ (0,1), a source
+#: node, set sizes in [1, n]): ``name → (kind, range test, message)``.
+#: Ranges that need the graph (source and explicit sizes against ``n``,
+#: the sizes mode) are checked by :func:`_candidate_sizes` and the
+#: drivers' source normalization.
+_KNOB_RULES = {
+    "source": ("an integer", None, None),
+    "beta": ("a finite real number", lambda v: v >= 1,
+             "beta must be >= 1 (sets of size at least n/beta)"),
+    "eps": ("a finite real number", lambda v: 0 < v < 1,
+            "eps must be in (0,1)"),
+    "sizes": ("a mode string or an iterable of integers", None, None),
+    "threshold_factor": ("a finite real number", lambda v: v > 0,
+                         "threshold_factor must be positive"),
+    "grid_factor": ("a finite real number", lambda v: v > 0,
+                    "grid_factor must be positive"),
+    "t_schedule": ("a string", lambda v: v in ("all", "doubling"),
+                   "unknown t_schedule {!r}"),
+    "t_max": ("an integer", lambda v: v >= 0, "t_max must be non-negative"),
+    "lazy": ("a bool", None, None),
+    "require_source": ("a bool", None, None),
+    "target": ("a string", lambda v: v in ("uniform", "degree"),
+               "unknown target {!r}"),
+    "batch_size": ("an integer", lambda v: v >= 1, "batch_size must be >= 1"),
+    "deadline": ("a finite real number", None, None),
+    "priority": ("an integer", None, None),
+}
+
+#: Knobs for which ``None`` means "the default" and passes every rule.
+_OPTIONAL_KNOBS = frozenset({"grid_factor", "t_max", "batch_size", "deadline"})
+
+
+def _check_knob_type(name: str, value) -> None:
+    """Raise ``TypeError`` unless ``value`` has knob ``name``'s kind, and
+    ``ValueError`` when a real knob is not finite."""
+    if value is None and name in _OPTIONAL_KNOBS:
+        return
+    kind = _KNOB_RULES[name][0]
+    if not _KINDS[kind](value):
+        raise TypeError(f"{name} must be {kind}, got {value!r:.60}")
+    if kind == "a finite real number":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer past the double range
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r:.60}")
+
+
+def _check_knob_types(**knobs) -> None:
+    """The type half of :data:`_KNOB_RULES`, for checks made before a
+    graph is known (a query object at construction)."""
+    for name, value in knobs.items():
+        _check_knob_type(name, value)
+
+
+def _check_knobs(**knobs) -> None:
+    """Each knob's type, then its graph-free range (:data:`_KNOB_RULES`)."""
+    for name, value in knobs.items():
+        _check_knob_type(name, value)
+        _, in_range, message = _KNOB_RULES[name]
+        if in_range is not None and value is not None and not in_range(value):
+            raise ValueError(message.format(value))
+
+
 def _candidate_sizes(n: int, beta: float, sizes, grid_factor: float) -> list[int]:
     if isinstance(sizes, str):
         if sizes == "all":
@@ -244,13 +341,24 @@ def _candidate_sizes(n: int, beta: float, sizes, grid_factor: float) -> list[int
     return out
 
 
+def _spectrum_sizes(
+    n: int, eps: float, sizes, grid_factor, **knobs
+) -> list[int]:
+    """Shared knob head of the spectrum functions: checks ``knobs`` too,
+    and returns the explicit ``sizes`` or (``None``) the geometric grid
+    over ``[1, n]``."""
+    sizes = "grid" if sizes is None else sizes
+    _check_knobs(eps=eps, sizes=sizes, grid_factor=grid_factor, **knobs)
+    return _candidate_sizes(
+        n, n, sizes, eps if grid_factor is None else grid_factor
+    )
+
+
 def _resolve_walk_bounds(g: Graph, lazy: bool, t_max: int | None) -> int:
     """Shared preconditions for walk-length searches (centralized and the
-    batch engine): the graph must be connected and, unless the walk is lazy,
-    non-bipartite, and an explicit ``t_max`` must be non-negative; returns
-    ``t_max`` with the ``O(n³)`` default applied."""
-    if t_max is not None and t_max < 0:
-        raise ValueError("t_max must be non-negative")
+    batch engine), run after the knob table: the graph must be connected
+    and, unless the walk is lazy, non-bipartite; returns ``t_max`` with
+    the ``O(n³)`` default applied."""
     g.require_connected()
     if not lazy and g.is_bipartite:
         raise BipartiteGraphError(
@@ -265,13 +373,11 @@ def _t_iter(schedule: str, t_max: int):
         while t <= t_max:
             yield t
             t += 1
-    elif schedule == "doubling":
+    else:  # "doubling"; the knob table has rejected anything else
         t = 1
         while t <= t_max:
             yield t
             t *= 2
-    else:
-        raise ValueError(f"unknown t_schedule {schedule!r}")
 
 
 def local_mixing_time(
@@ -308,10 +414,12 @@ def local_mixing_time(
         (:func:`~repro.engine.batch.batched_local_mixing_times`), whose
         per-source results are identical to this loop.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    if beta < 1:
-        raise ValueError("beta must be >= 1 (sets of size at least n/beta)")
+    _check_knobs(
+        source=source, beta=beta, eps=eps, sizes=sizes,
+        threshold_factor=threshold_factor, grid_factor=grid_factor,
+        t_schedule=t_schedule, t_max=t_max, lazy=lazy,
+        require_source=require_source, target=target,
+    )
     if not 0 <= source < g.n:
         raise ValueError("source out of range")
     t_max = _resolve_walk_bounds(g, lazy, t_max)
@@ -333,33 +441,21 @@ def local_mixing_time(
         steps += 1
         if target == "uniform":
             oracle = UniformDeviationOracle(p, source=source)
-            for R in candidates:
-                checks += 1
+        for R in candidates:
+            checks += 1
+            if target == "uniform":
                 s, _ = oracle.best_sum(R, require_source=require_source)
-                if s < threshold:
-                    return LocalMixingResult(
-                        time=t,
-                        set_size=R,
-                        deviation=s,
-                        threshold=threshold,
-                        steps_checked=steps,
-                        sizes_checked=checks,
-                    )
-        elif target == "degree":
-            for R in candidates:
-                checks += 1
+            else:
                 s = _degree_target_best(p, degrees, R, source, require_source)
-                if s < threshold:
-                    return LocalMixingResult(
-                        time=t,
-                        set_size=R,
-                        deviation=s,
-                        threshold=threshold,
-                        steps_checked=steps,
-                        sizes_checked=checks,
-                    )
-        else:
-            raise ValueError(f"unknown target {target!r}")
+            if s < threshold:
+                return LocalMixingResult(
+                    time=t,
+                    set_size=R,
+                    deviation=s,
+                    threshold=threshold,
+                    steps_checked=steps,
+                    sizes_checked=checks,
+                )
     raise ConvergenceError(
         f"no local mixing found up to t_max={t_max} "
         f"(beta={beta}, eps={eps}, threshold={threshold})",
@@ -444,7 +540,7 @@ def graph_local_mixing_time(
     if sources is None:
         sources = range(g.n)
     return max(
-        local_mixing_time(g, int(s), beta, eps, **kwargs).time for s in sources
+        local_mixing_time(g, s, beta, eps, **kwargs).time for s in sources
     )
 
 
@@ -505,15 +601,11 @@ def local_mixing_spectrum(
 
     Default sizes: the geometric grid over the full range ``[1, n]``.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
+    sizes = _spectrum_sizes(
+        g.n, eps, sizes, grid_factor, source=source, t_max=t_max, lazy=lazy,
+        require_source=require_source,
+    )
     t_max = _resolve_walk_bounds(g, lazy, t_max)
-    if sizes is None:
-        sizes = size_grid(g.n, g.n, eps if grid_factor is None else grid_factor)
-    else:
-        sizes = sorted(set(int(s) for s in sizes))
-        if not sizes or sizes[0] < 1 or sizes[-1] > g.n:
-            raise ValueError("sizes out of range")
     unresolved = set(sizes)
     out: dict[int, int | float] = {}
     for t, p in distribution_trajectory(g, source, lazy=lazy, t_max=t_max):

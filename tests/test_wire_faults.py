@@ -554,6 +554,99 @@ class TestPriorityPreemption:
         asyncio.run(main())
 
 
+    def test_malformed_priority_never_preempts(
+        self, expander, expander_direct
+    ):
+        """A request whose ``priority`` is not an integer (the string
+        ``"9"``) peeks as priority 0: under a full queue it is refused
+        with 429 and the admitted waiter keeps its slot and its answer."""
+        from repro.service.wire import http as wire_http
+        from repro.service.wire import protocol
+
+        req = protocol.encode_request(wire_query(1), id=1)
+        req["query"]["priority"] = "9"
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.05) as svc:
+                slow_solver(svc, 0.2)
+                async with WireServer(svc, max_pending=1) as server:
+                    async with WireClient(
+                        server.host, server.port
+                    ) as client:
+                        parked = asyncio.ensure_future(
+                            client.submit(wire_query(0))
+                        )
+                        await asyncio.sleep(0.02)  # parked is admitted
+                        reader, writer = await asyncio.open_connection(
+                            server.host, server.port
+                        )
+                        writer.write(
+                            wire_http.render_request(
+                                "POST", "/v1/query",
+                                host=f"{server.host}:{server.port}",
+                                body=protocol.dumps(req),
+                                extra_headers=(("Connection", "close"),),
+                            )
+                        )
+                        await writer.drain()
+                        response = await wire_http.read_response(reader)
+                        writer.close()
+                        assert await parked == expander_direct[0]
+                    stats = server.stats()
+                assert_no_leaks(svc, server)
+            return response, stats
+
+        response, stats = asyncio.run(main())
+        check_accounting(stats)
+        assert response.method == "429"
+        assert stats["preempted"] == 0
+        assert stats["rejected"] == 1
+        assert stats["answered"] == 1
+
+
+# --------------------------------------------------------------------- #
+# A route that raises answers a typed 500
+# --------------------------------------------------------------------- #
+
+
+class TestRouteFailure:
+    def test_raising_route_answers_internal_500(
+        self, expander, monkeypatch
+    ):
+        """An exception while building a debug response is answered as a
+        500 ``internal`` envelope, not a connection closed with no
+        response; the server keeps serving."""
+        from repro.obs import export as flight_export
+        from repro.service.wire import protocol
+        from repro.service.wire.client import http_get
+
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("export failed")
+
+        monkeypatch.setattr(flight_export, "flight_payload", broken)
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                async with WireServer(svc) as server:
+                    failed = await http_get(
+                        server.host, server.port, "/v1/debug/flight"
+                    )
+                    health = await http_get(
+                        server.host, server.port, "/healthz?live=1"
+                    )
+            return failed, health
+
+        (status, body), (health, _) = asyncio.run(main())
+        assert status == 500
+        error = protocol.loads(body)["error"]
+        assert error == {
+            "code": "internal", "message": "RuntimeError: export failed"
+        }
+        assert health == 200
+
+
 # --------------------------------------------------------------------- #
 # No leaked shared memory
 # --------------------------------------------------------------------- #
