@@ -12,7 +12,7 @@ The package provides, bottom-up:
 * :mod:`repro.engine` — the batched multi-source walk engine: block
   trajectories (one sparse mat-mat per step for all sources), batched
   deviation oracles (grid kernels + search-free lower bounds) behind
-  ``τ(β,ε) = max_v τ_v(β,ε)``, and a controllable shared spectral cache.
+  ``τ(β,ε) = max_v τ_v(β,ε)``.
 * :mod:`repro.parallel` — sharded multi-core execution: the graph's CSR
   arrays in shared memory, a persistent
   :class:`~repro.parallel.ShardExecutor` worker pool, and parallel front
@@ -91,9 +91,6 @@ from repro.engine import (
     batched_local_mixing_spectra,
     batched_local_mixing_times,
     batched_mixing_times,
-    clear_propagator_cache,
-    propagator_cache_info,
-    set_propagator_cache_maxsize,
 )
 from repro.parallel import (
     ShardExecutor,
@@ -165,9 +162,6 @@ __all__ = [
     "batched_local_mixing_spectra",
     "batched_local_mixing_profiles",
     "batched_mixing_times",
-    "clear_propagator_cache",
-    "set_propagator_cache_maxsize",
-    "propagator_cache_info",
     # parallel (sharded multi-core)
     "ShardExecutor",
     "parallel_local_mixing_times",

@@ -10,13 +10,10 @@ Sarma–Molla–Pandurangan) instead evolve a topology round by round, so the
 Snapshots are *structurally memoized*: :meth:`DynamicGraph.snapshot` returns
 the **same** :class:`Graph` object whenever the edge set matches a recently
 materialized structure (graphs hash by their CSR arrays, so an
-add-then-remove round trip lands back on the earlier instance).  Downstream
-per-graph caches — ``Graph``'s own ``cached_property`` bits, and for
-global-mixing-time calls the engine's
-:func:`~repro.engine.propagator.shared_spectral_propagator` eigenbasis
-cache (τ computations never fill it) — therefore hit on unchanged or
-revisited structures and are naturally invalidated (by keying to a new
-object) on changed ones.
+add-then-remove round trip lands back on the earlier instance).  Per-graph
+caches — ``Graph``'s own ``cached_property`` bits, and the result caches
+keyed by graph — therefore hit on unchanged or revisited structures and are
+naturally invalidated (by keying to a new object) on changed ones.
 
 Node churn is supported via :meth:`add_node` / :meth:`remove_node`.  Nodes
 are always the contiguous integers ``0..n-1`` (a :class:`Graph` invariant),

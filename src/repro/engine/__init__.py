@@ -9,9 +9,7 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
 
 * :class:`~repro.engine.propagator.BlockPropagator` advances an ``n × k``
   block of distributions with **one sparse mat-mat per step** (``P ← A @ P``)
-  instead of ``k`` independent matvec trajectories, plus a shared
-  :class:`~repro.walks.distribution.SpectralPropagator` cache keyed by
-  ``(graph, lazy)`` for the global mixing time's random access in ``t``.
+  instead of ``k`` independent matvec trajectories.
 * :class:`~repro.engine.oracle.BatchedUniformDeviationOracle` sorts all ``k``
   columns at once and answers ``min_{|S|=R} Σ|p − 1/R|`` for every source per
   ``(t, R)`` grid point in ``O(k log n)`` via a unimodal bracket search —
@@ -38,23 +36,14 @@ deviation scan of :mod:`repro.engine.oracle` — are plain functions the
 drivers call directly; while observability is enabled each driver call
 binds them once to :class:`~repro.obs.KernelProfiler` timing closures.
 
-τ computations have one method, the iterative block trajectory, and never
-touch the spectral cache; only global-mixing-time calls
-(:func:`~repro.engine.batch.batched_mixing_times` and the batch engine of
-:func:`~repro.walks.mixing.graph_mixing_time`) fill it.  Each cached
-entry pins a dense ``n × n`` eigenbasis, so the cache is controllable:
-:func:`~repro.engine.propagator.clear_propagator_cache`,
-:func:`~repro.engine.propagator.set_propagator_cache_maxsize` and
-:func:`~repro.engine.propagator.propagator_cache_info` bound and inspect it.
+τ computations have one method, the iterative block trajectory.  Only the
+global mixing time (:func:`~repro.engine.batch.batched_mixing_times`)
+offers a spectral method; each call builds its own
+:class:`~repro.walks.distribution.SpectralPropagator`, so no dense
+eigenbasis outlives the call and the engine holds no process-wide state.
 """
 
-from repro.engine.propagator import (
-    BlockPropagator,
-    clear_propagator_cache,
-    propagator_cache_info,
-    set_propagator_cache_maxsize,
-    shared_spectral_propagator,
-)
+from repro.engine.propagator import BlockPropagator
 from repro.engine.oracle import (
     BatchedDegreeDeviationOracle,
     BatchedUniformDeviationOracle,
@@ -70,10 +59,6 @@ from repro.engine.batch import (
 
 __all__ = [
     "BlockPropagator",
-    "shared_spectral_propagator",
-    "clear_propagator_cache",
-    "set_propagator_cache_maxsize",
-    "propagator_cache_info",
     "BatchedDegreeDeviationOracle",
     "BatchedUniformDeviationOracle",
     "batched_local_mixing_times",

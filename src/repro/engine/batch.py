@@ -776,28 +776,23 @@ def batched_mixing_times(
     ``method="iterative"`` scans one block trajectory (bitwise identical to
     the per-source scan).  ``"spectral"`` runs the per-source doubling +
     binary search (valid by Lemma 1 monotonicity) with all columns advanced
-    in lockstep through the shared eigendecomposition; block evaluations can
-    drift from :meth:`~repro.walks.distribution.SpectralPropagator.from_source`
-    by BLAS-accumulation ulps, so any column whose distance lands within
+    in lockstep through one eigendecomposition, built for this call;
+    block evaluations can drift from
+    :meth:`~repro.walks.distribution.SpectralPropagator.from_source` by
+    BLAS-accumulation ulps, so any column whose distance lands within
     ``1e-9`` (relative) of ``eps`` is re-evaluated with the exact per-source
     arithmetic before the comparison — decisions therefore never differ from
     the per-source loop.  ``"auto"`` picks spectral for ``n ≤ 3000`` like
-    :func:`~repro.walks.mixing.mixing_time`.
+    :func:`~repro.walks.mixing.mixing_time`, whose knob checks (the knob
+    table, then the sources, then the walk preconditions) this head shares.
     """
-    from repro.constants import MAX_WALK_LENGTH_FACTOR
     from repro.spectral.stationary import stationary_distribution
-    from repro.walks.mixing import _check_walk_defined
+    from repro.walks.local_mixing import _check_knobs
+    from repro.walks.mixing import _resolve_mixing_walk
 
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    _check_walk_defined(g, lazy)
+    _check_knobs(eps=eps, lazy=lazy, t_max=t_max, method=method)
     src = _normalize_sources(g, sources)
-    if t_max is None:
-        t_max = MAX_WALK_LENGTH_FACTOR * g.n**3
-    if method == "auto":
-        method = "spectral" if g.n <= 3000 else "iterative"
-    if method not in ("iterative", "spectral"):
-        raise ValueError(f"unknown method {method!r}")
+    t_max, method = _resolve_mixing_walk(g, lazy, t_max, method)
     pi = stationary_distribution(g)
 
     if method == "iterative":
@@ -805,14 +800,18 @@ def batched_mixing_times(
     return _spectral_mixing_times(g, src, eps, pi, lazy, t_max)
 
 
-def _verified_below(P: np.ndarray, pi: np.ndarray, eps: float) -> np.ndarray:
-    """Per column of ``P``: is ``‖p − π‖₁ < eps``, deciding near-threshold
-    columns with the exact contiguous per-source summation order."""
+def _verified_below(
+    P: np.ndarray, pi: np.ndarray, eps: float,
+    exact_below: Callable[[int], bool],
+) -> np.ndarray:
+    """Per column of ``P``: is ``‖p − π‖₁ < eps``.  Columns within
+    :data:`_VERIFY_SLACK` (relative) of ``eps`` are decided by
+    ``exact_below(column)``, the per-source arithmetic."""
     dists = np.abs(P - pi[:, None]).sum(axis=0)
     below = dists < eps
     near = np.abs(dists - eps) <= eps * _VERIFY_SLACK
     for c in np.flatnonzero(near):
-        below[c] = float(np.abs(P[:, int(c)] - pi).sum()) < eps
+        below[c] = exact_below(int(c))
     return below
 
 
@@ -822,7 +821,10 @@ def _iterative_mixing_times(g, src, eps, pi, lazy, t_max):
     col_pos = np.arange(len(src))
     for t in range(t_max + 1):
         P = prop.advance_to(t)
-        below = _verified_below(P, pi, eps)
+        # The exact check sums the column in its contiguous per-source order.
+        below = _verified_below(
+            P, pi, eps, lambda c: float(np.abs(P[:, c] - pi).sum()) < eps
+        )
         for c in np.flatnonzero(below):
             times[col_pos[c]] = t
         keep = np.flatnonzero(~below)
@@ -839,9 +841,9 @@ def _iterative_mixing_times(g, src, eps, pi, lazy, t_max):
 
 
 def _spectral_mixing_times(g, src, eps, pi, lazy, t_max):
-    from repro.engine.propagator import shared_spectral_propagator
+    from repro.walks.distribution import SpectralPropagator
 
-    prop = shared_spectral_propagator(g, lazy)
+    prop = SpectralPropagator(g, lazy=lazy)
     src_arr = np.asarray(src, dtype=np.int64)
     times = np.full(len(src), -1, dtype=np.int64)
 
@@ -851,12 +853,9 @@ def _spectral_mixing_times(g, src, eps, pi, lazy, t_max):
 
     def below_at(js: np.ndarray, ts: np.ndarray) -> np.ndarray:
         P = prop.from_sources_at(src_arr[js], ts)
-        dists = np.abs(P - pi[:, None]).sum(axis=0)
-        below = dists < eps
-        near = np.abs(dists - eps) <= eps * _VERIFY_SLACK
-        for c in np.flatnonzero(near):
-            below[c] = exact_below(int(js[c]), int(ts[c]))
-        return below
+        return _verified_below(
+            P, pi, eps, lambda c: exact_below(int(js[c]), int(ts[c]))
+        )
 
     live = np.arange(len(src))
     zero = below_at(live, np.zeros(live.size, dtype=np.int64))

@@ -12,10 +12,9 @@ cores without giving up a single bit of exactness:
   :class:`~repro.parallel.shared.SharedHandle` (no per-task pickling of
   the topology, no re-validation).  It is the one segment format.
 * :class:`~repro.parallel.executor.ShardExecutor` — a persistent process
-  pool with per-worker warm state (the engine's spectral-cache bound,
-  used by global-mixing-time :func:`~repro.parallel.api.shard_map` tasks,
-  forwarded on spawn; attached graphs and their caches kept hot across
-  tasks), deterministic contiguous source sharding and ordered merges.
+  pool with per-worker warm state (attached graphs and their caches kept
+  hot across tasks), deterministic contiguous source sharding and ordered
+  merges.
 * Front doors :func:`~repro.parallel.api.parallel_local_mixing_times`,
   :func:`~repro.parallel.api.parallel_local_mixing_spectra`,
   :func:`~repro.parallel.api.parallel_local_mixing_profiles` — drop-in

@@ -1,10 +1,9 @@
 """The sharded process-pool executor behind the parallel front doors.
 
 :class:`ShardExecutor` owns a persistent
-:class:`concurrent.futures.ProcessPoolExecutor` whose workers are warmed
-once on spawn (engine spectral-cache settings forwarded via the pool
-initializer) and then reused across calls — the pool survives any number of
-solves, graphs and snapshots.  Graphs travel to workers through
+:class:`concurrent.futures.ProcessPoolExecutor` whose workers start with
+no initializer and are reused across calls — the pool survives any number
+of solves, graphs and snapshots.  Graphs travel to workers through
 :class:`~repro.parallel.shared.SharedCSR` segments published once per
 structure; tasks carry only the tiny
 :class:`~repro.parallel.shared.SharedHandle`.
@@ -64,10 +63,6 @@ from repro.engine.batch import (
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
     batched_local_mixing_times,
-)
-from repro.engine.propagator import (
-    propagator_cache_info,
-    set_propagator_cache_maxsize,
 )
 from repro.graphs.base import Graph
 from repro.obs import (
@@ -142,12 +137,6 @@ def shard_bounds(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 #: memory.
 _WORKER_CACHE_SIZE = 16
 _worker_segments: "OrderedDict[str, SharedCSR]" = OrderedDict()
-
-
-def _init_worker(cache_maxsize: int) -> None:
-    """Pool initializer: apply the parent's spectral-cache bound once per
-    worker (already validated when the parent set it)."""
-    set_propagator_cache_maxsize(cache_maxsize)
 
 
 def _attached(handle: SharedHandle) -> SharedCSR:
@@ -250,10 +239,6 @@ class ShardExecutor:
         Multiprocessing start method (default:
         :func:`default_start_method`).
 
-    Each worker's spectral cache obeys the bound the parent's
-    :func:`~repro.engine.set_propagator_cache_maxsize` set when the
-    executor was built, under every start method.
-
     At most :data:`MAX_PUBLISHED` graph segments stay published; least
     recently used ones beyond the bound are unlinked.  A call's segment is
     pinned from publication until its futures resolve, so eviction never
@@ -287,8 +272,6 @@ class ShardExecutor:
         self._pool = ProcessPoolExecutor(
             max_workers=self.n_workers,
             mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(propagator_cache_info().maxsize,),
         )
         if self.start_method == "fork":
             # A fork pool forks every worker on its first submit.  Do it

@@ -30,6 +30,10 @@ __all__ = [
 
 def initial_distribution(n: int, source: int) -> np.ndarray:
     """The paper's ``p_0(s)``: probability 1 at ``source``, 0 elsewhere."""
+    # Imported here: repro.walks.local_mixing imports this module.
+    from repro.walks.local_mixing import _check_knob_type
+
+    _check_knob_type("source", source)
     if not 0 <= source < n:
         raise ValueError(f"source {source} out of range for n={n}")
     p = np.zeros(n, dtype=np.float64)
@@ -113,27 +117,14 @@ class SpectralPropagator:
         return self._eigvals ** int(t)
 
     def propagate(self, p0: np.ndarray, t: int) -> np.ndarray:
-        """``p_t`` for an arbitrary start distribution ``p0``.
-
-        ``p0`` may also be an ``(n, k)`` block of ``k`` start distributions
-        (one per column, as produced by
-        :class:`~repro.engine.propagator.BlockPropagator`); the result then
-        has the same shape, each column propagated independently.
-        """
+        """``p_t`` for an arbitrary start distribution ``p0`` (a vector)."""
         if t < 0:
             raise ValueError("t must be non-negative")
         p0 = np.asarray(p0, dtype=np.float64)
-        if p0.ndim == 1:
-            coeff = self._eigvecs.T @ (p0 / self._sqrt_deg)
-            return self._sqrt_deg * (
-                self._eigvecs @ (self._lambda_power(t) * coeff)
-            )
-        if p0.ndim != 2:
-            raise ValueError("p0 must be a vector or an (n, k) block")
-        coeff = self._eigvecs.T @ (p0 / self._sqrt_deg[:, None])
-        return self._sqrt_deg[:, None] * (
-            self._eigvecs @ (self._lambda_power(t)[:, None] * coeff)
-        )
+        if p0.ndim != 1:
+            raise ValueError("p0 must be a vector")
+        coeff = self._eigvecs.T @ (p0 / self._sqrt_deg)
+        return self._sqrt_deg * (self._eigvecs @ (self._lambda_power(t) * coeff))
 
     def from_source(self, source: int, t: int) -> np.ndarray:
         """``p_t`` for the one-hot start at ``source``."""

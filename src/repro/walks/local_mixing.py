@@ -264,7 +264,8 @@ _KINDS = {
 }
 
 #: The one table of τ knob rules (Definition 2: β ≥ 1, ε ∈ (0,1), a source
-#: node, set sizes in [1, n]): ``name → (kind, range test, message)``.
+#: node, set sizes in [1, n]; Definition 1 adds the search ``method``):
+#: ``name → (kind, range test, message)``.
 #: Ranges that need the graph (source and explicit sizes against ``n``,
 #: the sizes mode) are checked by :func:`_candidate_sizes` and the
 #: drivers' source normalization.
@@ -289,6 +290,8 @@ _KNOB_RULES = {
     "batch_size": ("an integer", lambda v: v >= 1, "batch_size must be >= 1"),
     "deadline": ("a finite real number", None, None),
     "priority": ("an integer", None, None),
+    "method": ("a string", lambda v: v in ("auto", "iterative", "spectral"),
+               "unknown method {!r}"),
 }
 
 #: Knobs for which ``None`` means "the default" and passes every rule.
@@ -355,8 +358,8 @@ def _spectrum_sizes(
 
 
 def _resolve_walk_bounds(g: Graph, lazy: bool, t_max: int | None) -> int:
-    """Shared preconditions for walk-length searches (centralized and the
-    batch engine), run after the knob table: the graph must be connected
+    """Shared preconditions for walk-length searches (Definitions 1 and 2,
+    centralized and the batch engine), run after the knob table: the graph must be connected
     and, unless the walk is lazy, non-bipartite; returns ``t_max`` with
     the ``O(n³)`` default applied."""
     g.require_connected()

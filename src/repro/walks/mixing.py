@@ -6,14 +6,18 @@ located by doubling + binary search — which is what the ``spectral`` method
 does (each probe is ``O(n²)`` after one ``O(n³)`` diagonalization).  The
 ``iterative`` method scans ``t`` linearly with sparse matvecs and is better
 when the answer is small or ``n`` is large.
+
+:func:`mixing_time` is the per-source reference; :func:`graph_mixing_time`
+takes the maximum of one batched engine call
+(:func:`~repro.engine.batch.batched_mixing_times`), whose per-source times
+equal the reference's.  Both doors check their knobs against the one knob
+table (:data:`~repro.walks.local_mixing._KNOB_RULES`) and share the walk
+preconditions of :func:`~repro.walks.local_mixing.local_mixing_time`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.constants import MAX_WALK_LENGTH_FACTOR
-from repro.errors import BipartiteGraphError, ConvergenceError
+from repro.errors import ConvergenceError
 from repro.graphs.base import Graph
 from repro.spectral.stationary import stationary_distribution
 from repro.walks.distribution import (
@@ -21,17 +25,26 @@ from repro.walks.distribution import (
     distribution_trajectory,
     l1_distance,
 )
+from repro.walks.local_mixing import _check_knobs, _resolve_walk_bounds
 
 __all__ = ["mixing_time", "graph_mixing_time"]
 
+#: Largest ``n`` on which ``method="auto"`` picks the spectral search: its
+#: ``O(n³)`` eigendecomposition holds a dense ``8n²``-byte basis.
+_AUTO_SPECTRAL_MAX_N = 3000
 
-def _check_walk_defined(g: Graph, lazy: bool) -> None:
-    g.require_connected()
-    if not lazy and g.is_bipartite:
-        raise BipartiteGraphError(
-            f"{g.name} is bipartite; the simple walk is periodic — "
-            "pass lazy=True (paper, Section 2.1 footnote 5)"
-        )
+
+def _resolve_mixing_walk(
+    g: Graph, lazy: bool, t_max: int | None, method: str
+) -> tuple[int, str]:
+    """Shared tail of the Definition-1 heads, run after the knob table:
+    the walk preconditions and default ``t_max`` of
+    :func:`~repro.walks.local_mixing._resolve_walk_bounds`, then
+    ``method="auto"`` resolved.  Returns ``(t_max, method)``."""
+    t_max = _resolve_walk_bounds(g, lazy, t_max)
+    if method == "auto":
+        method = "spectral" if g.n <= _AUTO_SPECTRAL_MAX_N else "iterative"
+    return t_max, method
 
 
 def mixing_time(
@@ -42,7 +55,6 @@ def mixing_time(
     lazy: bool = False,
     method: str = "auto",
     t_max: int | None = None,
-    propagator: SpectralPropagator | None = None,
 ) -> int:
     """Exact ε-mixing time ``τ_s^mix(ε)`` with respect to ``source``.
 
@@ -50,20 +62,14 @@ def mixing_time(
     ----------
     method:
         ``"iterative"`` (linear scan), ``"spectral"`` (doubling + binary
-        search on a cached eigendecomposition, valid by Lemma 1
-        monotonicity), or ``"auto"`` (spectral for n ≤ 3000, else iterative).
-    propagator:
-        Optional pre-built :class:`SpectralPropagator` (must match ``lazy``)
-        so sweeps over many sources pay the ``O(n³)`` setup once.
+        search on one eigendecomposition, valid by Lemma 1 monotonicity),
+        or ``"auto"`` (spectral for n ≤ 3000, else iterative).
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
-    _check_walk_defined(g, lazy)
-    if t_max is None:
-        t_max = MAX_WALK_LENGTH_FACTOR * g.n**3
+    _check_knobs(source=source, eps=eps, lazy=lazy, t_max=t_max, method=method)
+    if not 0 <= source < g.n:
+        raise ValueError("source out of range")
+    t_max, method = _resolve_mixing_walk(g, lazy, t_max, method)
     pi = stationary_distribution(g)
-    if method == "auto":
-        method = "spectral" if g.n <= 3000 else "iterative"
 
     if method == "iterative":
         for t, p in distribution_trajectory(g, source, lazy=lazy, t_max=t_max):
@@ -73,9 +79,7 @@ def mixing_time(
             f"no t <= {t_max} reached eps={eps}", last_length=t_max
         )
 
-    if method != "spectral":
-        raise ValueError(f"unknown method {method!r}")
-    prop = propagator or SpectralPropagator(g, lazy=lazy)
+    prop = SpectralPropagator(g, lazy=lazy)
 
     def dist(t: int) -> float:
         return l1_distance(prop.from_source(source, t), pi)
@@ -110,45 +114,22 @@ def graph_mixing_time(
     sources=None,
     method: str = "auto",
     t_max: int | None = None,
-    engine: str = "batch",
 ) -> int:
     """``τ_mix(ε) = max_v τ_v^mix(ε)``, optionally over a subset of sources.
 
     For vertex-transitive families a single source suffices; the experiment
     harness passes an explicit sample elsewhere.
 
-    By default all sources are solved together on the batched multi-source
-    engine (:func:`repro.engine.batched_mixing_times`): one block trajectory
-    (iterative) or one shared eigendecomposition with lockstep doubling +
-    binary search (spectral), with per-source outputs identical to the loop.
-    ``engine="loop"`` forces the original per-source loop (the reference the
-    batch path is validated against).
+    All sources are solved together on the batched multi-source engine
+    (:func:`repro.engine.batched_mixing_times`): one block trajectory
+    (iterative) or one eigendecomposition with lockstep doubling + binary
+    search (spectral), with per-source times identical to
+    :func:`mixing_time`.
     """
-    if engine not in ("batch", "loop"):
-        raise ValueError(f"unknown engine {engine!r}")
-    _check_walk_defined(g, lazy)
-    if sources is None:
-        sources = range(g.n)
-    if engine == "batch":
-        from repro.engine import batched_mixing_times
+    from repro.engine import batched_mixing_times
 
-        return max(
-            batched_mixing_times(
-                g, eps, sources=sources, lazy=lazy, method=method, t_max=t_max
-            )
-        )
-    prop = (
-        SpectralPropagator(g, lazy=lazy)
-        if (method in ("auto", "spectral") and g.n <= 3000)
-        else None
-    )
-    eff_method = "spectral" if prop is not None else "iterative"
-    if method != "auto":
-        eff_method = method
     return max(
-        mixing_time(
-            g, int(s), eps, lazy=lazy, method=eff_method, t_max=t_max,
-            propagator=prop,
+        batched_mixing_times(
+            g, eps, sources=sources, lazy=lazy, method=method, t_max=t_max
         )
-        for s in sources
     )

@@ -17,8 +17,10 @@ import math
 
 import numpy as np
 
+from repro.constants import MAX_WALK_LENGTH_FACTOR
 from repro.graphs.base import Graph
 from repro.walks.distribution import distribution_trajectory
+from repro.walks.local_mixing import _check_knobs
 
 __all__ = [
     "restrict",
@@ -84,16 +86,20 @@ def set_mixing_time(
 
     ``t_max`` defaults to ``8·n³`` — a safe multiple of the worst-case
     mixing time, after which larger ``t`` cannot help on these scales.
+
+    The knobs pass the knob table
+    (:data:`~repro.walks.local_mixing._KNOB_RULES`).  A bipartite graph is
+    not refused even when ``lazy=False``: one side of it is a legitimate
+    mixing set.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
+    _check_knobs(source=source, eps=eps, lazy=lazy, t_max=t_max)
+    if not 0 <= source < g.n:
+        raise ValueError("source out of range")
     idx = _as_index(nodes, g.n)
     if source not in set(idx.tolist()):
         # Definition 2 wants s ∈ S; allow it but flag clearly.
         raise ValueError("source must belong to the subset S")
     if t_max is None:
-        from repro.constants import MAX_WALK_LENGTH_FACTOR
-
         t_max = MAX_WALK_LENGTH_FACTOR * g.n**3
     vol = float(g.degrees[idx].sum())
     target = g.degrees[idx] / vol

@@ -1,19 +1,13 @@
-"""The seams shared by every solve path: the engine's scan kernel and the
-propagator-cache front door.
+"""The seams shared by every solve path: the engine's scan kernel.
 
 The drivers call the float64 kernels of :mod:`repro.engine.oracle`
 directly; these tests pin that what they read is exactly what the
-oracle holds, and that cache sizes are validated before they can change
-the eviction arithmetic.
+oracle holds.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import (
-    propagator_cache_info,
-    set_propagator_cache_maxsize,
-)
 from repro.engine.oracle import (
     BatchedUniformDeviationOracle,
     best_sums_grid_kernel,
@@ -23,30 +17,6 @@ from repro.engine.oracle import (
     sorted_scan_arrays,
     split_points_kernel,
 )
-
-# --------------------------------------------------------------------- #
-# Cache-maxsize front-door hardening
-# --------------------------------------------------------------------- #
-
-
-class TestCacheMaxsizeValidation:
-    def teardown_method(self):
-        set_propagator_cache_maxsize(8)
-
-    @pytest.mark.parametrize("bad", [True, False, 2.5, "8", -1, -100, None])
-    def test_bad_sizes_rejected(self, bad):
-        with pytest.raises(ValueError, match="maxsize must be"):
-            set_propagator_cache_maxsize(bad)
-
-    def test_zero_still_disables_caching(self):
-        # maxsize=0 is a documented feature, not an invalid value.
-        set_propagator_cache_maxsize(0)
-        assert propagator_cache_info().maxsize == 0
-
-    def test_numpy_integer_accepted(self):
-        set_propagator_cache_maxsize(np.int64(4))
-        assert propagator_cache_info().maxsize == 4
-
 
 # --------------------------------------------------------------------- #
 # Kernel interface the drivers call

@@ -33,10 +33,6 @@ from repro.engine import (
     batched_local_mixing_spectra,
     batched_local_mixing_times,
     batched_mixing_times,
-    clear_propagator_cache,
-    propagator_cache_info,
-    set_propagator_cache_maxsize,
-    shared_spectral_propagator,
 )
 from repro.engine.oracle import (
     exact_best_sums_kernel,
@@ -47,7 +43,7 @@ from repro.constants import DEFAULT_EPS
 from repro.errors import BipartiteGraphError, ConvergenceError
 from repro.graphs import generators as gen
 from repro.walks import distribution_at, mixing_time
-from repro.walks.distribution import SpectralPropagator, distribution_trajectory
+from repro.walks.distribution import distribution_trajectory
 from repro.walks.local_mixing import (
     UniformDeviationOracle,
     graph_local_mixing_time,
@@ -128,28 +124,6 @@ class TestBlockPropagator:
             BlockPropagator(g, [])
         with pytest.raises(ValueError):
             BlockPropagator(g, [9])
-
-
-class TestSpectralCache:
-    def test_shared_across_equal_graphs(self):
-        a = gen.cycle_graph(11)
-        b = gen.cycle_graph(11)
-        assert shared_spectral_propagator(a, False) is shared_spectral_propagator(b, False)
-
-    def test_lazy_flag_keys_separately(self):
-        g = gen.path_graph(8)
-        assert shared_spectral_propagator(g, True) is not shared_spectral_propagator(g, False)
-
-    def test_block_propagate_matches_vector_propagate(self):
-        g = gen.cycle_graph(9)
-        prop = SpectralPropagator(g, lazy=True)
-        rng = np.random.default_rng(0)
-        block = rng.dirichlet(np.ones(g.n), size=3).T
-        out = prop.propagate(block, 7)
-        for j in range(3):
-            np.testing.assert_allclose(
-                out[:, j], prop.propagate(block[:, j], 7), atol=1e-13
-            )
 
 
 class TestBatchedOracle:
@@ -926,60 +900,6 @@ class TestBatchedSpectra:
         g = gen.beta_barbell(4, 8)
         spectra = batched_local_mixing_spectra(g, sources=[0], t_max=5)
         assert math.inf in spectra[0].values()
-
-class TestPropagatorCacheControl:
-    """Satellite: cache control so dynamic workloads can bound the dense
-    eigenbases held by the shared spectral cache."""
-
-    def setup_method(self):
-        clear_propagator_cache()
-        set_propagator_cache_maxsize(8)
-
-    def teardown_method(self):
-        clear_propagator_cache()
-        set_propagator_cache_maxsize(8)
-
-    def test_clear_drops_entries_and_counters(self):
-        g = gen.cycle_graph(9)
-        shared_spectral_propagator(g)
-        assert propagator_cache_info().currsize == 1
-        clear_propagator_cache()
-        info = propagator_cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
-
-    def test_hit_and_miss_counters(self):
-        g = gen.cycle_graph(9)
-        a = shared_spectral_propagator(g)
-        b = shared_spectral_propagator(gen.cycle_graph(9))
-        assert a is b
-        info = propagator_cache_info()
-        assert info.hits == 1 and info.misses == 1
-
-    def test_maxsize_bounds_lru(self):
-        set_propagator_cache_maxsize(2)
-        g1, g2, g3 = (gen.cycle_graph(n) for n in (7, 9, 11))
-        p1 = shared_spectral_propagator(g1)
-        shared_spectral_propagator(g2)
-        shared_spectral_propagator(g3)  # evicts g1 (LRU)
-        assert propagator_cache_info().currsize == 2
-        assert shared_spectral_propagator(g1) is not p1  # rebuilt
-
-    def test_maxsize_zero_disables_caching(self):
-        set_propagator_cache_maxsize(0)
-        g = gen.cycle_graph(9)
-        a = shared_spectral_propagator(g)
-        assert shared_spectral_propagator(g) is not a
-        assert propagator_cache_info().currsize == 0
-
-    def test_shrinking_evicts_existing(self):
-        for n in (7, 9, 11):
-            shared_spectral_propagator(gen.cycle_graph(n))
-        set_propagator_cache_maxsize(1)
-        assert propagator_cache_info().currsize == 1
-
-    def test_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            set_propagator_cache_maxsize(-1)
 
 
 class TestGridKernels:

@@ -3,7 +3,8 @@
 The per-source loop, the batched and sharded engines, the canonical key,
 the dynamic tracker and the serving layer's query model all check the τ
 knobs against the same rules, so a hostile value fails the same way at
-every door: the same exception type and the same message.  A wrong type
+every door: the same exception type and the same message.  Definition 1's
+doors (the global and the set mixing time) share the table too.  A wrong type
 is a ``TypeError``; a non-finite real or an out-of-range value is a
 ``ValueError``.  numpy scalar spellings of valid knobs answer bitwise
 equal to the plain ``int``/``float`` spellings.
@@ -21,13 +22,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic import MixingTracker
-from repro.engine import batched_local_mixing_times, canonical_times_key
+from repro.engine import (
+    batched_local_mixing_times,
+    batched_mixing_times,
+    canonical_times_key,
+)
 from repro.graphs import generators as gen
 from repro.parallel import api as parallel_api
 from repro.parallel import parallel_local_mixing_times
 from repro.service import GraphRegistry, MixingQuery, MixingService
 from repro.service.wire import WireServer
 from repro.service.wire import protocol
+from repro.walks import graph_mixing_time, mixing_time, set_mixing_time
 from repro.walks.local_mixing import local_mixing_time, size_grid
 
 BETA = 4.0
@@ -184,6 +190,97 @@ class TestHostileValues:
             MixingQuery("g", 0, beta=BETA, priority=math.inf)
         with pytest.raises(ValueError, match="deadline"):
             MixingQuery("g", 0, beta=BETA, deadline=math.nan)
+
+
+# --------------------------------------------------------------------- #
+# Definition 1: the global and set mixing times share the table
+# --------------------------------------------------------------------- #
+
+#: (field, value, exception type) for τ_s^mix(ε) and τ_s^S(ε).
+HOSTILE_MIX = [
+    ("source", 1.9, TypeError),
+    ("source", True, TypeError),
+    ("source", -1, ValueError),
+    ("source", 99, ValueError),
+    ("eps", math.nan, ValueError),
+    ("lazy", "no", TypeError),
+    ("t_max", 2.5, TypeError),
+    ("t_max", -1, ValueError),
+    ("method", "quantum", ValueError),
+]
+
+
+def _mix_loop(g, k):
+    return mixing_time(g, k.pop("source"), k.pop("eps"), **k)
+
+
+def _mix_batched(g, k):
+    return batched_mixing_times(g, k.pop("eps"), sources=[k.pop("source")], **k)
+
+
+def _mix_graph(g, k):
+    return graph_mixing_time(g, k.pop("eps"), sources=[k.pop("source")], **k)
+
+
+def _mix_set(g, k):
+    return set_mixing_time(g, k.pop("source"), range(g.n), k.pop("eps"), **k)
+
+
+#: door → (call, the method it runs; ``None``: it takes no method).
+MIX_DOORS = {
+    "mixing_time[iterative]": (_mix_loop, "iterative"),
+    "mixing_time[spectral]": (_mix_loop, "spectral"),
+    "batched_mixing_times[iterative]": (_mix_batched, "iterative"),
+    "batched_mixing_times[spectral]": (_mix_batched, "spectral"),
+    "graph_mixing_time": (_mix_graph, "auto"),
+    "set_mixing_time": (_mix_set, None),
+}
+
+
+def _mix_outcome(door, g, field, value):
+    call, method = MIX_DOORS[door]
+    knobs = dict(source=1, eps=EPS)
+    if method is not None:
+        knobs["method"] = method
+    knobs[field] = value
+    try:
+        _within(30, lambda: call(g, knobs))
+    except Exception as exc:  # noqa: BLE001 - the type is the point
+        return type(exc), str(exc)
+    return None
+
+
+class TestDefinitionOneDoors:
+    @pytest.mark.parametrize(
+        "field,value,exc_type", HOSTILE_MIX,
+        ids=[f"{f}={v!r}" for f, v, _ in HOSTILE_MIX],
+    )
+    def test_every_door_raises_the_same_error(self, g, field, value, exc_type):
+        got = {
+            door: _mix_outcome(door, g, field, value)
+            for door, (_, method) in MIX_DOORS.items()
+            if field != "method" or method is not None
+        }
+        expected = got["mixing_time[iterative]"]
+        assert expected is not None and expected[0] is exc_type, got
+        assert field in expected[1], got
+        for door, outcome in got.items():
+            assert outcome == expected, door
+
+    def test_numpy_spellings_answer_equal(self, g):
+        spelled = dict(eps=np.float64(EPS), t_max=np.int64(10_000))
+        for method in ("iterative", "spectral"):
+            want = mixing_time(g, 1, EPS, method=method, t_max=10_000)
+            assert mixing_time(g, np.int64(1), method=method, **spelled) == want
+            assert batched_mixing_times(
+                g, sources=np.asarray([1]), method=method, **spelled
+            ) == [want]
+
+    def test_set_mixing_time_takes_one_side_of_a_bipartite_graph(self):
+        # Non-lazy walks from 0 on a path sit on the even side at even t
+        # and there approach π restricted to it.
+        t = set_mixing_time(gen.path_graph(8), 0, [0, 2, 4, 6], EPS)
+        assert t != math.inf and t % 2 == 0
 
 
 # --------------------------------------------------------------------- #

@@ -111,25 +111,30 @@ class TestGraphMixingTime:
 
 
 class TestGraphMixingTimeEngines:
-    """graph_mixing_time now runs on the batched engine by default; the
-    per-source loop stays available as the validation reference."""
+    """graph_mixing_time runs on the batched engine; the per-source
+    mixing_time stays the validation reference."""
 
     def test_batch_default_equals_loop(self, barbell_small):
         g = barbell_small
-        assert graph_mixing_time(g, DEFAULT_EPS) == graph_mixing_time(
-            g, DEFAULT_EPS, engine="loop"
+        assert graph_mixing_time(g, DEFAULT_EPS) == max(
+            mixing_time(g, s, DEFAULT_EPS) for s in range(g.n)
         )
 
     @pytest.mark.parametrize("method", ["iterative", "spectral"])
     def test_methods_agree_across_engines(self, nonbipartite_graph, method):
         g = nonbipartite_graph
         batch = graph_mixing_time(g, DEFAULT_EPS, method=method)
-        loop = graph_mixing_time(g, DEFAULT_EPS, method=method, engine="loop")
+        loop = max(
+            mixing_time(g, s, DEFAULT_EPS, method=method) for s in range(g.n)
+        )
         assert batch == loop
 
     def test_lazy_path_engines_agree(self, path8):
         batch = graph_mixing_time(path8, DEFAULT_EPS, lazy=True)
-        loop = graph_mixing_time(path8, DEFAULT_EPS, lazy=True, engine="loop")
+        loop = max(
+            mixing_time(path8, s, DEFAULT_EPS, lazy=True)
+            for s in range(path8.n)
+        )
         assert batch == loop
 
     def test_source_subset_engines_agree(self, barbell_small):
@@ -138,7 +143,3 @@ class TestGraphMixingTimeEngines:
         assert graph_mixing_time(g, DEFAULT_EPS, sources=srcs) == max(
             mixing_time(g, s, DEFAULT_EPS, method="spectral") for s in srcs
         )
-
-    def test_unknown_engine_rejected(self, cycle9):
-        with pytest.raises(ValueError, match="engine"):
-            graph_mixing_time(cycle9, DEFAULT_EPS, engine="warp")

@@ -29,8 +29,6 @@ from repro.engine import (
     batched_local_mixing_spectra,
     batched_local_mixing_times,
     canonical_times_key,
-    propagator_cache_info,
-    set_propagator_cache_maxsize,
 )
 from repro.graphs import generators as gen
 from repro.parallel import (
@@ -235,23 +233,8 @@ def test_shard_map_with_graph(reg, pool):
     assert degs == [reg.degree(0), reg.degree(7), reg.degree(29)]
 
 
-def test_workers_obey_the_parents_cache_bound():
-    # Fork workers inherit the bound; spawn workers get it forwarded.
-    before = propagator_cache_info().maxsize
-    set_propagator_cache_maxsize(3)
-    try:
-        bounds = shard_map(_cache_maxsize, list(range(4)), n_workers=2)
-    finally:
-        set_propagator_cache_maxsize(before)
-    assert bounds == [3] * 4
-
-
 def _square(x):
     return x * x
-
-
-def _cache_maxsize(_):
-    return propagator_cache_info().maxsize
 
 
 def _degree_of(g, u):

@@ -15,7 +15,6 @@ No pytest-asyncio in the image — each test drives its own event loop via
 """
 
 import asyncio
-import threading
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.dynamic import (
 from repro.engine import (
     batched_local_mixing_times,
     canonical_times_key,
-    shared_spectral_propagator,
 )
 from repro.errors import ConvergenceError
 from repro.graphs import generators as gen
@@ -622,57 +620,6 @@ class TestExecutorAndShutdown:
             MixingService(executor=object(), n_workers=2)
         with pytest.raises(ValueError):
             MixingService(n_workers=0)
-
-
-# --------------------------------------------------------------------- #
-# Thread safety of the shared spectral cache (serving satellite)
-# --------------------------------------------------------------------- #
-
-
-class TestPropagatorCacheThreadSafety:
-    def test_concurrent_threads_share_consistent_cache(self):
-        """Hammer the shared spectral-propagator cache from many threads
-        (the serving layer's execution model): no exceptions, a bounded
-        cache, and per-graph results identical to the serial path."""
-        from repro.engine import (
-            clear_propagator_cache,
-            propagator_cache_info,
-            set_propagator_cache_maxsize,
-        )
-
-        graphs = [gen.random_regular(12, 4, seed=s) for s in range(6)]
-        clear_propagator_cache()
-        set_propagator_cache_maxsize(4)
-        expected = {
-            id(g): shared_spectral_propagator(g).propagate(
-                np.eye(g.n)[:, :1], 3
-            )
-            for g in graphs
-        }
-        errors = []
-
-        def worker(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for _ in range(25):
-                    g = graphs[int(rng.integers(len(graphs)))]
-                    p = shared_spectral_propagator(g).propagate(
-                        np.eye(g.n)[:, :1], 3
-                    )
-                    assert np.array_equal(p, expected[id(g)])
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        info = propagator_cache_info()
-        assert info.currsize <= 4
-        set_propagator_cache_maxsize(8)
-        clear_propagator_cache()
 
 
 class TestQueryCoalescerStandalone:

@@ -114,6 +114,12 @@ class TestSpectralPropagator:
         with pytest.raises(ValueError):
             prop.propagate(initial_distribution(9, 0), -2)
 
+    def test_block_start_rejected(self, cycle9):
+        # An (n, n) block would broadcast against the degree vector and
+        # answer silently wrong; only a vector is a start distribution.
+        with pytest.raises(ValueError, match="vector"):
+            SpectralPropagator(cycle9).propagate(np.eye(9), 1)
+
 
 class TestL1Distance:
     def test_zero_on_equal(self):

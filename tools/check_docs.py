@@ -7,7 +7,7 @@ Three checks, all dependency-free (stdlib + the library itself):
    files must exist (external ``http(s)``/``mailto`` targets are skipped,
    ``#fragment`` parts are ignored).
 2. **Docstrings** — every public module / class / function / method
-   defined under ``repro.engine`` and ``repro.dynamic`` must carry a
+   defined under the packages of ``DOCSTRING_PACKAGES`` must carry a
    non-trivial docstring (the ``interrogate --fail-under 100`` contract,
    implemented with ``inspect`` so the offline image needs no extra
    package).
@@ -46,6 +46,7 @@ DOCSTRING_PACKAGES = [
     "repro.parallel",
     "repro.service",
     "repro.service.wire",
+    "repro.walks",
 ]
 
 #: Minimum docstring length to count as documentation, not a placeholder.
