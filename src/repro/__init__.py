@@ -10,14 +10,15 @@ The package provides, bottom-up:
 * :mod:`repro.walks` — exact walk distributions, mixing times, and the
   centralized **local mixing time** (Definition 2).
 * :mod:`repro.engine` — the batched multi-source walk engine: block
-  trajectories (one sparse mat-mat per step for all sources), batched
-  deviation oracles (grid kernels + search-free lower bounds) behind
-  ``τ(β,ε) = max_v τ_v(β,ε)``.
+  trajectories (one sparse mat-mat per step for all sources), a
+  search-free lower-bound screen and exact verification of the flagged
+  pairs behind ``τ(β,ε) = max_v τ_v(β,ε)``.
 * :mod:`repro.parallel` — sharded multi-core execution: the graph's CSR
   arrays in shared memory, a persistent
-  :class:`~repro.parallel.ShardExecutor` worker pool, and parallel front
-  doors whose results are identical to the serial engine at any worker
-  count (plus :func:`~repro.parallel.shard_map` for per-source sweeps).
+  :class:`~repro.parallel.ShardExecutor` worker pool, and a sharded τ
+  front door whose results are identical to the serial engine at any
+  worker count (plus :func:`~repro.parallel.shard_map` for per-source
+  sweeps).
 * :mod:`repro.dynamic` — dynamic networks: a mutable
   :class:`~repro.dynamic.graph.DynamicGraph` overlay with structurally
   memoized snapshots, update-schedule generators (edge-Markovian churn,
@@ -85,7 +86,6 @@ from repro.walks import (
     set_mixing_time,
 )
 from repro.engine import (
-    BatchedUniformDeviationOracle,
     BlockPropagator,
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
@@ -94,8 +94,6 @@ from repro.engine import (
 )
 from repro.parallel import (
     ShardExecutor,
-    parallel_local_mixing_profiles,
-    parallel_local_mixing_spectra,
     parallel_local_mixing_times,
     shard_map,
 )
@@ -157,7 +155,6 @@ __all__ = [
     "LocalMixingResult",
     # engine (batched multi-source)
     "BlockPropagator",
-    "BatchedUniformDeviationOracle",
     "batched_local_mixing_times",
     "batched_local_mixing_spectra",
     "batched_local_mixing_profiles",
@@ -165,8 +162,6 @@ __all__ = [
     # parallel (sharded multi-core)
     "ShardExecutor",
     "parallel_local_mixing_times",
-    "parallel_local_mixing_spectra",
-    "parallel_local_mixing_profiles",
     "shard_map",
     # dynamic networks
     "DynamicGraph",

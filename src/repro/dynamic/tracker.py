@@ -31,7 +31,7 @@ snapshot.  Three exact accelerations make that affordable:
    handed to :func:`~repro.engine.batch.batched_local_mixing_times`, whose
    ``_solve_chunk`` screens every candidate set size × every live column
    with one search-free
-   :meth:`~repro.engine.oracle.BatchedUniformDeviationOracle.deviation_lower_bounds`
+   :func:`~repro.engine.oracle.deviation_lower_bounds_kernel`
    call per step (``O(1)`` per pair) and decides every flagged
    ``(t, R, source)`` with the exact single-source arithmetic — so
    over-flagging costs a verification and under-flagging is impossible.

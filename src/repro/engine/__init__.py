@@ -10,11 +10,12 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
 * :class:`~repro.engine.propagator.BlockPropagator` advances an ``n × k``
   block of distributions with **one sparse mat-mat per step** (``P ← A @ P``)
   instead of ``k`` independent matvec trajectories.
-* :class:`~repro.engine.oracle.BatchedUniformDeviationOracle` sorts all ``k``
-  columns at once and answers ``min_{|S|=R} Σ|p − 1/R|`` for every source per
-  ``(t, R)`` grid point in ``O(k log n)`` via a unimodal bracket search —
-  or, fused, bounds the whole ``(R, column)`` grid search-free in ``O(1)``
-  per pair (``deviation_lower_bounds``, the drivers' prefilter).
+* The uniform-target kernels of :mod:`repro.engine.oracle` sort all ``k``
+  columns at once, bound ``min_{|S|=R} Σ|p − 1/R|`` for the whole
+  ``(R, column)`` grid search-free in ``O(1)`` per pair
+  (:func:`~repro.engine.oracle.deviation_lower_bounds_kernel`, the
+  drivers' screen), and verify flagged pairs bitwise
+  (:func:`~repro.engine.oracle.exact_best_sums_kernel`).
   :class:`~repro.engine.oracle.BatchedDegreeDeviationOracle` is the
   degree-proportional-target companion: a column-vectorized, bitwise-equal
   transcript of the per-source fixed-point heuristic for irregular graphs.
@@ -44,10 +45,7 @@ eigenbasis outlives the call and the engine holds no process-wide state.
 """
 
 from repro.engine.propagator import BlockPropagator
-from repro.engine.oracle import (
-    BatchedDegreeDeviationOracle,
-    BatchedUniformDeviationOracle,
-)
+from repro.engine.oracle import BatchedDegreeDeviationOracle
 from repro.engine.batch import (
     TimesKey,
     batched_local_mixing_profiles,
@@ -60,7 +58,6 @@ from repro.engine.batch import (
 __all__ = [
     "BlockPropagator",
     "BatchedDegreeDeviationOracle",
-    "BatchedUniformDeviationOracle",
     "batched_local_mixing_times",
     "batched_local_mixing_spectra",
     "batched_local_mixing_profiles",

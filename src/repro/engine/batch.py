@@ -9,7 +9,7 @@ same bookkeeping counters.  Exactness is preserved by a two-phase check per
 
 1. a fast batched prefilter bounds every live column's best deviation from
    below — one fused, search-free
-   :meth:`~repro.engine.oracle.BatchedUniformDeviationOracle.deviation_lower_bounds`
+   :func:`~repro.engine.oracle.deviation_lower_bounds_kernel`
    call per step covering the entire ``(R, column)`` grid in ``O(1)`` per
    pair;
 2. only ``(R, column)`` pairs whose bound falls below
@@ -463,7 +463,7 @@ def batched_local_mixing_times(
     same time, set size, bitwise-equal deviation and same bookkeeping
     counters — to the corresponding per-source
     :func:`~repro.walks.local_mixing.local_mixing_time` call (the
-    loop-equivalence guarantee; ``engine="loop"`` call sites are the
+    loop-equivalence guarantee; that per-source function is the
     reference this is tested against).
     """
     src, candidates, t_max = _prepare_times_call(
@@ -861,22 +861,25 @@ def _spectral_mixing_times(g, src, eps, pi, lazy, t_max):
     zero = below_at(live, np.zeros(live.size, dtype=np.int64))
     times[live[zero]] = 0
     live = live[~zero]
-    # Doubling phase: per column, the first power of two with dist < eps.
+    # Doubling phase, every probe capped at t_max: per column, the first
+    # probe with dist < eps (hi_of) and the probe before it (lo_of) — the
+    # per-source search's probes exactly.
+    lo_of = np.zeros(len(src), dtype=np.int64)
     hi_of = np.zeros(len(src), dtype=np.int64)
-    hi = 1
+    lo, hi = 0, min(1, t_max)
     while live.size:
+        if hi == lo:  # dist(t_max) >= eps for the live columns
+            raise ConvergenceError(
+                f"no t <= {t_max} reached eps={eps}", last_length=t_max
+            )
         found = below_at(live, np.full(live.size, hi, dtype=np.int64))
+        lo_of[live[found]] = lo
         hi_of[live[found]] = hi
         live = live[~found]
-        hi *= 2
-        if live.size and hi > t_max:
-            raise ConvergenceError(
-                f"no t <= {t_max} reached eps={eps}", last_length=hi // 2
-            )
+        lo, hi = hi, min(2 * hi, t_max)
     # Binary search per column (vectorized across columns, each at its own
     # bracket) — valid because the distance is non-increasing (Lemma 1).
     active = np.flatnonzero((times < 0))
-    lo_of = hi_of // 2
     while True:
         open_cols = active[hi_of[active] - lo_of[active] > 1]
         if open_cols.size == 0:

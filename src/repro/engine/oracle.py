@@ -1,10 +1,13 @@
-"""Batched uniform-deviation queries over a block of distributions.
+"""Batched uniform-deviation kernels over a block of distributions.
 
 The single-source :class:`~repro.walks.local_mixing.UniformDeviationOracle`
-sorts one ``p`` and scans every length-``R`` window of the sorted copy.  The
-batched oracle sorts **all k columns at once** and answers
-``min_{|S|=R} Σ_{u∈S} |p(u) − 1/R|`` for every column per ``(t, R)`` grid
-point without the window scan.
+sorts one ``p`` and scans every length-``R`` window of the sorted copy.
+The kernels here serve **all k columns at once**:
+:func:`sorted_scan_arrays` sorts them, :func:`split_points_kernel` finds
+where each crosses ``1/R``, :func:`deviation_lower_bounds_kernel` bounds
+``min_{|S|=R} Σ_{u∈S} |p(u) − 1/R|`` for every ``(R, column)`` pair
+without a scan (the drivers' screen), and :func:`exact_best_sums_kernel`
+evaluates the flagged pairs' minima bitwise as the per-source scan does.
 
 Shapes: the walk block ``P`` is ``(n, k)``, one column per source.  The
 scan is source-major: ``sorted`` is ``(k, n)``, one contiguous ascending
@@ -26,15 +29,14 @@ while the window sits below the crossing, is monotone
 
 holds (``k0`` = number of sorted entries below ``c``) is therefore a
 minimizer, and a vectorized binary search finds it for all ``k`` columns in
-``O(k log n)`` — versus ``O(k·(n−R))`` for the scan.
+``O(k log n)`` — versus ``O(k·(n−R))`` for the scan.  No driver runs such a
+search: the screen bounds every pair in ``O(1)`` instead, and a
+bracket prefilter measured no faster (``docs/architecture.md``).
 
-Floating-point caveat: the minimum *value* is evaluated with exactly the
-single-source oracle's arithmetic at the bracketed start, but when exact
-ties make the window-sum profile flat, the bracketed start can differ from
-``np.argmin``'s pick by a few ulps of ``F``.  Callers that need decisions
-bitwise-identical to the per-source loop (the batch drivers do) re-verify
-near-threshold hits with the exact single-source oracle; see
-:mod:`repro.engine.batch`.
+Floating-point caveat for any bracket search: when exact ties make the
+window-sum profile flat, the bracketed start can differ from
+``np.argmin``'s pick by a few ulps of ``F``, so decisions that must be
+bitwise-identical to the per-source loop still need the exact verifier.
 
 :class:`BatchedDegreeDeviationOracle` is the degree-proportional-target
 companion: a column-vectorized transcript of the single-source fixed-point
@@ -48,12 +50,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BatchedUniformDeviationOracle",
     "BatchedDegreeDeviationOracle",
     "sorted_scan_arrays",
     "split_points_kernel",
-    "best_sums_kernel",
-    "best_sums_grid_kernel",
     "deviation_lower_bounds_kernel",
     "exact_best_sums_kernel",
 ]
@@ -62,12 +61,12 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # Kernels
 #
-# The oracle's hot arithmetic lives in these module-level float64
-# functions so the batch drivers can call them directly on a block's scan
-# arrays (and time them with the kernel profiler while observability is
-# enabled).  Integer operands promote to float64 exactly (values are
-# bounded by ``n``), and the grid-kernel equivalence tests pin the values
-# against the oracle class.
+# The hot arithmetic lives in these module-level float64 functions so the
+# batch drivers can call them directly on a block's scan arrays (and time
+# them with the kernel profiler while observability is enabled).  Integer
+# operands promote to float64 exactly (values are bounded by ``n``), and
+# the kernel equivalence tests pin the values against the per-source
+# scan.
 # --------------------------------------------------------------------- #
 
 
@@ -111,90 +110,6 @@ def split_points_kernel(S: np.ndarray, cs: np.ndarray) -> np.ndarray:
     for j, row in enumerate(S):
         out[::-1, j] = row.searchsorted(keys)
     return out
-
-
-def best_sums_kernel(
-    S: np.ndarray,
-    pre: np.ndarray,
-    R: int,
-    c: float,
-    k0: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bracketed window minimum for one set size ``R`` with target
-    value ``c`` over every column of the scan ``(S, pre)``; returns
-    ``(sums, starts)`` (see
-    :meth:`BatchedUniformDeviationOracle.best_sums`)."""
-    k, n = S.shape
-    rows = np.arange(k)
-    if k0 is None:
-        k0 = (S < c).sum(axis=1)
-    # Vectorized binary search for the first start where the window-sum
-    # difference turns non-negative; W-1 is the "all differences
-    # negative" sentinel.
-    W = n - R + 1
-    lo = np.zeros(k, dtype=np.int64)
-    hi = np.full(k, W - 1, dtype=np.int64)
-    two_c = 2.0 * c
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = np.where(active, (lo + hi) >> 1, 0)
-        s_lo = S[rows, mid]
-        s_hi = S[rows, mid + R]
-        pred = (mid >= k0) | ((mid + R >= k0) & (s_lo + s_hi >= two_c))
-        hi = np.where(active & pred, mid, hi)
-        lo = np.where(active & ~pred, mid + 1, lo)
-    start = lo
-    # Evaluate the window sum at the bracketed start with the exact
-    # arithmetic of UniformDeviationOracle._window_sums.
-    kk = np.clip(k0, start, start + R)
-    gather = pre[rows, kk]
-    p_lo = pre[rows, start]
-    p_hi = pre[rows, start + R]
-    below = c * (kk - start) - (gather - p_lo)
-    above = (p_hi - gather) - c * (R - (kk - start))
-    return below + above, start
-
-
-def best_sums_grid_kernel(
-    S: np.ndarray,
-    pre: np.ndarray,
-    Rs: np.ndarray,
-    cs: np.ndarray,
-    k0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`best_sums_kernel` vectorized over the whole ``(R, column)``
-    grid — one search trajectory per grid element, identical per element to
-    the per-``R`` kernel (see
-    :meth:`BatchedUniformDeviationOracle.best_sums_grid`)."""
-    k, n = S.shape
-    rows = np.arange(k)[None, :]
-    R_col = np.asarray(Rs, dtype=np.int64)[:, None]
-    c_col = np.asarray(cs, dtype=np.float64)[:, None]
-    lo = np.zeros((R_col.size, k), dtype=np.int64)
-    hi = np.broadcast_to(n - R_col, lo.shape).copy()  # W - 1 per row
-    two_c = 2.0 * c_col
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = np.where(active, (lo + hi) >> 1, 0)
-        s_lo = S[rows, mid]
-        # Active positions satisfy mid + R <= n - 1; inactive ones are
-        # don't-cares whose gather index merely needs to stay in bounds.
-        s_hi = S[rows, np.minimum(mid + R_col, n - 1)]
-        pred = (mid >= k0) | ((mid + R_col >= k0) & (s_lo + s_hi >= two_c))
-        hi = np.where(active & pred, mid, hi)
-        lo = np.where(active & ~pred, mid + 1, lo)
-    start = lo
-    kk = np.clip(k0, start, start + R_col)
-    gather = pre[rows, kk]
-    p_lo = pre[rows, start]
-    p_hi = pre[rows, start + R_col]
-    below = c_col * (kk - start) - (gather - p_lo)
-    above = (p_hi - gather) - c_col * (R_col - (kk - start))
-    return below + above, start
 
 
 #: Window starts per :func:`exact_best_sums_kernel` chunk.  Each of the
@@ -250,10 +165,24 @@ def exact_best_sums_kernel(
 def deviation_lower_bounds_kernel(
     pre: np.ndarray, Rs: np.ndarray, cs: np.ndarray, k0: np.ndarray
 ) -> np.ndarray:
-    """Search-free per-``(R, column)`` lower bounds on the window minima,
-    straight from the prefix sums (see
-    :meth:`BatchedUniformDeviationOracle.deviation_lower_bounds` for the
-    three bounds being combined and why they are valid)."""
+    """Search-free per-``(R, column)`` lower bounds on the window minima:
+    a ``(len(Rs), k)`` array with entry ``[i, j] ≤ min_start
+    Σ_{u∈window} |p_j(u) − cs[i]|``, in ``O(1)`` per pair straight from
+    the prefix sums (``cs = 1/Rs``, ``k0`` its :func:`split_points_kernel`
+    splits).
+
+    Three bounds are combined, each valid for *every* window of the
+    sorted column: (a) ``Σ|p − c| ≥ |mass(S) − cR|``, and window masses
+    range between the lightest (leftmost) and heaviest (rightmost)
+    windows; (b) the below-``c`` part ``Σ (c − p)⁺`` is a window sum of
+    a non-increasing sequence, so the rightmost window minimizes it;
+    (c) symmetrically, the leftmost window minimizes the above-``c``
+    part.  Deviations from the exact minima are pure summation roundoff
+    (``≪`` the engine's verification slack), so a "bound < cutoff →
+    verify exactly" screen — the batch drivers' and the dynamic
+    tracker's (:mod:`repro.dynamic.tracker`) — can never miss a firing
+    ``(t, R)`` pair: it trades a handful of extra exact verifications
+    for skipping the per-pair window search entirely."""
     k, n = pre.shape[0], pre.shape[1] - 1
     Rs = np.asarray(Rs, dtype=np.int64)
     R_col = Rs[:, None]
@@ -276,109 +205,6 @@ def deviation_lower_bounds_kernel(
     b_above = (bot - flat[a3 + base]) - c_col * (R_col - a3)
     out = np.maximum(b_mass, np.maximum(b_below, b_above))
     return np.maximum(out, 0.0)
-
-
-class BatchedUniformDeviationOracle:
-    """Answers best-deviation queries for every column of an ``n × k`` block.
-
-    Parameters
-    ----------
-    P:
-        Block of ``k`` distributions, one per column (non-negative).
-    """
-
-    def __init__(self, P: np.ndarray):
-        P = np.asarray(P, dtype=np.float64)
-        if P.ndim != 2:
-            raise ValueError("P must be an (n, k) block, one column per source")
-        self.n, self.k = P.shape
-        #: Source-major scan: row ``j`` is column ``j`` of the block sorted
-        #: ascending, shape ``(k, n)``, and its prefix sums after a leading
-        #: zero, ``(k, n+1)``.
-        self.sorted, self.prefix = sorted_scan_arrays(P)
-
-    def split_points(self, cs: np.ndarray) -> np.ndarray:
-        """``k0`` for each target value: entry ``[i, j]`` is the number of
-        sorted values of column ``j`` strictly below ``cs[i]`` (the
-        ``searchsorted`` split the window formula pivots on)."""
-        cs = np.asarray(cs, dtype=np.float64)
-        return split_points_kernel(self.sorted, cs)
-
-    def best_sums(
-        self, R: int, *, k0: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(sums, starts)`` for set size ``R``: per column, the minimum of
-        ``Σ_{j∈[start, start+R)} |sorted_j − 1/R|`` over window starts and a
-        start achieving it (the bracketed minimizer; see module docstring).
-        """
-        n = self.n
-        if not 1 <= R <= n:
-            raise ValueError(f"R={R} out of range [1, {n}]")
-        return best_sums_kernel(self.sorted, self.prefix, R, 1.0 / R, k0)
-
-    def best_sums_grid(
-        self, Rs: np.ndarray, *, k0: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`best_sums` for a whole grid of set sizes at once.
-
-        Returns ``(sums, starts)`` of shape ``(len(Rs), k)``: entry ``[i, j]``
-        is the best deviation (and a start achieving it) of column ``j`` at
-        set size ``Rs[i]``.  Every element goes through exactly the same
-        binary-search trajectory and window-sum arithmetic as the per-``R``
-        :meth:`best_sums` call, so the values are bitwise identical — the
-        difference is purely mechanical: one vectorized search over the
-        ``(R, column)`` grid instead of ``len(Rs)`` Python-level calls, which
-        is what makes per-snapshot rescans affordable for the dynamic-network
-        tracker (:mod:`repro.dynamic`).
-        """
-        Rs = np.asarray(Rs, dtype=np.int64)
-        if Rs.ndim != 1 or Rs.size == 0:
-            raise ValueError("Rs must be a non-empty 1-D array of set sizes")
-        n, k = self.n, self.k
-        if Rs.min() < 1 or Rs.max() > n:
-            raise ValueError(f"set sizes out of range [1, {n}]")
-        cs = 1.0 / Rs
-        if k0 is None:
-            k0 = self.split_points(cs)
-        k0 = np.asarray(k0, dtype=np.int64)
-        if k0.shape != (Rs.size, k):
-            raise ValueError("k0 must have shape (len(Rs), k)")
-        return best_sums_grid_kernel(self.sorted, self.prefix, Rs, cs, k0)
-
-    def deviation_lower_bounds(
-        self, Rs: np.ndarray, *, k0: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Search-free lower bounds on :meth:`best_sums_grid`'s minima:
-        a ``(len(Rs), k)`` array with entry ``[i, j] ≤ min_start
-        Σ_{u∈window} |p_j(u) − 1/Rs[i]|``, in ``O(1)`` per pair straight
-        from the prefix sums.
-
-        Three bounds are combined, each valid for *every* window of the
-        sorted column: (a) ``Σ|p − c| ≥ |mass(S) − cR|``, and window masses
-        range between the lightest (leftmost) and heaviest (rightmost)
-        windows; (b) the below-``c`` part ``Σ (c − p)⁺`` is a window sum of
-        a non-increasing sequence, so the rightmost window minimizes it;
-        (c) symmetrically, the leftmost window minimizes the above-``c``
-        part.  Deviations from the exact minima are pure summation roundoff
-        (``≪`` the engine's verification slack), so a "bound < cutoff →
-        verify exactly" prefilter — the dynamic tracker's re-scan
-        (:mod:`repro.dynamic.tracker`) — can never miss a firing ``(t, R)``
-        pair: it trades a handful of extra exact verifications for skipping
-        the per-pair window search entirely.
-        """
-        Rs = np.asarray(Rs, dtype=np.int64)
-        if Rs.ndim != 1 or Rs.size == 0:
-            raise ValueError("Rs must be a non-empty 1-D array of set sizes")
-        n, k = self.n, self.k
-        if Rs.min() < 1 or Rs.max() > n:
-            raise ValueError(f"set sizes out of range [1, {n}]")
-        cs = 1.0 / Rs
-        if k0 is None:
-            k0 = self.split_points(cs)
-        k0 = np.asarray(k0, dtype=np.int64)
-        if k0.shape != (Rs.size, k):
-            raise ValueError("k0 must have shape (len(Rs), k)")
-        return deviation_lower_bounds_kernel(self.prefix, Rs, cs, k0)
 
 
 class BatchedDegreeDeviationOracle:

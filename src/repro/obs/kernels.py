@@ -2,7 +2,9 @@
 
 While observability is enabled, every batched engine driver call binds
 its kernels once with :meth:`KernelProfiler.timed` (``step_block``,
-``sorted_scan``, ``split_points``, ``deviation_lower_bounds``), recording
+``sorted_scan``, ``split_points``, ``deviation_lower_bounds``,
+``best_sums`` — the exact verifier — and ``best_sums_grid`` — the
+degree target's transcript), recording
 per-kernel call counts and wall seconds into the process-global
 :func:`~repro.obs.metrics.default_registry`:
 
@@ -23,10 +25,11 @@ is one boolean check per *driver call*, not per kernel call.
 
 :func:`kernel_profiler` exposes snapshot/merge/reset over the same
 counters so shard workers can ship their per-solve kernel deltas back to
-the parent (see ``ShardExecutor.run_sharded``) and benchmarks can diff
-before/after a timed region.  Snapshot keys carry the constant
-:data:`KERNEL_LABEL` (``"float64/<kernel>"``), the one kernel path the
-engine has.
+the parent (see
+:meth:`~repro.parallel.executor.ShardExecutor.run_sharded`) and
+benchmarks can diff before/after a timed region.  Snapshot keys carry the
+constant :data:`KERNEL_LABEL` (``"float64/<kernel>"``), the one kernel
+path the engine has.
 """
 
 from __future__ import annotations

@@ -15,24 +15,20 @@ cores without giving up a single bit of exactness:
   pool with per-worker warm state (attached graphs and their caches kept
   hot across tasks), deterministic contiguous source sharding and ordered
   merges.
-* Front doors :func:`~repro.parallel.api.parallel_local_mixing_times`,
-  :func:`~repro.parallel.api.parallel_local_mixing_spectra`,
-  :func:`~repro.parallel.api.parallel_local_mixing_profiles` — drop-in
-  counterparts of the batched drivers carrying the full knob space
-  (``target``, ``require_source``, schedules, grids,
-  ``batch_size`` — all validated in the parent), whose
-  outputs are **identical** to the serial engine (and therefore to the
-  per-source reference loop) for every knob combination and any worker
-  count.  Peak dense-block memory per process is at most ``n × ⌈k/W⌉``
-  (for τ, ``n`` times one column tile's width).
+* Front door :func:`~repro.parallel.api.parallel_local_mixing_times` —
+  the drop-in counterpart of the batched τ driver carrying the full knob
+  space (``target``, ``require_source``, schedules, grids,
+  ``batch_size`` — all validated in the parent), whose output is
+  **identical** to the serial engine (and therefore to the per-source
+  reference loop) for every knob combination and any worker count.  Each
+  process holds ``n`` times one column tile's width of dense block.
 * :func:`~repro.parallel.api.shard_map` — the generic per-item fan-out the
   Monte-Carlo estimator sweeps and family sweeps ride on.
 
 The dynamic :class:`~repro.dynamic.MixingTracker` accepts an executor (or
 ``n_workers``) and re-solves its dirty-source set in parallel shards after
 each event, keeping its provable equivalence to from-scratch
-recomputation; :func:`~repro.walks.local_mixing.graph_local_mixing_time`
-dispatches here via ``engine="parallel"``.
+recomputation.
 
 When sharding loses to batching: worker spawn plus one shared-memory
 publication is milliseconds (``fork``) to ~a second (``spawn``), so for
@@ -47,12 +43,7 @@ from repro.parallel.executor import (
     default_start_method,
     shard_bounds,
 )
-from repro.parallel.api import (
-    parallel_local_mixing_profiles,
-    parallel_local_mixing_spectra,
-    parallel_local_mixing_times,
-    shard_map,
-)
+from repro.parallel.api import parallel_local_mixing_times, shard_map
 
 __all__ = [
     "SharedCSR",
@@ -61,7 +52,5 @@ __all__ = [
     "default_start_method",
     "shard_bounds",
     "parallel_local_mixing_times",
-    "parallel_local_mixing_spectra",
-    "parallel_local_mixing_profiles",
     "shard_map",
 ]

@@ -1,45 +1,38 @@
 """Parallel front doors: multi-core solves with the loop-equivalence
 guarantee.
 
-:func:`parallel_local_mixing_times`, :func:`parallel_local_mixing_spectra`
-and :func:`parallel_local_mixing_profiles` are drop-in sharded counterparts
-of the batched engine drivers — same signature plus ``n_workers`` /
-``executor`` / ``start_method`` — whose outputs are **identical** (same τ,
-set sizes, bitwise-equal deviations, same bookkeeping counters) to the
-serial call for every knob combination: the shards are contiguous source
-ranges, each worker runs the unmodified batched kernel on its range, and
-the per-source loop-equivalence guarantee makes the merge independent of
-worker count and shard boundaries.
+:func:`parallel_local_mixing_times` is the drop-in sharded counterpart of
+:func:`~repro.engine.batch.batched_local_mixing_times` — same signature
+plus ``n_workers`` / ``executor`` / ``start_method`` — whose output is
+**identical** (same τ, set sizes, bitwise-equal deviations, same
+bookkeeping counters) to the serial call for every knob combination: the
+shards are contiguous source ranges, each worker runs the unmodified
+batched kernel on its range, and the per-source loop-equivalence guarantee
+makes the merge independent of worker count and shard boundaries.
+Spectra and profiles have no sharded door; the serial batched drivers
+serve them.
 
 :func:`shard_map` is the generic escape hatch for per-source workloads
 (Monte-Carlo estimator sweeps, per-graph family sweeps): apply a picklable
 module-level function to every item across the pool, optionally with a
 shared-memory graph prepended to each call.
 
-All front doors validate every knob **in the parent** (through the engine's
-shared validation head) before any process is touched, so bad calls raise
-the same fail-fast errors as the serial drivers.
+Both front doors check their arguments **in the parent** before any
+process is touched; the τ door runs the engine's shared validation head,
+so bad calls raise the same fail-fast errors as the serial driver.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.constants import DEFAULT_EPS
 from repro.graphs.base import Graph
-from repro.engine.batch import (
-    _prepare_profiles_call,
-    _prepare_spectra_call,
-    _prepare_times_call,
-)
+from repro.engine.batch import _prepare_times_call
 from repro.parallel.executor import ShardExecutor
 
 __all__ = [
     "parallel_local_mixing_times",
-    "parallel_local_mixing_spectra",
-    "parallel_local_mixing_profiles",
     "shard_map",
 ]
 
@@ -108,78 +101,7 @@ def parallel_local_mixing_times(
     src, _, _ = _prepare_times_call(g, sources=sources, **kwargs)
     ex, owned = _resolve_executor(executor, n_workers, start_method)
     try:
-        return ex.run_sharded(g, "times", src, kwargs, n_shards=n_workers)
-    finally:
-        if owned:
-            ex.close()
-
-
-def parallel_local_mixing_spectra(
-    g: Graph,
-    eps: float = DEFAULT_EPS,
-    *,
-    sources: Sequence[int] | None = None,
-    sizes: list[int] | None = None,
-    grid_factor: float | None = None,
-    t_max: int | None = None,
-    lazy: bool = False,
-    require_source: bool = False,
-    n_workers: int | None = None,
-    executor: ShardExecutor | None = None,
-    start_method: str | None = None,
-) -> list[dict[int, int | float]]:
-    """Sharded counterpart of
-    :func:`~repro.engine.batch.batched_local_mixing_spectra`: the full
-    per-source spectrum ``R → first t``, in ``sources`` order, identical to
-    the serial call for every knob (``require_source`` included)."""
-    kwargs = dict(
-        eps=eps,
-        sizes=sizes,
-        grid_factor=grid_factor,
-        t_max=t_max,
-        lazy=lazy,
-        require_source=require_source,
-    )
-    src, _, _ = _prepare_spectra_call(g, sources=sources, **kwargs)
-    ex, owned = _resolve_executor(executor, n_workers, start_method)
-    try:
-        return ex.run_sharded(g, "spectra", src, kwargs, n_shards=n_workers)
-    finally:
-        if owned:
-            ex.close()
-
-
-def parallel_local_mixing_profiles(
-    g: Graph,
-    beta: float,
-    *,
-    sources: Sequence[int] | None = None,
-    sizes: str | list[int] = "all",
-    grid_factor: float = DEFAULT_EPS,
-    t_max: int = 100,
-    lazy: bool = False,
-    require_source: bool = False,
-    n_workers: int | None = None,
-    executor: ShardExecutor | None = None,
-    start_method: str | None = None,
-) -> np.ndarray:
-    """Sharded counterpart of
-    :func:`~repro.engine.batch.batched_local_mixing_profiles`: the
-    ``(k, t_max + 1)`` deviation-profile block, rows in ``sources`` order
-    and bitwise equal to the serial call (each worker propagates only its
-    own row block, so peak memory drops by the worker count)."""
-    kwargs = dict(
-        beta=beta,
-        sizes=sizes,
-        grid_factor=grid_factor,
-        t_max=t_max,
-        lazy=lazy,
-        require_source=require_source,
-    )
-    src, _ = _prepare_profiles_call(g, sources=sources, **kwargs)
-    ex, owned = _resolve_executor(executor, n_workers, start_method)
-    try:
-        return ex.run_sharded(g, "profiles", src, kwargs, n_shards=n_workers)
+        return ex.run_sharded(g, src, kwargs, n_shards=n_workers)
     finally:
         if owned:
             ex.close()

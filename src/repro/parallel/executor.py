@@ -57,13 +57,7 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
-import numpy as np
-
-from repro.engine.batch import (
-    batched_local_mixing_profiles,
-    batched_local_mixing_spectra,
-    batched_local_mixing_times,
-)
+from repro.engine.batch import batched_local_mixing_times
 from repro.graphs.base import Graph
 from repro.obs import (
     MetricsRegistry,
@@ -156,22 +150,13 @@ def _attached(handle: SharedHandle) -> SharedCSR:
     return shared
 
 
-#: The batched driver behind each shard kind (:func:`_solve_shard`).
-_SOLVERS = {
-    "times": batched_local_mixing_times,
-    "spectra": batched_local_mixing_spectra,
-    "profiles": batched_local_mixing_profiles,
-}
-
-
 def _solve_shard(
     handle: SharedHandle,
-    kind: str,
     shard: list[int],
     kwargs: dict,
     collect: bool = False,
 ):
-    """Worker kernel: one batched-engine call on this worker's source shard,
+    """Worker kernel: one batched τ call on this worker's source shard,
     returned as ``(worker_pid, results, obs)`` so the parent can attribute
     the solve in :meth:`ShardExecutor.stats` — ``obs`` is ``None`` unless
     the parent asked for span collection (``collect=True``: tracing was
@@ -179,7 +164,7 @@ def _solve_shard(
     span as a :meth:`~repro.obs.trace.Span.to_dict` payload, carrying the
     kernel-profile delta of exactly this solve in ``meta["kernels"]``.
 
-    The batched drivers are reused as-is — the shard's block is exactly the
+    The batched driver is reused as-is — the shard's block is exactly the
     single-process engine's chunk for these sources, so per-source outputs
     are bitwise those of the serial call (loop equivalence; the
     observability scope only changes what is *recorded*)."""
@@ -187,24 +172,25 @@ def _solve_shard(
     # tiles on this thread only: the shard pool already spreads work
     # over the CPUs.
     g = _attached(handle).graph
-    solver = _SOLVERS.get(kind)
-    if solver is None:
-        raise ValueError(f"unknown shard kind {kind!r}")
     if not collect:
-        return os.getpid(), solver(g, sources=shard, **kwargs), None
+        return (
+            os.getpid(),
+            batched_local_mixing_times(g, sources=shard, **kwargs),
+            None,
+        )
     # Scope observability around exactly this solve so the kernel-profile
     # delta attributes cleanly even on a warm reused worker.
     with observability(True):
         profiler = kernel_profiler()
         before = profiler.snapshot()
         span = Span(
-            "shard_solve", {"pid": os.getpid(), "kind": kind,
+            "shard_solve", {"pid": os.getpid(), "kind": "times",
                             "sources": len(shard)}
         )
         # Ambient-scope the span so the engine's own engine_solve trace
         # nests under it instead of landing in the worker's root sink.
         with use_span(span):
-            out = solver(g, sources=shard, **kwargs)
+            out = batched_local_mixing_times(g, sources=shard, **kwargs)
         span.finish()
         span.meta["kernels"] = diff_kernel_snapshots(
             before, profiler.snapshot()
@@ -369,20 +355,17 @@ class ShardExecutor:
     def run_sharded(
         self,
         g: Graph,
-        kind: str,
         sources: Sequence[int],
         kwargs: dict,
         *,
         n_shards: int | None = None,
     ):
         """Shard ``sources`` contiguously, solve every shard on the pool
-        with the batched-engine kernel ``kind`` (``"times"`` / ``"spectra"``
-        / ``"profiles"``), and merge in shard order.
+        with :func:`~repro.engine.batch.batched_local_mixing_times` and the
+        knobs ``kwargs``, and merge in shard order.
 
-        Returns a list in ``sources`` order for ``"times"``/``"spectra"``
-        and a vertically stacked ``(k, t_max+1)`` array for
-        ``"profiles"`` — in every case element-for-element identical to the
-        corresponding single-process batched call.
+        Returns the results in ``sources`` order, element-for-element
+        identical to the single-process batched call.
         """
         self._check_open()
         n_shards = self._resolve_shards(n_shards)
@@ -394,13 +377,11 @@ class ShardExecutor:
         parts = self._dispatch(
             _solve_shard,
             g,
-            [(kind, src[lo:hi], kwargs, collect) for lo, hi in bounds],
+            [(src[lo:hi], kwargs, collect) for lo, hi in bounds],
         )
         self._record_dispatch(bounds, (pid for pid, _, _ in parts))
         if collect:
             self._ingest_worker_spans(obs for _, _, obs in parts)
-        if kind == "profiles":
-            return np.vstack([part for _, part, _ in parts])
         return [res for _, part, _ in parts for res in part]
 
     def _ingest_worker_spans(self, payloads) -> None:

@@ -15,13 +15,14 @@ catches everything the library raises.
 
 from __future__ import annotations
 
-from repro.errors import ReproError
+from repro.errors import ConvergenceError, GraphError, ReproError
 
 __all__ = [
     "ServingError",
     "DeadlineExceededError",
     "OverloadedError",
     "ServiceClosedError",
+    "error_code",
 ]
 
 
@@ -65,3 +66,28 @@ class ServiceClosedError(ServingError, RuntimeError):
     always raised ``RuntimeError``, and callers written against that
     contract keep working.
     """
+
+
+#: The one serving error taxonomy, first match wins: serving errors map to
+#: their own codes, compute non-convergence to ``unconverged``,
+#: unknown-graph lookups to ``not_found`` and validation errors to
+#: ``bad_request``.
+_ERROR_CODES = (
+    (DeadlineExceededError, "deadline_exceeded"),
+    (OverloadedError, "overloaded"),
+    (ServiceClosedError, "shutting_down"),
+    (ConvergenceError, "unconverged"),
+    (KeyError, "not_found"),
+    ((ValueError, TypeError, GraphError), "bad_request"),
+)
+
+
+def error_code(exc: BaseException) -> str | None:
+    """The stable code of a failed query's exception — the outcome its
+    flight record keeps and the code the wire answers with — or ``None``
+    for an exception outside the taxonomy (each caller names those its
+    own way)."""
+    for types, code in _ERROR_CODES:
+        if isinstance(exc, types):
+            return code
+    return None

@@ -49,7 +49,6 @@ import threading
 import time
 
 from repro.engine.batch import batched_local_mixing_times
-from repro.errors import ConvergenceError, GraphError
 from repro.graphs.base import Graph
 from repro.obs import MetricsRegistry, attach_or_record, default_registry, trace
 from repro.obs.flight import (
@@ -65,34 +64,13 @@ from repro.service.cache import ResultCache
 from repro.service.coalescer import QueryCoalescer
 from repro.service.errors import (
     DeadlineExceededError,
-    OverloadedError,
     ServiceClosedError,
+    error_code,
 )
 from repro.service.query import ExecutionKey, MixingQuery
 from repro.service.registry import GraphRegistry
 
 __all__ = ["MixingService"]
-
-
-def _outcome_code(exc: BaseException) -> str:
-    """The stable flight-record outcome code for a failed query — the
-    same coarse taxonomy the wire protocol's ``error_code_for`` exposes
-    to clients, except that unexpected exceptions keep their type name
-    (``"error:<Type>"``) because flight records are an operator's
-    diagnostic, not a client contract."""
-    if isinstance(exc, DeadlineExceededError):
-        return "deadline_exceeded"
-    if isinstance(exc, OverloadedError):
-        return "overloaded"
-    if isinstance(exc, ServiceClosedError):
-        return "shutting_down"
-    if isinstance(exc, ConvergenceError):
-        return "unconverged"
-    if isinstance(exc, KeyError):
-        return "not_found"
-    if isinstance(exc, (ValueError, TypeError, GraphError)):
-        return "bad_request"
-    return f"error:{type(exc).__name__}"
 
 
 class MixingService:
@@ -276,7 +254,9 @@ class MixingService:
             ) as qspan:
                 return await self._submit_traced(query, tid, state, qspan)
         except BaseException as exc:
-            outcome = _outcome_code(exc)
+            # Flight records are an operator's diagnostic, not a client
+            # contract: an unexpected exception keeps its type name.
+            outcome = error_code(exc) or f"error:{type(exc).__name__}"
             raise
         finally:
             self._record_query(

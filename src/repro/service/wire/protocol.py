@@ -45,11 +45,12 @@ import json
 import math
 from dataclasses import fields as dataclass_fields
 
-from repro.errors import ConvergenceError, GraphError, ReproError
+from repro.errors import ConvergenceError, ReproError
 from repro.service.errors import (
     DeadlineExceededError,
     OverloadedError,
     ServiceClosedError,
+    error_code,
 )
 from repro.service.query import MixingQuery
 from repro.walks.local_mixing import LocalMixingResult
@@ -269,27 +270,18 @@ def decode_response(obj: dict) -> tuple[object, LocalMixingResult]:
 def error_code_for(exc: BaseException) -> tuple[str, str]:
     """Map a server-side exception to its ``(code, message)`` wire form.
 
-    The taxonomy is deliberately coarse and stable: serving errors map
-    to their own codes, engine validation errors to ``bad_request``,
-    unknown-graph lookups to ``not_found``, compute non-convergence to
-    ``unconverged``, and anything unexpected to ``internal`` (message
-    included — these are trusted-operator deployments, not multi-tenant
-    ones)."""
+    The taxonomy is :func:`repro.service.errors.error_code`'s, coarse and
+    stable: a :class:`WireError` passes its own code through, and
+    anything outside the taxonomy is ``internal`` (message included —
+    these are trusted-operator deployments, not multi-tenant ones)."""
     if isinstance(exc, WireError):
         return exc.code, str(exc)
-    if isinstance(exc, DeadlineExceededError):
-        return "deadline_exceeded", str(exc)
-    if isinstance(exc, OverloadedError):
-        return "overloaded", str(exc)
-    if isinstance(exc, ServiceClosedError):
-        return "shutting_down", str(exc)
-    if isinstance(exc, ConvergenceError):
-        return "unconverged", str(exc)
-    if isinstance(exc, KeyError):
-        return "not_found", str(exc.args[0]) if exc.args else "not found"
-    if isinstance(exc, (ValueError, TypeError, GraphError)):
-        return "bad_request", str(exc)
-    return "internal", f"{type(exc).__name__}: {exc}"
+    code = error_code(exc)
+    if code is None:
+        return "internal", f"{type(exc).__name__}: {exc}"
+    if code == "not_found":  # a KeyError: its str() adds quotes
+        return code, str(exc.args[0]) if exc.args else "not found"
+    return code, str(exc)
 
 
 def exception_for_code(code: str, message: str) -> Exception:

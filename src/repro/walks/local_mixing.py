@@ -507,44 +507,26 @@ def graph_local_mixing_time(
     eps: float = DEFAULT_EPS,
     *,
     sources=None,
-    engine: str = "batch",
     **kwargs,
 ) -> int:
     """``τ(β,ε) = max_v τ_v(β,ε)`` — optionally over a sample of sources
     (the paper notes a full pass costs an ``O(n)`` factor; sampling is
     appropriate when local mixing times are homogeneous).
 
-    By default the sources are solved together on the batched multi-source
-    engine (:mod:`repro.engine`): one block trajectory and one batched
-    deviation oracle replace the per-source loop, with identical per-source
-    outputs for every knob combination — ``target="degree"`` and
-    ``require_source=True`` included.  ``engine="parallel"`` shards the
-    sources across a process pool (:mod:`repro.parallel`; forward
-    ``n_workers=`` or a long-lived ``executor=`` through ``kwargs``) —
-    same results again, the loop-equivalence guarantee is worker-count
-    independent.  ``engine="loop"`` forces the original per-source loop
-    (the reference both engines are validated against)."""
-    if engine not in ("batch", "loop", "parallel"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "parallel":
-        from repro.parallel import parallel_local_mixing_times
+    The maximum of one
+    :func:`~repro.engine.batch.batched_local_mixing_times` call, which
+    ``kwargs`` are forwarded to: one block trajectory and one batched
+    screen replace the per-source loop, with per-source outputs identical
+    to :func:`local_mixing_time` for every knob combination —
+    ``target="degree"`` and ``require_source=True`` included.  For a
+    sharded solve, take the maximum of
+    :func:`~repro.parallel.api.parallel_local_mixing_times`."""
+    from repro.engine import batched_local_mixing_times
 
-        results = parallel_local_mixing_times(
-            g, beta, eps, sources=sources, **kwargs
-        )
-        return max(r.time for r in results)
-    if engine == "batch":
-        from repro.engine import batched_local_mixing_times
-
-        results = batched_local_mixing_times(
-            g, beta, eps, sources=sources, **kwargs
-        )
-        return max(r.time for r in results)
-    if sources is None:
-        sources = range(g.n)
-    return max(
-        local_mixing_time(g, s, beta, eps, **kwargs).time for s in sources
+    results = batched_local_mixing_times(
+        g, beta, eps, sources=sources, **kwargs
     )
+    return max(r.time for r in results)
 
 
 def local_mixing_profile(

@@ -86,15 +86,15 @@ def mixing_time(
 
     if dist(0) < eps:
         return 0
-    # Doubling phase: find hi with dist(hi) < eps.
-    hi = 1
-    while dist(hi) >= eps:
-        hi *= 2
-        if hi > t_max:
-            raise ConvergenceError(
-                f"no t <= {t_max} reached eps={eps}", last_length=hi // 2
-            )
-    lo = hi // 2  # dist(lo) >= eps, dist(hi) < eps
+    # Doubling phase, every probe capped at t_max: find hi with
+    # dist(hi) < eps after lo, the last probe with dist(lo) >= eps.
+    lo, hi = 0, min(1, t_max)
+    while hi > lo and dist(hi) >= eps:
+        lo, hi = hi, min(2 * hi, t_max)
+    if hi == lo:  # dist(t_max) >= eps
+        raise ConvergenceError(
+            f"no t <= {t_max} reached eps={eps}", last_length=t_max
+        )
     # Binary search the threshold; valid because dist is non-increasing
     # (Lemma 1).
     while hi - lo > 1:

@@ -20,7 +20,7 @@ import numpy as np
 from repro.constants import MAX_WALK_LENGTH_FACTOR
 from repro.graphs.base import Graph
 from repro.walks.distribution import distribution_trajectory
-from repro.walks.local_mixing import _check_knobs
+from repro.walks.local_mixing import _check_knobs, _is_integer
 
 __all__ = [
     "restrict",
@@ -31,6 +31,17 @@ __all__ = [
 
 
 def _as_index(nodes, n: int) -> np.ndarray:
+    """``nodes`` as sorted unique labels in ``[0, n)``.  Each label passes
+    the knob table's integer rule, so a float or bool label raises
+    ``TypeError`` instead of being truncated into another node."""
+    if isinstance(nodes, np.ndarray):
+        integral = nodes.dtype.kind in "iu"  # a bool dtype is kind "b"
+    else:
+        # Per element: np.asarray([1, True]) is int64 and hides the bool.
+        nodes = list(nodes)
+        integral = all(map(_is_integer, nodes))
+    if not integral:
+        raise TypeError("node labels must be integers")
     idx = np.unique(np.asarray(nodes, dtype=np.int64))
     if idx.size == 0:
         raise ValueError("subset must be non-empty")

@@ -1,38 +1,19 @@
-"""The seams shared by every solve path: the engine's scan kernel.
+"""The seams shared by every solve path: the engine's scan kernels.
 
 The drivers call the float64 kernels of :mod:`repro.engine.oracle`
-directly; these tests pin that what they read is exactly what the
-oracle holds.
+directly on a source-major scan; these tests pin that every kernel reads
+it to exactly the bits the column-major formulas give.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine.oracle import (
-    BatchedUniformDeviationOracle,
-    best_sums_grid_kernel,
-    best_sums_kernel,
     deviation_lower_bounds_kernel,
     exact_best_sums_kernel,
     sorted_scan_arrays,
     split_points_kernel,
 )
-
-# --------------------------------------------------------------------- #
-# Kernel interface the drivers call
-# --------------------------------------------------------------------- #
-
-
-class TestKernelBackendInterface:
-    def test_sorted_scan_matches_oracle(self):
-        rng = np.random.default_rng(1)
-        P = rng.random((30, 4))
-        P /= P.sum(axis=0)
-        S, prefix = sorted_scan_arrays(P)
-        oracle = BatchedUniformDeviationOracle(P)
-        assert np.array_equal(S, oracle.sorted)
-        assert np.array_equal(prefix, oracle.prefix)
-
 
 # --------------------------------------------------------------------- #
 # Source-major scan layout against the column-major formulas
@@ -57,30 +38,6 @@ def _colmajor_scan(P):
     prefix sums under a zero row."""
     S = np.sort(P, axis=0)
     return S, np.vstack([np.zeros((1, P.shape[1])), np.cumsum(S, axis=0)])
-
-
-def _colmajor_best_sums_grid(S, pre, Rs, cs, k0):
-    """The column-major bracketed window minima over the ``(R, column)``
-    grid: one binary search per element, then the window-sum formula."""
-    n, k = S.shape
-    cols = np.arange(k)[None, :]
-    R_col, c_col = Rs[:, None], cs[:, None]
-    lo = np.zeros((Rs.size, k), dtype=np.int64)
-    hi = np.broadcast_to(n - R_col, lo.shape).copy()
-    while (lo < hi).any():
-        active = lo < hi
-        mid = np.where(active, (lo + hi) >> 1, 0)
-        s_hi = S[np.minimum(mid + R_col, n - 1), cols]
-        pred = (mid >= k0) | (
-            (mid + R_col >= k0) & (S[mid, cols] + s_hi >= 2.0 * c_col)
-        )
-        hi = np.where(active & pred, mid, hi)
-        lo = np.where(active & ~pred, mid + 1, lo)
-    kk = np.clip(k0, lo, lo + R_col)
-    gather = pre[kk, cols]
-    below = c_col * (kk - lo) - (gather - pre[lo, cols])
-    above = (pre[lo + R_col, cols] - gather) - c_col * (R_col - (kk - lo))
-    return below + above, lo
 
 
 def _colmajor_lower_bounds(pre, Rs, cs, k0):
@@ -167,16 +124,6 @@ class TestSourceMajorLayout:
             deviation_lower_bounds_kernel(pre, Rs, cs, k0),
             _colmajor_lower_bounds(pre_col, Rs, cs, k0),
         )
-        sums, starts = best_sums_grid_kernel(S, pre, Rs, cs, k0)
-        want_sums, want_starts = _colmajor_best_sums_grid(
-            S_col, pre_col, Rs, cs, k0
-        )
-        assert _same_bytes(sums, want_sums)
-        assert _same_bytes(starts, want_starts)
-        for i, R in enumerate(Rs.tolist()):
-            one, at = best_sums_kernel(S, pre, R, cs[i], k0[i])
-            assert _same_bytes(one, want_sums[i])
-            assert _same_bytes(at, want_starts[i])
         flags = np.random.default_rng(seed).random((n, k)) < 0.6
         r_idx, cols = np.nonzero(flags)
         assert _same_bytes(

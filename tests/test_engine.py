@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import batch as engine_batch
 from repro.engine import oracle as oracle_mod
 from repro.engine import (
-    BatchedUniformDeviationOracle,
     BlockPropagator,
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
@@ -124,40 +123,6 @@ class TestBlockPropagator:
             BlockPropagator(g, [])
         with pytest.raises(ValueError):
             BlockPropagator(g, [9])
-
-
-class TestBatchedOracle:
-    def test_matches_single_source_oracle(self):
-        rng = np.random.default_rng(5)
-        P = rng.dirichlet(np.ones(40), size=7).T
-        oracle = BatchedUniformDeviationOracle(P)
-        for R in (1, 3, 11, 25, 39, 40):
-            sums, _ = oracle.best_sums(R)
-            for j in range(P.shape[1]):
-                ref, _ = UniformDeviationOracle(P[:, j]).best_sum(R)
-                assert sums[j] == ref
-
-    def test_tied_values_match_scan_minimum(self):
-        # Uniform columns: every window sum ties exactly.
-        P = np.full((30, 4), 1.0 / 30)
-        oracle = BatchedUniformDeviationOracle(P)
-        for R in (2, 10, 29):
-            sums, _ = oracle.best_sums(R)
-            ref, _ = UniformDeviationOracle(P[:, 0]).best_sum(R)
-            np.testing.assert_allclose(sums, ref, rtol=0, atol=1e-15)
-
-    def test_split_points(self):
-        P = np.array([[0.1, 0.4], [0.2, 0.4], [0.7, 0.2]])
-        oracle = BatchedUniformDeviationOracle(P)
-        k0 = oracle.split_points(np.array([0.3]))
-        assert k0.tolist() == [[2, 1]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="block"):
-            BatchedUniformDeviationOracle(np.ones(5))
-        oracle = BatchedUniformDeviationOracle(np.ones((5, 2)) / 5)
-        with pytest.raises(ValueError, match="out of range"):
-            oracle.best_sums(6)
 
 
 class TestBatchedLocalMixingTimes:
@@ -870,13 +835,9 @@ class TestScanWorkspace:
 class TestGraphLocalMixingTime:
     def test_batch_equals_loop_engine(self):
         g = gen.random_regular(36, 4, seed=4)
-        assert graph_local_mixing_time(g, 3.0) == graph_local_mixing_time(
-            g, 3.0, engine="loop"
+        assert graph_local_mixing_time(g, 3.0) == max(
+            local_mixing_time(g, s, 3.0).time for s in range(g.n)
         )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            graph_local_mixing_time(gen.cycle_graph(9), 2.0, engine="warp")
 
 
 class TestBatchedSpectra:
@@ -902,35 +863,27 @@ class TestBatchedSpectra:
         assert math.inf in spectra[0].values()
 
 
+def _bounds_and_minima(P):
+    """The screen's lower bounds and the per-source exact minima
+    (:func:`_scan_best`) for every ``(R, column)`` pair of ``P``."""
+    S, pre = sorted_scan_arrays(P)
+    Rs = np.arange(1, P.shape[0] + 1)
+    cs = 1.0 / Rs
+    lb = oracle_mod.deviation_lower_bounds_kernel(
+        pre, Rs, cs, split_points_kernel(S, cs)
+    )
+    exact = np.array(
+        [[_scan_best(S[j], pre[j], R) for j in range(P.shape[1])] for R in Rs]
+    )
+    return lb, exact
+
+
 class TestGridKernels:
-    def test_best_sums_grid_bitwise_matches_per_size(self):
-        rng = np.random.default_rng(8)
-        P = rng.dirichlet(np.ones(33), size=6).T
-        oracle = BatchedUniformDeviationOracle(P)
-        Rs = np.arange(1, 34)
-        sums, starts = oracle.best_sums_grid(Rs)
-        for i, R in enumerate(Rs):
-            ref_s, ref_j = oracle.best_sums(int(R))
-            assert np.array_equal(sums[i], ref_s)
-            assert np.array_equal(starts[i], ref_j)
-
-    def test_best_sums_grid_with_ties(self):
-        p = distribution_at(gen.cycle_graph(15), 0, 6)
-        oracle = BatchedUniformDeviationOracle(np.stack([p, p], axis=1))
-        Rs = np.arange(1, 16)
-        sums, _ = oracle.best_sums_grid(Rs)
-        for i, R in enumerate(Rs):
-            ref, _ = oracle.best_sums(int(R))
-            assert np.array_equal(sums[i], ref)
-
     def test_lower_bounds_never_exceed_minima(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             P = rng.dirichlet(np.ones(40), size=5).T
-            oracle = BatchedUniformDeviationOracle(P)
-            Rs = np.arange(1, 41)
-            lb = oracle.deviation_lower_bounds(Rs)
-            exact, _ = oracle.best_sums_grid(Rs)
+            lb, exact = _bounds_and_minima(P)
             assert (lb <= exact + 1e-12).all()
             assert (lb >= 0).all()
 
@@ -938,22 +891,8 @@ class TestGridKernels:
         # Uniform column: every window deviates by exactly 1 − R/n, and the
         # rightmost-window bound attains it for every R.
         p = np.full(20, 1.0 / 20)
-        oracle = BatchedUniformDeviationOracle(p[:, None])
-        Rs = np.arange(1, 21)
-        lb = oracle.deviation_lower_bounds(Rs)
-        exact, _ = oracle.best_sums_grid(Rs)
+        lb, exact = _bounds_and_minima(p[:, None])
         np.testing.assert_allclose(lb[:, 0], exact[:, 0], atol=1e-12)
-
-    def test_grid_validation(self):
-        oracle = BatchedUniformDeviationOracle(np.ones((5, 2)) / 5)
-        with pytest.raises(ValueError):
-            oracle.best_sums_grid(np.array([6]))
-        with pytest.raises(ValueError):
-            oracle.best_sums_grid(np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            oracle.deviation_lower_bounds(np.array([0]))
-        with pytest.raises(ValueError):
-            oracle.best_sums_grid(np.array([2]), k0=np.zeros((3, 3), np.int64))
 
 
 def _scan_best(z, pre, R):
@@ -1095,6 +1034,42 @@ class TestBatchedMixingTimes:
             batched_mixing_times(g, 1e-9, t_max=3, method="iterative")
         with pytest.raises(ConvergenceError):
             batched_mixing_times(g, 1e-9, t_max=3, method="spectral")
+
+    #: Both Definition-1 doors for one source.
+    DOORS = {
+        "mixing_time": lambda g, s, eps, **kw: mixing_time(g, s, eps, **kw),
+        "batched": lambda g, s, eps, **kw: batched_mixing_times(
+            g, eps, sources=[s], **kw
+        )[0],
+    }
+
+    @pytest.mark.parametrize("method", ["iterative", "spectral"])
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    @pytest.mark.parametrize(
+        "g,t_max,want",
+        [
+            # τ = 58 on the barbell: t_max at, past and just before it,
+            # none of them a power of two except 64.
+            (gen.beta_barbell(3, 6), 58, 58),
+            (gen.beta_barbell(3, 6), 59, 58),
+            (gen.beta_barbell(3, 6), 64, 58),
+            (gen.beta_barbell(3, 6), 57, None),
+            # τ = 1 on K_10: t_max = 0 must not probe t = 1.
+            (gen.complete_graph(10), 0, None),
+            (gen.complete_graph(10), 1, 1),
+        ],
+        ids=lambda v: str(v),
+    )
+    def test_t_max_bounds_the_search(self, g, t_max, want, door, method):
+        """The answer is τ when τ ≤ t_max and an error otherwise, whatever
+        the method: the spectral doubling search probes t_max itself and
+        nothing past it."""
+        call = self.DOORS[door]
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                call(g, 0, 0.25, t_max=t_max, method=method)
+        else:
+            assert call(g, 0, 0.25, t_max=t_max, method=method) == want
 
     def test_validation(self):
         g = gen.cycle_graph(9)

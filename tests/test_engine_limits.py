@@ -128,7 +128,7 @@ class TestBatchedDegreeOracle:
 
 
 class TestDegreeTargetEquivalence:
-    """Satellite: batched vs engine="loop" on irregular graphs."""
+    """Batched vs the per-source loop on irregular graphs."""
 
     @pytest.mark.parametrize("g,beta,lazy", IRREGULAR, ids=lambda v: str(v))
     def test_identical_to_loop_all_sources(self, g, beta, lazy):

@@ -2,7 +2,7 @@
 mathematics, shared-memory lifecycle, and the fail-fast knob validation the
 parallel front doors share with the batched drivers.
 
-The headline contract under test: every parallel front door returns results
+The headline contract under test: the parallel τ front door returns results
 **identical** — same τ, set sizes, bitwise-equal deviations, same
 bookkeeping counters — to the serial batched engine (and therefore to the
 per-source reference loop) for every knob combination, every worker count
@@ -11,7 +11,6 @@ and every shard boundary.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import subprocess
@@ -34,8 +33,6 @@ from repro.graphs import generators as gen
 from repro.parallel import (
     ShardExecutor,
     SharedCSR,
-    parallel_local_mixing_profiles,
-    parallel_local_mixing_spectra,
     parallel_local_mixing_times,
     shard_bounds,
     shard_map,
@@ -158,27 +155,6 @@ def test_sources_order_preserved(reg, pool):
     serial = batched_local_mixing_times(reg, BETA, sources=srcs)
     par = parallel_local_mixing_times(reg, BETA, sources=srcs, executor=pool)
     assert par == serial
-
-
-@pytest.mark.parametrize("knobs", [dict(), dict(require_source=True)])
-def test_spectra_matches_serial(reg, pool, knobs):
-    serial = batched_local_mixing_spectra(reg, t_max=40, **knobs)
-    par = parallel_local_mixing_spectra(reg, t_max=40, executor=pool, **knobs)
-    assert par == serial
-    assert any(
-        math.isinf(t) for spec in serial for t in spec.values()
-    ), "want some never-mixing sizes to exercise the inf path"
-
-
-@pytest.mark.parametrize("knobs", [dict(), dict(require_source=True)])
-def test_profiles_bitwise_equal(reg, pool, knobs):
-    serial = batched_local_mixing_profiles(reg, BETA, t_max=12, **knobs)
-    par = parallel_local_mixing_profiles(
-        reg, BETA, t_max=12, executor=pool, **knobs
-    )
-    # Bitwise: profile values feed plots/fits, no threshold slack applies.
-    assert par.shape == serial.shape
-    assert np.array_equal(par, serial)
 
 
 def test_one_shot_pool_without_executor(reg):
@@ -681,9 +657,6 @@ class TestKnobValidationOrdering:
         "parallel_times": lambda g, **kw: parallel_local_mixing_times(
             g, BETA, n_workers=2, **kw
         ),
-        "parallel_spectra": lambda g, **kw: parallel_local_mixing_spectra(
-            g, n_workers=2, **kw
-        ),
         "query": lambda g, **kw: MixingQuery(g, 0, BETA, **kw),
     }
 
@@ -694,10 +667,8 @@ class TestKnobValidationOrdering:
             self.METHODLESS[door](reg, method="iterative")
 
     def test_profiles_beta_rejected_uniformly(self, reg):
-        for call in (batched_local_mixing_profiles,
-                     parallel_local_mixing_profiles):
-            with pytest.raises(ValueError, match="beta must be >= 1"):
-                call(reg, 0.5, t_max=3)
+        with pytest.raises(ValueError, match="beta must be >= 1"):
+            batched_local_mixing_profiles(reg, 0.5, t_max=3)
 
     def test_explicit_zero_shards_rejected(self, reg, pool):
         """n_workers=0 with a supplied executor is an error, not 'use the

@@ -1,6 +1,6 @@
 """Call sites riding on the parallel subsystem: the sharded dynamic
-tracker, the estimator sweeps, the family sweep fan-out and the
-``engine="parallel"`` dispatch — each pinned against its serial reference.
+tracker, the estimator sweeps, the family sweep fan-out and the graph-wide
+maximum — each pinned against its serial reference.
 """
 
 from __future__ import annotations
@@ -18,8 +18,11 @@ from repro.analysis.sweeps import family_sweep
 from repro.congest.network import CongestNetwork
 from repro.dynamic import barbell_bridge_schedule, track_local_mixing
 from repro.graphs import generators as gen
-from repro.parallel import ShardExecutor
-from repro.walks.local_mixing import graph_local_mixing_time
+from repro.parallel import ShardExecutor, parallel_local_mixing_times
+from repro.walks.local_mixing import (
+    graph_local_mixing_time,
+    local_mixing_time,
+)
 
 BETA = 4.0
 
@@ -162,7 +165,7 @@ def test_congest_sweep_matches_single_source_runs(reg):
 
 
 # --------------------------------------------------------------------- #
-# Family sweep fan-out and engine dispatch
+# Family sweep fan-out and the graph-wide maximum
 # --------------------------------------------------------------------- #
 
 
@@ -174,13 +177,8 @@ def test_family_sweep_parallel_rows_identical(pool):
 
 def test_graph_local_mixing_time_parallel_engine(reg, pool):
     t_batch = graph_local_mixing_time(reg, BETA)
-    t_par = graph_local_mixing_time(
-        reg, BETA, engine="parallel", executor=pool
+    t_par = max(
+        r.time for r in parallel_local_mixing_times(reg, BETA, executor=pool)
     )
-    t_loop = graph_local_mixing_time(reg, BETA, engine="loop")
+    t_loop = max(local_mixing_time(reg, s, BETA).time for s in range(reg.n))
     assert t_par == t_batch == t_loop
-
-
-def test_graph_local_mixing_time_rejects_unknown_engine(reg):
-    with pytest.raises(ValueError, match="unknown engine"):
-        graph_local_mixing_time(reg, BETA, engine="bogus")

@@ -120,3 +120,60 @@ class TestSetMixingTime:
         t_min = int(devs.argmin())
         assert devs[t_min] < DEFAULT_EPS        # it locally mixes...
         assert devs[-1] > devs[t_min] + 0.25    # ...then deviates again
+
+
+class TestNodeLabels:
+    """Subset labels pass the knob table's integer rule at every door: a
+    float or bool label is refused, never truncated into another node."""
+
+    BAD = [[0.5, 1.7, True], [1.9, 2, 3], [True, 2, 3], np.array([0.0, 1.0]),
+           np.array([True, False])]
+
+    @pytest.fixture
+    def g(self):
+        return gen.random_regular(40, 4, seed=1)
+
+    def _doors(self, g):
+        p = distribution_at(g, 1, 3)
+        return {
+            "restrict": lambda nodes: restrict(p, nodes),
+            "restricted_stationary": lambda nodes: restricted_stationary(
+                g, nodes
+            ),
+            "set_l1_deviation": lambda nodes: set_l1_deviation(g, p, nodes),
+            "set_mixing_time": lambda nodes: set_mixing_time(
+                g, 1, nodes, 0.25, t_max=200
+            ),
+        }
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize(
+        "door", ["restrict", "restricted_stationary", "set_l1_deviation",
+                 "set_mixing_time"],
+    )
+    def test_non_integer_labels_rejected(self, g, door, bad):
+        with pytest.raises(TypeError, match="node labels must be integers"):
+            self._doors(g)[door](bad)
+
+    def test_mixed_lists_rejected(self, g):
+        # The list casts to int64, so only a per-element check sees the
+        # bool.
+        assert np.asarray([1, True]).dtype == np.int64
+        with pytest.raises(TypeError):
+            set_mixing_time(g, 1, [1.9] + list(range(2, 40)), 0.25)
+        with pytest.raises(TypeError):
+            restricted_stationary(g, [1, True])
+
+    @pytest.mark.parametrize(
+        "door", ["restrict", "restricted_stationary", "set_l1_deviation",
+                 "set_mixing_time"],
+    )
+    def test_integer_inputs_answer_alike(self, g, door):
+        call = self._doors(g)[door]
+        want = call(list(range(1, 40)))
+        assert np.isfinite(want).all()
+        for nodes in (range(1, 40), np.arange(1, 40, dtype=np.int64),
+                      np.arange(1, 40, dtype=np.uint8),
+                      [np.int64(v) for v in range(1, 40)]):
+            got = call(nodes)
+            assert np.array_equal(got, want)

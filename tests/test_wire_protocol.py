@@ -31,6 +31,7 @@ from repro.service import (
     OverloadedError,
     ServiceClosedError,
 )
+from repro.service.errors import error_code
 from repro.service.wire import (
     ERROR_STATUS,
     PROTOCOL_VERSION,
@@ -356,21 +357,21 @@ class TestGoldenFixtures:
 # --------------------------------------------------------------------- #
 
 
+_EXC_CODES = [
+    (DeadlineExceededError("late"), "deadline_exceeded"),
+    (OverloadedError("full"), "overloaded"),
+    (ServiceClosedError("bye"), "shutting_down"),
+    (ConvergenceError("no"), "unconverged"),
+    (KeyError("no graph registered under 'g'"), "not_found"),
+    (ValueError("bad"), "bad_request"),
+    (TypeError("bad"), "bad_request"),
+    (GraphError("bad"), "bad_request"),
+    (RuntimeError("boom"), "internal"),
+]
+
+
 class TestErrorTaxonomy:
-    @pytest.mark.parametrize(
-        "exc,code",
-        [
-            (DeadlineExceededError("late"), "deadline_exceeded"),
-            (OverloadedError("full"), "overloaded"),
-            (ServiceClosedError("bye"), "shutting_down"),
-            (ConvergenceError("no"), "unconverged"),
-            (KeyError("no graph registered under 'g'"), "not_found"),
-            (ValueError("bad"), "bad_request"),
-            (TypeError("bad"), "bad_request"),
-            (GraphError("bad"), "bad_request"),
-            (RuntimeError("boom"), "internal"),
-        ],
-    )
+    @pytest.mark.parametrize("exc,code", _EXC_CODES)
     def test_exception_to_code(self, exc, code):
         got_code, message = protocol.error_code_for(exc)
         assert got_code == code
@@ -384,6 +385,32 @@ class TestErrorTaxonomy:
         exc = protocol.exception_for_code(code, "msg")
         got_code, _ = protocol.error_code_for(exc)
         assert got_code == code
+
+    @pytest.mark.parametrize("exc,code", _EXC_CODES)
+    def test_flight_outcome_equals_wire_code(self, exc, code):
+        """A query failing with ``exc`` leaves a flight record whose
+        outcome is the code the wire answers with; only an exception
+        outside the taxonomy differs, keeping its type name."""
+        registry = GraphRegistry()
+
+        def fail(ref):
+            raise exc
+
+        registry.resolve = fail
+
+        async def main():
+            async with MixingService(registry=registry) as svc:
+                with pytest.raises(type(exc)):
+                    await svc.submit(MixingQuery("g", 0, beta=4.0))
+                return svc.flight.records()
+
+        (record,) = asyncio.run(main())
+        assert protocol.error_code_for(exc)[0] == code
+        if code == "internal":
+            assert error_code(exc) is None
+            assert record.outcome == f"error:{type(exc).__name__}"
+        else:
+            assert error_code(exc) == record.outcome == code
 
     def test_error_envelope_round_trip(self):
         obj = protocol.encode_error_response("id-9", "overloaded", "full up")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Docs gate: intra-repo links, public-API docstring coverage, quickstart.
+"""Docs gate: intra-repo links, public-API docstring coverage, quickstart,
+tool docstrings and cross-references.
 
-Three checks, all dependency-free (stdlib + the library itself):
+Five checks, all dependency-free (stdlib + the library itself):
 
 1. **Links** — every relative link/image target in the repo's Markdown
    files must exist (external ``http(s)``/``mailto`` targets are skipped,
@@ -16,6 +17,11 @@ Three checks, all dependency-free (stdlib + the library itself):
 4. **Tools** — every ``tools/*.py`` script must carry a module docstring
    and document its top-level public functions (checked via ``ast`` so
    the gate never imports — and thereby runs — a CLI script).
+5. **Cross-references** — every Sphinx role target (``:func:``,
+   ``:class:``, ``:meth:``, ``:mod:``, ``:data:``, ``:attr:``, ``:exc:``)
+   in ``src/repro`` that names a ``repro.`` path must resolve by import
+   plus ``getattr``, so deleting or renaming an API cannot leave a
+   docstring pointing at it.
 
 Run from the repository root::
 
@@ -53,6 +59,9 @@ DOCSTRING_PACKAGES = [
 MIN_DOCSTRING = 10
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A Sphinx cross-reference role and its target text.
+_XREF_RE = re.compile(r":(?:func|class|meth|mod|data|attr|exc):`([^`]+)`")
 
 
 def iter_markdown_files():
@@ -175,11 +184,52 @@ def check_tools() -> list[str]:
     return problems
 
 
+def _resolves(target: str) -> bool:
+    """Whether a dotted ``repro.`` path names an object: the longest
+    importable module prefix, then ``getattr`` for the rest."""
+    import importlib
+
+    parts = target.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[i:]:
+                obj = getattr(obj, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_xrefs() -> list[str]:
+    """Every ``repro.`` cross-reference target in ``src/repro`` must
+    resolve (``~`` and ``title <target>`` forms included)."""
+    problems = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        # A backslash-newline inside a docstring joins the two lines.
+        text = path.read_text(encoding="utf-8").replace("\\\n", "")
+        for match in _XREF_RE.finditer(text):
+            target = match.group(1)
+            if "<" in target:
+                target = target[target.index("<") + 1:target.rindex(">")]
+            target = target.lstrip("~!")
+            if target.startswith("repro.") and not _resolves(target):
+                problems.append(
+                    f"{path.relative_to(ROOT)}: unresolved reference "
+                    f"{match.group(0)}"
+                )
+    return problems
+
+
 CHECKS = {
     "links": check_links,
     "docstrings": check_docstrings,
     "quickstart": check_quickstart,
     "tools": check_tools,
+    "xrefs": check_xrefs,
 }
 
 
