@@ -54,9 +54,9 @@ def run_compare(
 
 def test_d1_dynamic_tracking(record_table, quick_mode):
     # Quick mode flaps bridges without rewires: cross-clique rewires on a
-    # small clique push the uniform-target τ toward the global scale (degree
-    # irregularity, see examples/dynamic_mixing.py) and the from-scratch
-    # baseline alone would take minutes.
+    # small clique push τ toward the global scale (see
+    # examples/dynamic_mixing.py) and the from-scratch baseline alone would
+    # take minutes.
     clique, cycles, hold = (25, 8, 0) if quick_mode else (100, 25, 6)
     rep = BenchReporter("d1_dynamic_tracking")
     base, schedule, trace, scratch, t_track, t_scratch = run_compare(

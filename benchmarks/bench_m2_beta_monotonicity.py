@@ -9,16 +9,14 @@ from repro.walks import local_mixing_time
 def run_all():
     rows = []
     cases = [
-        ("barbell(8,16)", gen.beta_barbell(8, 16), (1, 2, 4, 8), 0.25, False, "degree"),
+        ("barbell(8,16)", gen.beta_barbell(8, 16), (1, 2, 4, 8), 0.25, False),
         ("expander(128)", gen.random_regular(128, 8, seed=12), (1, 2, 4, 8),
-         0.25, False, "uniform"),
-        ("path(96)", gen.path_graph(96), (2, 4, 8), 0.4, True, "uniform"),
+         0.25, False),
+        ("path(96)", gen.path_graph(96), (2, 4, 8), 0.4, True),
     ]
-    for name, g, betas, eps, lazy, target in cases:
+    for name, g, betas, eps, lazy in cases:
         times = [
-            local_mixing_time(
-                g, g.n // 2, beta=b, eps=eps, lazy=lazy, target=target
-            ).time
+            local_mixing_time(g, g.n // 2, beta=b, eps=eps, lazy=lazy).time
             for b in betas
         ]
         rows.append([name, eps] + times + [times == sorted(times, reverse=True)])

@@ -21,15 +21,9 @@ Two regimes, two lessons:
 
 2. **Cross-clique churn** (rewires that pull single edges across the
    bridge): tau inflates by two orders of magnitude for the rewired
-   sources.  Re-running the same trace with ``target="degree"`` (the
-   tracker covers the full engine knob space) shows the
-   degree-proportional tau inflating identically -- which *diagnoses* the
-   inflation: it is structural leakage (a source whose neighborhood now
-   straddles the cliques mixes slowly under any stationary target), not an
-   artifact of the uniform target punishing the mild degree imbalance.
-   Watching tau drift per event, under both targets, is exactly the
-   monitoring workload the tracker exists for -- and comparing targets per
-   snapshot used to cost a per-source loop before the engine batched them.
+   sources, whose neighborhood now straddles the cliques.  Watching tau
+   drift per event is exactly the monitoring workload the tracker exists
+   for.
 
 Run:  python examples/dynamic_mixing.py
 """
@@ -88,17 +82,7 @@ def main() -> None:
     show_trace(
         trace2,
         "regime 2 -- cross-clique churn: rewired sources leak across the "
-        "bridge and the uniform-target tau inflates",
-    )
-
-    trace3 = track_local_mixing(
-        base, churn, beta=BETA, t_max=4000, target="degree"
-    )
-    show_trace(
-        trace3,
-        "regime 2, degree target -- the degree-proportional tau inflates "
-        "the same way: the blow-up is structural, not a uniform-target "
-        "artifact",
+        "bridge and tau inflates",
     )
 
     print(
@@ -107,17 +91,9 @@ def main() -> None:
         "endpoints aside, every source's old tau keeps the\nedit outside "
         "its walk horizon; flapped-back topologies come from the memo).\n"
         "In regime 2 a rewired source keeps one neighbor in the far "
-        "clique: its walk mass\nsplits across the bridge and tau_max jumps "
-        "by two orders of magnitude.  The third\ntable re-runs the trace "
-        "with target='degree' (d(v)/mu(S) instead of 1/R): tau\ninflates "
-        "identically, so the blow-up is structural leakage, not the "
-        "uniform target\npunishing the mild degree imbalance -- a "
-        "diagnosis that needs both targets per\nsnapshot, now one tracker "
-        "knob each.  (Degree-changing edits disable distance\npruning for "
-        "the degree target -- the heuristic ranks all nodes against the "
-        "global\nmean degree -- so its 'solved' column shows full "
-        "re-solves; every snapshot still\nequals a from-scratch batched "
-        "run.)"
+        "clique: its walk mass\nsplits across the bridge and tau_max jumps\n"
+        "by two orders of magnitude; every snapshot still equals a "
+        "from-scratch batched run."
     )
 
 

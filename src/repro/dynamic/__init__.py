@@ -19,10 +19,7 @@ The subsystem layers three pieces on top of the immutable CSR
   every snapshot, via structural memoization, locality pruning (prior τ
   values bound each source's replay radius) and the engine's fused
   search-free re-scan prefilter.  The tracker covers the engine's full
-  knob space — ``target="degree"`` for irregular/churned graphs and
-  ``require_source=True`` included (under the degree target, locality
-  pruning applies only across degree-preserving edits; see
-  :mod:`repro.dynamic.tracker`).
+  knob space, ``require_source=True`` included.
 """
 
 from repro.dynamic.graph import DynamicGraph, GraphUpdate

@@ -39,17 +39,9 @@ snapshot.  Three exact accelerations make that affordable:
    batched call now benefits; the tracker simply delegates.)
 
 The tracker covers the engine's full knob space, including
-``target="degree"`` (the irregular-graph degree-proportional target) and
-``require_source=True``.  One target-specific soundness guard applies: the
-degree heuristic ranks *every* node by ``|p(v) − d(v)/µ|`` against the
-global mean degree, so any edit that changes the degree vector anywhere
-can flip its selections regardless of distance — locality pruning is
-therefore applied under ``target="degree"`` only when the edit preserved
-the degree vector exactly (e.g. degree-preserving rewires); otherwise the
-snapshot is re-solved in full (still batched, memoized and prefiltered).
-Under the uniform target, decisions depend only on the source's own
-trajectory and pruning applies unconditionally; ``require_source`` does
-not change the pruning argument for either target.
+``require_source=True``.  Decisions depend only on the source's own
+trajectory (the target ``1/R`` involves no other node), so pruning applies
+to every edit; ``require_source`` does not change the pruning argument.
 
 Whenever an update breaks the assumptions (node join/leave changed ``n``,
 no prior snapshot, ``method="from_scratch"``), the tracker falls back to a
@@ -155,15 +147,13 @@ def edit_distance_bounds(prev_g: Graph, g: Graph) -> np.ndarray:
 
     This is the locality-pruning radius shared by the incremental
     :class:`MixingTracker` and the serving layer's
-    :class:`~repro.service.GraphRegistry` cache carry-forward: a uniform-
-    target result for source ``s`` with local mixing time ``τ_s`` computed
-    on ``prev_g`` is provably still exact on ``g`` whenever
+    :class:`~repro.service.GraphRegistry` cache carry-forward: a result
+    for source ``s`` with local mixing time ``τ_s`` computed on ``prev_g``
+    is provably still exact on ``g`` whenever
     ``τ_s <= bounds[s]`` — every edit then sits at distance ``≥ τ_s`` from
     ``s`` in both snapshots, so the trajectory prefix ``p_0 … p_{τ_s}``
     (and with it every ``(t, R)`` decision up to the stopping point) is
     bitwise unchanged (see the module docstring for the walk argument).
-    Under ``target="degree"`` the caller must additionally check that the
-    degree vector is unchanged before relying on this bound.
 
     Raises :class:`ValueError` when the two graphs differ in node count —
     the relabelling a join/leave implies breaks the per-node correspondence
@@ -189,16 +179,10 @@ class MixingTracker:
 
     Parameters mirror :func:`~repro.engine.batch.batched_local_mixing_times`
     (``beta``, ``eps``, ``sizes``, ``threshold_factor``, ``grid_factor``,
-    ``t_schedule``, ``t_max``, ``lazy``, ``require_source``, ``target``) —
+    ``t_schedule``, ``t_max``, ``lazy``, ``require_source``) —
     the tracker covers the engine's full knob space, and its per-snapshot
     results equal a from-scratch engine call for every combination.
 
-    target:
-        ``"uniform"`` (default) — Definition 2's uniform-target deviation.
-        ``"degree"`` — the degree-proportional target for irregular
-        (churned) graphs.  Locality pruning under ``"degree"`` is applied
-        only across degree-preserving edits (see the module docstring);
-        other edits trigger a full — still batched and memoized — re-solve.
     require_source:
         Pin each source inside its own witness set (Definition 2's
         ``s ∈ S``); handled in-block by the engine.
@@ -236,7 +220,6 @@ class MixingTracker:
         t_max: int | None = None,
         lazy: bool = False,
         require_source: bool = False,
-        target: str = "uniform",
         method: str = "incremental",
         memo_size: int = 32,
         executor=None,
@@ -247,7 +230,7 @@ class MixingTracker:
             beta=beta, eps=eps, sizes=sizes,
             threshold_factor=threshold_factor, grid_factor=grid_factor,
             t_schedule=t_schedule, t_max=t_max, lazy=lazy,
-            require_source=require_source, target=target,
+            require_source=require_source,
         )
         _check_knobs(**self._knobs)
         if method not in ("incremental", "from_scratch"):
@@ -320,7 +303,7 @@ class MixingTracker:
             or self._prev_graph is None
             or self._prev_graph.n != g.n
         ):
-            results = tuple(self._solve_full(g))
+            results = tuple(self._solve_batch(g))
             solved = g.n
             self._counters["full_solves"].inc()
         else:
@@ -374,8 +357,8 @@ class MixingTracker:
 
         :func:`~repro.engine.batch.batched_local_mixing_times` carries the
         loop-equivalence guarantee (and, since the fused-kernel port, the
-        search-free ``deviation_lower_bounds`` prefilter) for every target
-        / constraint combination, so both tracker methods — and the partial
+        search-free ``deviation_lower_bounds`` prefilter) with or without
+        the source constraint, so both tracker methods — and the partial
         re-solves — share this single code path.  With an executor
         configured, the source set (the post-event dirty set, for partial
         re-solves) is partitioned into contiguous shards and solved on the
@@ -391,24 +374,12 @@ class MixingTracker:
             )
         return batched_local_mixing_times(g, sources=sources, **self._knobs)
 
-    def _solve_full(self, g: Graph):
-        return self._solve_batch(g)
-
     def _solve_incremental(self, g: Graph) -> tuple[tuple, int, int]:
         prev_g = self._prev_graph
         prev_res = self._prev_results
         if prev_g == g:
             # Structurally identical but evicted from the memo.
             return prev_res, g.n, 0
-        if self._knobs["target"] == "degree" and not np.array_equal(
-            prev_g.degrees, g.degrees
-        ):
-            # The degree heuristic ranks every node against the global mean
-            # degree, so a degree change anywhere can flip selections for
-            # any source — distance-based pruning is unsound here (module
-            # docstring); re-solve the snapshot in full.
-            self._counters["full_solves"].inc()
-            return tuple(self._solve_full(g)), 0, g.n
         dmin = edit_distance_bounds(prev_g, g)
         # Source s is provably unaffected iff every edited node lies at
         # distance >= τ_s in both snapshots: p_t only involves degrees and

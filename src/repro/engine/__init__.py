@@ -10,21 +10,18 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
 * :class:`~repro.engine.propagator.BlockPropagator` advances an ``n × k``
   block of distributions with **one sparse mat-mat per step** (``P ← A @ P``)
   instead of ``k`` independent matvec trajectories.
-* The uniform-target kernels of :mod:`repro.engine.oracle` sort all ``k``
+* The kernels of :mod:`repro.engine.oracle` sort all ``k``
   columns at once, bound ``min_{|S|=R} Σ|p − 1/R|`` for the whole
   ``(R, column)`` grid search-free in ``O(1)`` per pair
   (:func:`~repro.engine.oracle.deviation_lower_bounds_kernel`, the
   drivers' screen), and verify flagged pairs bitwise
   (:func:`~repro.engine.oracle.exact_best_sums_kernel`).
-  :class:`~repro.engine.oracle.BatchedDegreeDeviationOracle` is the
-  degree-proportional-target companion: a column-vectorized, bitwise-equal
-  transcript of the per-source fixed-point heuristic for irregular graphs.
 * :func:`~repro.engine.batch.batched_local_mixing_times` and
   :func:`~repro.engine.batch.batched_local_mixing_spectra` are the drivers
   the multi-source call sites (``graph_local_mixing_time``, sweeps, report,
   the dynamic :class:`~repro.dynamic.MixingTracker`) run on; their outputs
   are **identical** to the per-source loop for *every* knob combination —
-  ``target="degree"`` and ``require_source=True`` included; nothing falls
+  ``require_source=True`` included; nothing falls
   back to a per-source trajectory loop (hits are re-verified with the exact
   single-source arithmetic before a source stops).
   :func:`~repro.engine.batch.batched_mixing_times` (global Definition-1
@@ -45,7 +42,6 @@ eigenbasis outlives the call and the engine holds no process-wide state.
 """
 
 from repro.engine.propagator import BlockPropagator
-from repro.engine.oracle import BatchedDegreeDeviationOracle
 from repro.engine.batch import (
     TimesKey,
     batched_local_mixing_profiles,
@@ -57,7 +53,6 @@ from repro.engine.batch import (
 
 __all__ = [
     "BlockPropagator",
-    "BatchedDegreeDeviationOracle",
     "batched_local_mixing_times",
     "batched_local_mixing_spectra",
     "batched_local_mixing_profiles",

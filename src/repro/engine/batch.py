@@ -14,18 +14,17 @@ same bookkeeping counters.  Exactness is preserved by a two-phase check per
    pair;
 2. only ``(R, column)`` pairs whose bound falls below
    ``threshold · (1 + 1e-9)`` are re-examined with the exact single-source
-   arithmetic — batched per step for the uniform target: one
+   arithmetic — batched per step: one
    :func:`~repro.engine.oracle.exact_best_sums_kernel` call runs the
-   window scan's float64 operations on every flagged pair (constrained and
-   degree-target pairs use
-   :class:`~repro.walks.local_mixing.UniformDeviationOracle` /
-   ``_degree_target_best``).  That verdict — and reported deviation — is
+   window scan's float64 operations on every flagged pair (constrained
+   pairs use :class:`~repro.walks.local_mixing.UniformDeviationOracle`).
+   That verdict — and reported deviation — is
    what the per-source loop computes.  A lower bound can over-flag but never
    under-flag — its deviation from the exact minimum is summation
    roundoff, orders of magnitude below the ``1e-9`` relative slack — so a
    source can never stop earlier or later than its per-source run.
 
-**Drift credit** (uniform target) skips both phases for columns that
+**Drift credit** skips both phases for columns that
 provably cannot hit.  The deviation is not monotone in ``t`` (paper §3
 remark) but is 1-Lipschitz in L1: for every fixed ``S``, ``Σ_{u∈S}|p(u) −
 1/R|`` moves by at most ``‖p − q‖₁``, and so do its minima over ``S``, ``R``
@@ -33,7 +32,7 @@ and ``S ∋ s``.  A non-hit column gets credit ``min_R v_R − cutoff − slack`
 (``v_R`` exact where verified, else the bound); each later step charges it
 the *measured* drift ``‖P_t − P_{t−1}‖₁``; while positive, it is not screened.
 
-**Size anchors** (uniform target) certify whole intervals of set sizes:
+**Size anchors** certify whole intervals of set sizes:
 shrinking a size-``R`` set to ``a ≤ R`` of its nodes (keeping ``s``) shows
 ``D_R ≥ D_a − (R − a)/R``, pinned or not.  Each step bounds the sparse
 anchors of :func:`_size_anchors` first; the per-size screen and exact
@@ -43,11 +42,8 @@ to the candidates).  With every size its own anchor, it is the plain screen.
 The drivers cover the **full** knob space of the per-source functions:
 ``require_source=True`` is handled in-block (the unconstrained lower bound
 is also valid for the source-pinned minimum, and flagged pairs are decided
-by the exact constrained oracle on the column), and ``target="degree"``
-runs on the bitwise-equal vectorized transcript of the per-source
-fixed-point heuristic
-(:class:`~repro.engine.oracle.BatchedDegreeDeviationOracle`).  Nothing
-falls back to a per-source trajectory loop.
+by the exact constrained oracle on the column).  Nothing falls back to a
+per-source trajectory loop.
 
 Every driver runs the float64 kernels of :mod:`repro.engine.oracle` and
 the ``A @ P`` block step directly.  While observability is enabled, each
@@ -83,7 +79,6 @@ from repro.constants import DEFAULT_EPS
 from repro.errors import ConvergenceError
 from repro.graphs.base import Graph
 from repro.engine.oracle import (
-    BatchedDegreeDeviationOracle,
     deviation_lower_bounds_kernel,
     exact_best_sums_kernel,
     sorted_scan_arrays,
@@ -188,21 +183,18 @@ class _Kernels(NamedTuple):
     sorted_scan: object
     split_points: object
     deviation_lower_bounds: object
-    best_sums: object  # exact verification of flagged uniform pairs
-    best_sums_grid: object  # unbound BatchedDegreeDeviationOracle method
+    best_sums: object  # exact verification of flagged pairs
     #: ``(pairs, flagged, certified)`` screening-volume recorder, ``None``
     #: when observability is disabled.
     screen: object
 
 
-_degree_grid = BatchedDegreeDeviationOracle.best_sums_grid
 _PLAIN_KERNELS = _Kernels(
     matmul,
     sorted_scan_arrays,
     split_points_kernel,
     deviation_lower_bounds_kernel,
     exact_best_sums_kernel,
-    _degree_grid,
     None,
 )
 
@@ -220,7 +212,6 @@ def _kernels() -> _Kernels:
         prof.timed("split_points", split_points_kernel),
         prof.timed("deviation_lower_bounds", deviation_lower_bounds_kernel),
         prof.timed("best_sums", exact_best_sums_kernel),
-        prof.timed("best_sums_grid", _degree_grid),
         prof.record_screen,
     )
 
@@ -267,7 +258,6 @@ def _prepare_times_call(
     t_max: int | None,
     lazy: bool,
     require_source: bool,
-    target: str,
     batch_size: int | None,
 ) -> tuple[list[int], list[int], int]:
     """Shared fail-fast validation head of the multi-source τ drivers
@@ -290,8 +280,7 @@ def _prepare_times_call(
     _check_knobs(
         beta=beta, eps=eps, sizes=sizes, threshold_factor=threshold_factor,
         grid_factor=grid_factor, t_schedule=t_schedule, t_max=t_max,
-        lazy=lazy, require_source=require_source, target=target,
-        batch_size=batch_size,
+        lazy=lazy, require_source=require_source, batch_size=batch_size,
     )
     grid_factor = eps if grid_factor is None else grid_factor
     candidates = _candidate_sizes(g.n, beta, sizes, grid_factor)
@@ -322,7 +311,6 @@ class TimesKey(NamedTuple):
     t_max: int
     lazy: bool
     require_source: bool
-    target: str
 
 
 def canonical_times_key(
@@ -337,7 +325,6 @@ def canonical_times_key(
     t_max: int | None = None,
     lazy: bool = False,
     require_source: bool = False,
-    target: str = "uniform",
     batch_size: int | None = None,
 ) -> TimesKey:
     """Validate a full :func:`batched_local_mixing_times` knob set against
@@ -360,7 +347,7 @@ def canonical_times_key(
         g, beta, eps, sources=[0], sizes=sizes,
         threshold_factor=threshold_factor, grid_factor=grid_factor,
         t_schedule=t_schedule, t_max=t_max, lazy=lazy,
-        require_source=require_source, target=target, batch_size=batch_size,
+        require_source=require_source, batch_size=batch_size,
     )
     return TimesKey(
         sizes=tuple(int(r) for r in candidates),
@@ -369,7 +356,6 @@ def canonical_times_key(
         t_max=int(t_max),
         lazy=bool(lazy),
         require_source=bool(require_source),
-        target=target,
     )
 
 
@@ -387,13 +373,20 @@ def _prepare_profiles_call(
     """Fail-fast validation head of the profile drivers (batched and
     parallel): the knob table and the ``sizes`` grid are checked before
     sources are normalized.  Returns ``(sources, candidate_sizes)``.
+
+    ``t_max`` is the profile's output length, so unlike the τ drivers'
+    walk bound it has no default; ``grid_factor=None`` is
+    :data:`~repro.constants.DEFAULT_EPS`.
     """
     from repro.walks.local_mixing import _candidate_sizes, _check_knobs
 
+    if t_max is None:
+        raise TypeError("t_max must be an integer, got None")
     _check_knobs(
         beta=beta, sizes=sizes, grid_factor=grid_factor, t_max=t_max,
         lazy=lazy, require_source=require_source,
     )
+    grid_factor = DEFAULT_EPS if grid_factor is None else grid_factor
     candidates = _candidate_sizes(g.n, beta, sizes, grid_factor)
     src = _normalize_sources(g, sources)
     return src, candidates
@@ -438,7 +431,6 @@ def batched_local_mixing_times(
     t_max: int | None = None,
     lazy: bool = False,
     require_source: bool = False,
-    target: str = "uniform",
     batch_size: int | None = None,
 ) -> list["LocalMixingResult"]:
     """``τ_s(β,ε)`` for every source in ``sources`` (default: all nodes).
@@ -446,10 +438,7 @@ def batched_local_mixing_times(
     Accepts the same semantics knobs as
     :func:`~repro.walks.local_mixing.local_mixing_time` — including
     ``require_source=True`` (each source pinned inside its witness set,
-    decided by the exact constrained oracle on the shared block) and
-    ``target="degree"`` (the irregular-graph degree-proportional target,
-    evaluated by the bitwise-equal batched transcript of the per-source
-    fixed-point heuristic) — plus:
+    decided by the exact constrained oracle on the shared block) — plus:
 
     batch_size:
         Maximum number of source columns propagated at once, summed over
@@ -470,7 +459,7 @@ def batched_local_mixing_times(
         g, beta, eps, sources=sources, sizes=sizes,
         threshold_factor=threshold_factor, grid_factor=grid_factor,
         t_schedule=t_schedule, t_max=t_max, lazy=lazy,
-        require_source=require_source, target=target, batch_size=batch_size,
+        require_source=require_source, batch_size=batch_size,
     )
     threshold = eps * threshold_factor
     kernels = _kernels()
@@ -485,7 +474,6 @@ def batched_local_mixing_times(
                 t_schedule,
                 t_max,
                 lazy,
-                target=target,
                 require_source=require_source,
                 kernels=kernels,
             )
@@ -539,48 +527,42 @@ def _solve_chunk(
     t_max: int,
     lazy: bool,
     *,
-    target: str = "uniform",
     require_source: bool = False,
     kernels: _Kernels,
 ):
     """Yield ``(position_in_chunk, LocalMixingResult)`` as sources resolve.
 
     Per scheduled step: one batched prefilter over the whole
-    ``(R, live column)`` grid (a valid lower bound for every target /
-    constraint combination — the fused D1-style
-    ``deviation_lower_bounds`` kernel), then exact verification of the
-    flagged pairs; a column's first verified hit in ascending ``R`` is
-    exactly the per-source loop's stopping point, and every counter
-    reconstructs the loop's bookkeeping.  Unconstrained uniform-target
-    pairs are decided by one ``exact_best_sums_kernel`` call; the others
-    by their scalar per-source references (the degree target's prefilter
-    is already its exact fixed-point transcript).  Drift credit and size
-    anchors prove uniform-target pairs non-hits, which are not screened.
+    ``(R, live column)`` grid (a valid lower bound with or without the
+    source constraint — the fused D1-style ``deviation_lower_bounds``
+    kernel), then exact verification of the flagged pairs; a column's
+    first verified hit in ascending ``R`` is exactly the per-source loop's
+    stopping point, and every counter reconstructs the loop's
+    bookkeeping.  Unconstrained pairs are decided by one
+    ``exact_best_sums_kernel`` call; source-pinned ones by the scalar
+    constrained oracle.  Drift credit and size anchors prove pairs
+    non-hits, which are not screened.
     """
     from repro.walks.local_mixing import (
         LocalMixingResult,
         UniformDeviationOracle,
-        _degree_target_best,
         _t_iter,
     )
 
-    # The degree transcript is an exact prefilter, not a screen, so it
-    # records no screening volume.
-    screen_record = kernels.screen if target != "degree" else None
-    in_block = target == "uniform" and not require_source
+    screen_record = kernels.screen
+    in_block = not require_source
     cutoff = threshold * (1.0 + _VERIFY_SLACK)
     slack = _CREDIT_SLACK * g.n
     n_cand = len(candidates)
     Rs = np.asarray(candidates, dtype=np.int64)
     inv_r = 1.0 / Rs
     gamma = threshold * _ANCHOR_SHARE
-    anchors = _size_anchors(Rs, gamma) if target == "uniform" else None
-    degrees = g.degrees.astype(np.float64) if target == "degree" else None
+    anchors = _size_anchors(Rs, gamma)
     col_pos = np.arange(len(chunk))  # chunk position per live column
     credit = np.zeros(len(chunk))  # proven no-hit margin per live column
-    if target == "uniform":  # the tile's scan workspace (sorted, prefix)
-        work = np.empty((len(chunk), g.n)), np.zeros((len(chunk), g.n + 1))
-        flat = work[0].reshape(-1)  # the drift diff's buffer
+    # The tile's scan workspace (sorted, prefix).
+    work = np.empty((len(chunk), g.n)), np.zeros((len(chunk), g.n + 1))
+    flat = work[0].reshape(-1)  # the drift diff's buffer
     prop = BlockPropagator(g, chunk, lazy=lazy, step_block=kernels.step_block)
     for steps, t in enumerate(_t_iter(t_schedule, t_max), start=1):
         if col_pos.size == 0:
@@ -605,8 +587,7 @@ def _solve_chunk(
         if need.size == 0:
             continue
         sub = None if need.size == col_pos.size else need
-        if target == "uniform":
-            S, pre = kernels.sorted_scan(P, sub, work)
+        S, pre = kernels.sorted_scan(P, sub, work)
         Rs_s, inv_s, rows, floor = Rs, inv_r, None, np.inf
         if anchors is not None:
             anc, own, delta = anchors
@@ -632,22 +613,11 @@ def _solve_chunk(
             Rs_s, inv_s = Rs[rows], inv_r[rows]
         if not in_block:
             live_nodes = [chunk[int(i)] for i in col_pos[need]]
-        if target == "degree":
-            doracle = BatchedDegreeDeviationOracle(
-                P if sub is None else P[:, need], degrees, sources=live_nodes
-            )
-            # The transcript values ARE the per-source heuristic values
-            # (bitwise), so they prefilter exactly; flagged pairs are still
-            # re-decided by the scalar reference below.
-            bounds = kernels.best_sums_grid(
-                doracle, Rs, require_source=require_source
-            )
-        else:
-            k0_all = kernels.split_points(S, inv_s)
-            # One search-free kernel call for the whole (R, column) grid;
-            # valid for the constrained minimum too (pinning the source
-            # can only increase it).
-            bounds = kernels.deviation_lower_bounds(pre, Rs_s, inv_s, k0_all)
+        k0_all = kernels.split_points(S, inv_s)
+        # One search-free kernel call for the whole (R, column) grid; valid
+        # for the constrained minimum too (pinning the source can only
+        # increase it).
+        bounds = kernels.deviation_lower_bounds(pre, Rs_s, inv_s, k0_all)
         hits = bounds < cutoff
         if screen_record is not None:
             screen_record(hits.size, int(np.count_nonzero(hits)))
@@ -663,24 +633,17 @@ def _solve_chunk(
         else:
             for col in map(int, np.flatnonzero(hits.any(axis=0))):
                 node = int(live_nodes[col])
-                p = P[:, need[col]]
-                if require_source and target == "uniform":
-                    uo = UniformDeviationOracle(p, source=node)
+                uo = UniformDeviationOracle(P[:, need[col]], source=node)
                 for r_idx in map(int, np.flatnonzero(hits[:, col])):
                     R = int(Rs_s[r_idx])
-                    if target == "degree":
-                        s_exact = _degree_target_best(
-                            p, degrees, R, node, require_source
-                        )
-                    else:
-                        s_exact, _ = uo.best_sum(R, require_source=True)
+                    s_exact, _ = uo.best_sum(R, require_source=True)
                     bounds[r_idx, col] = s_exact
                     if s_exact < threshold:
                         found.append((col, r_idx, s_exact))
                         break
-        if target == "uniform":  # verified values now replace bounds
-            low = np.minimum(bounds.min(axis=0), floor)
-            credit[need] = low - cutoff - slack
+        # Verified values now replace bounds.
+        low = np.minimum(bounds.min(axis=0), floor)
+        credit[need] = low - cutoff - slack
         keep = np.ones(col_pos.size, dtype=bool)
         for col, r_idx, s_exact in found:
             r_idx = int(r_idx if rows is None else rows[r_idx])

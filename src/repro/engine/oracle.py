@@ -37,12 +37,6 @@ Floating-point caveat for any bracket search: when exact ties make the
 window-sum profile flat, the bracketed start can differ from
 ``np.argmin``'s pick by a few ulps of ``F``, so decisions that must be
 bitwise-identical to the per-source loop still need the exact verifier.
-
-:class:`BatchedDegreeDeviationOracle` is the degree-proportional-target
-companion: a column-vectorized transcript of the single-source fixed-point
-heuristic (stationary-weighted residual sort + volume recomputation) whose
-values are bitwise equal to the per-source calls, which is what lets the
-batch drivers cover ``target="degree"`` without falling back to the loop.
 """
 
 from __future__ import annotations
@@ -50,7 +44,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "BatchedDegreeDeviationOracle",
     "sorted_scan_arrays",
     "split_points_kernel",
     "deviation_lower_bounds_kernel",
@@ -205,124 +198,3 @@ def deviation_lower_bounds_kernel(
     b_above = (bot - flat[a3 + base]) - c_col * (R_col - a3)
     out = np.maximum(b_mass, np.maximum(b_below, b_above))
     return np.maximum(out, 0.0)
-
-
-class BatchedDegreeDeviationOracle:
-    """Degree-target (stationary-weighted) deviation queries over a block.
-
-    The degree-proportional variant of Definition 2 targets
-    ``π_S(v) = d(v)/µ(S)``; the single-source reference is the fixed-point
-    heuristic ``repro.walks.local_mixing._degree_target_best`` (mean-degree
-    volume guess → pick the ``R`` smallest residuals → recompute ``µ(S)``,
-    up to four rounds, keeping the best value seen).  This oracle runs that
-    heuristic for **all k columns at once** as an exact vectorized
-    transcript: the residual block is sorted column-wise with the same
-    stable order, the gathers are transposed to ``(k, R)`` C-contiguous
-    layout so every row sum uses numpy's pairwise reduction over the same
-    ``R`` values in the same order as the 1-D call, and per-column
-    convergence freezes a column exactly where the scalar loop would
-    ``break`` — so :meth:`best_sums` is **bitwise equal** to ``k``
-    independent ``_degree_target_best`` calls.
-
-    On a regular graph the degree target collapses to the uniform one, and
-    the heuristic reduces to the uniform window optimum.
-
-    Parameters
-    ----------
-    P:
-        Block of ``k`` distributions, one per column (non-negative).
-    degrees:
-        Degree vector of the graph, ``float64`` (the reference loop casts
-        with ``g.degrees`` — pass the same cast).
-    sources:
-        Optional source node per column; required for
-        ``require_source=True`` queries (the constraint pins each column's
-        own source inside its set).
-    """
-
-    #: Fixed-point rounds — must match ``_degree_target_best``'s default.
-    ITERS = 4
-
-    def __init__(
-        self,
-        P: np.ndarray,
-        degrees: np.ndarray,
-        *,
-        sources=None,
-    ):
-        P = np.asarray(P, dtype=np.float64)
-        if P.ndim != 2:
-            raise ValueError("P must be an (n, k) block, one column per source")
-        self.n, self.k = P.shape
-        degrees = np.asarray(degrees, dtype=np.float64)
-        if degrees.shape != (self.n,):
-            raise ValueError("degrees must be a length-n vector")
-        self._P = P
-        self.degrees = degrees
-        self._mean_degree = float(degrees.mean())
-        if sources is None:
-            self._src = None
-        else:
-            src = np.asarray(list(sources), dtype=np.int64)
-            if src.shape != (self.k,):
-                raise ValueError("need one source per column")
-            if src.size and (src.min() < 0 or src.max() >= self.n):
-                raise ValueError("source out of range")
-            self._src = src
-
-    def best_sums(self, R: int, *, require_source: bool = False) -> np.ndarray:
-        """Per column, the fixed-point heuristic's best
-        ``Σ_{v∈S} |p(v) − d(v)/µ(S)|`` over sets of size ``R`` — bitwise
-        equal to the per-source ``_degree_target_best`` transcript (see the
-        class docstring for why).  With ``require_source=True`` each
-        column's own source is forced into its set (the oracle must have
-        been built with ``sources``)."""
-        n, k = self.n, self.k
-        if not 1 <= R <= n:
-            raise ValueError(f"R={R} out of range [1, {n}]")
-        if require_source and self._src is None:
-            raise ValueError("oracle built without sources")
-        P, d = self._P, self.degrees
-        mu = np.full(k, R * self._mean_degree)
-        best = np.full(k, np.inf)
-        alive = np.arange(k)
-        for _ in range(self.ITERS):
-            Pa = P[:, alive]
-            resid = np.abs(Pa - d[:, None] / mu[alive][None, :])
-            if require_source:
-                resid[self._src[alive], np.arange(alive.size)] = -1.0
-            idx = np.argsort(resid, axis=0, kind="stable")[:R]
-            # (k, R) C-contiguous gathers: the axis-1 pairwise sums then
-            # reduce the same R values in the same order as the scalar
-            # loop's 1-D sums — bitwise equal results.
-            dg = np.ascontiguousarray(d[idx].T)
-            mu_new = dg.sum(axis=1)
-            pg = np.ascontiguousarray(Pa[idx, np.arange(alive.size)[None, :]].T)
-            val = np.abs(pg - dg / mu_new[:, None]).sum(axis=1)
-            best[alive] = np.minimum(best[alive], val)
-            converged = np.abs(mu_new - mu[alive]) < 1e-12
-            mu[alive] = mu_new
-            alive = alive[~converged]
-            if alive.size == 0:
-                break
-        return best
-
-    def best_sums_grid(
-        self, Rs: np.ndarray, *, require_source: bool = False
-    ) -> np.ndarray:
-        """:meth:`best_sums` for a whole grid of set sizes: a
-        ``(len(Rs), k)`` array, row ``i`` bitwise equal to
-        ``best_sums(Rs[i])``.  Each set size runs its own fixed point, so
-        the fusion here is per-``R`` column vectorization (the degree
-        residuals pivot on ``µ``, which differs per size — there is no
-        shared sort to amortize across sizes the way the uniform oracle
-        does)."""
-        Rs = np.asarray(Rs, dtype=np.int64)
-        if Rs.ndim != 1 or Rs.size == 0:
-            raise ValueError("Rs must be a non-empty 1-D array of set sizes")
-        if Rs.min() < 1 or Rs.max() > self.n:
-            raise ValueError(f"set sizes out of range [1, {self.n}]")
-        out = np.empty((Rs.size, self.k), dtype=np.float64)
-        for i, R in enumerate(Rs):
-            out[i] = self.best_sums(int(R), require_source=require_source)
-        return out

@@ -44,7 +44,8 @@ __all__ = [
 #: v2: record ``wall_time`` renamed to ``unix_ts`` (wall-clock
 #: completion time for external-log correlation).
 #: v3: record ``backend`` field removed (the engine has one kernel path).
-EXPORT_VERSION = 3
+#: v4: record ``knobs`` lost its ``target`` key (τ has one target).
+EXPORT_VERSION = 4
 
 #: Hard server-side bound on records per export payload (a request may
 #: ask for fewer, never more).

@@ -2,14 +2,14 @@
 
 While observability is enabled, every batched engine driver call binds
 its kernels once with :meth:`KernelProfiler.timed` (``step_block``,
-``sorted_scan``, ``split_points``, ``deviation_lower_bounds``,
-``best_sums`` — the exact verifier — and ``best_sums_grid`` — the
-degree target's transcript), recording
-per-kernel call counts and wall seconds into the process-global
+``sorted_scan``, ``split_points``, ``deviation_lower_bounds`` and
+``best_sums`` — the exact verifier), recording per-kernel call counts
+and seconds into the process-global
 :func:`~repro.obs.metrics.default_registry`:
 
 * ``repro_kernel_calls_total{kernel}``
-* ``repro_kernel_seconds_total{kernel}``
+* ``repro_kernel_seconds_total{kernel}`` — summed over the column-tile
+  threads that run kernels concurrently, so thread-seconds, not wall.
 * ``repro_screen_pairs_total`` / ``repro_screen_flagged_total`` — how
   many (R, column) candidate pairs got a per-size screening bound vs were
   flagged for exact re-verification.
@@ -88,7 +88,8 @@ class KernelProfiler:
         )
         self._seconds = registry.counter(
             "repro_kernel_seconds_total",
-            "Wall seconds spent inside engine kernels.",
+            "Thread-seconds spent inside engine kernels (summed over "
+            "tile threads).",
             labels=("kernel",),
         )
         self._screen = {

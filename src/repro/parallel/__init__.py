@@ -17,8 +17,8 @@ cores without giving up a single bit of exactness:
   merges.
 * Front door :func:`~repro.parallel.api.parallel_local_mixing_times` —
   the drop-in counterpart of the batched τ driver carrying the full knob
-  space (``target``, ``require_source``, schedules, grids,
-  ``batch_size`` — all validated in the parent), whose output is
+  space (``require_source``, schedules, grids, ``batch_size`` — all
+  validated in the parent), whose output is
   **identical** to the serial engine (and therefore to the per-source
   reference loop) for every knob combination and any worker count.  Each
   process holds ``n`` times one column tile's width of dense block.

@@ -62,7 +62,6 @@ def parallel_local_mixing_times(
     t_max: int | None = None,
     lazy: bool = False,
     require_source: bool = False,
-    target: str = "uniform",
     batch_size: int | None = None,
     n_workers: int | None = None,
     executor: ShardExecutor | None = None,
@@ -71,9 +70,8 @@ def parallel_local_mixing_times(
     """``τ_s(β,ε)`` for every source, solved on ``n_workers`` processes.
 
     Accepts the full knob space of
-    :func:`~repro.engine.batch.batched_local_mixing_times` (``target``,
-    ``require_source``, schedules, grids,
-    ``batch_size`` — the latter bounds each *worker's* column tiles) and
+    :func:`~repro.engine.batch.batched_local_mixing_times`
+    (``require_source``, schedules, grids, ``batch_size`` — the latter bounds each *worker's* column tiles) and
     returns, in ``sources`` order, results **identical** to the serial
     batched call — and therefore to the per-source reference loop.  Each
     worker solves its ``⌈k/W⌉`` of ``k`` sources as the engine's column
@@ -95,7 +93,6 @@ def parallel_local_mixing_times(
         t_max=t_max,
         lazy=lazy,
         require_source=require_source,
-        target=target,
         batch_size=batch_size,
     )
     src, _, _ = _prepare_times_call(g, sources=sources, **kwargs)

@@ -26,9 +26,7 @@ entries of the previous snapshot whose sources are provably unaffected —
 :func:`~repro.dynamic.tracker.edit_distance_bounds` radius, i.e. every
 edit sits at distance ``≥ τ_s`` in both snapshots — are re-keyed onto the
 new snapshot, so only *dirty* sources (those the edit could actually
-reach) miss and get recomputed.  Under ``target="degree"`` an entry is
-carried only when the mutation preserved the degree vector, mirroring the
-tracker's soundness guard.
+reach) miss and get recomputed.
 
 Observability: the counters live on a
 :class:`~repro.obs.metrics.MetricsRegistry` (``repro_cache_*_total``
@@ -150,8 +148,6 @@ class ResultCache:
         prev_g: Graph,
         new_g: Graph,
         dmin: np.ndarray,
-        *,
-        degrees_equal: bool,
     ) -> int:
         """Re-key ``prev_g``'s provably-unaffected entries onto ``new_g``.
 
@@ -159,10 +155,7 @@ class ResultCache:
         the two snapshots: an entry for source ``s`` is carried iff its
         result's ``time <= dmin[s]`` (the locality-pruning soundness
         argument — the source's whole decision transcript is bitwise
-        unchanged) and, for ``target="degree"`` entries, additionally
-        ``degrees_equal`` (the degree heuristic ranks every node against
-        the global mean degree, so a degree change anywhere is
-        disqualifying).  Existing ``new_g`` entries are never overwritten —
+        unchanged).  Existing ``new_g`` entries are never overwritten —
         they are already exact.  ``prev_g``'s own entries stay cached: the
         old structure may be revisited (structural memoization will then
         return the same object) and the LRU ages them out naturally.
@@ -185,8 +178,6 @@ class ResultCache:
                 or (hash(k[0]) == prev_hash and k[0] == prev_g)
             ]
             for (_, source, key), res in old:
-                if key.target == "degree" and not degrees_equal:
-                    continue
                 if res.time > dmin[source]:
                     continue  # a dirty source: the edit is inside its radius
                 new_key = (new_g, source, key)

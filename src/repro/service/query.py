@@ -77,7 +77,6 @@ class MixingQuery:
     t_max: int | None = None
     lazy: bool = False
     require_source: bool = False
-    target: str = "uniform"
     batch_size: int | None = None
     #: Relative deadline in seconds from submission (``None`` — wait
     #: forever).  A deadline never changes *what* is computed — it is

@@ -10,10 +10,10 @@ serving layer's integration point with :mod:`repro.dynamic`:
   *current* ``snapshot()`` — and whenever that snapshot differs from the
   one served last, the registry computes the locality radius of the edit
   (:func:`~repro.dynamic.tracker.edit_distance_bounds`) and notifies its
-  change listeners with ``(prev_snapshot, new_snapshot, dmin,
-  degrees_equal)``.  The :class:`~repro.service.MixingService` wires a
-  listener that carries provably-unaffected cache entries forward
-  (:meth:`~repro.service.cache.ResultCache.carry_forward`), so a mutation
+  change listeners with ``(prev_snapshot, new_snapshot, dmin)``.  The
+  :class:`~repro.service.MixingService` wires in
+  :meth:`~repro.service.cache.ResultCache.carry_forward`, which carries
+  provably-unaffected cache entries forward, so a mutation
   invalidates only the sources it can actually reach — the dirty set —
   exactly mirroring the incremental tracker's pruning argument.
 
@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Callable
-
-import numpy as np
 
 from repro.dynamic.graph import DynamicGraph
 from repro.dynamic.tracker import edit_distance_bounds
@@ -42,7 +40,7 @@ class GraphRegistry:
     concrete immutable snapshots, reporting dynamic-graph changes.
 
     Change listeners are callables
-    ``listener(prev_g, new_g, dmin, degrees_equal)`` invoked synchronously
+    ``listener(prev_g, new_g, dmin)`` invoked synchronously
     from :meth:`resolve` when a tracked dynamic graph's snapshot moved to
     a different same-``n`` structure (``dmin`` is
     :func:`~repro.dynamic.tracker.edit_distance_bounds` of the pair).  A
@@ -159,11 +157,8 @@ class GraphRegistry:
             if prev.n == new.n:
                 self._changes.inc()
                 dmin = edit_distance_bounds(prev, new)
-                degrees_equal = bool(
-                    np.array_equal(prev.degrees, new.degrees)
-                )
                 for listener in self._listeners:
-                    listener(prev, new, dmin, degrees_equal)
+                    listener(prev, new, dmin)
             else:
                 self._n_changes.inc()
         self._tracked[id(ref)] = (ref, new)

@@ -207,7 +207,9 @@ class MixingService:
         )
         self._sampler_interval = sampler_interval
         self._sampler: ResourceSampler | None = None
-        self.registry.add_listener(self._on_graph_change)
+        # Carry provably-clean cache entries onto each new snapshot, so
+        # only dirty sources recompute.
+        self.registry.add_listener(self._cache.carry_forward)
 
     # ------------------------------------------------------------------ #
     # Query admission
@@ -468,13 +470,6 @@ class MixingService:
                     self._executor = ex
                     self._owns_executor = True
         return self._executor
-
-    def _on_graph_change(self, prev_g, new_g, dmin, degrees_equal) -> None:
-        """Registry listener: carry provably-clean cache entries onto the
-        new snapshot so only dirty sources recompute."""
-        self._cache.carry_forward(
-            prev_g, new_g, dmin, degrees_equal=degrees_equal
-        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle + stats

@@ -285,8 +285,6 @@ _KNOB_RULES = {
     "t_max": ("an integer", lambda v: v >= 0, "t_max must be non-negative"),
     "lazy": ("a bool", None, None),
     "require_source": ("a bool", None, None),
-    "target": ("a string", lambda v: v in ("uniform", "degree"),
-               "unknown target {!r}"),
     "batch_size": ("an integer", lambda v: v >= 1, "batch_size must be >= 1"),
     "deadline": ("a finite real number", None, None),
     "priority": ("an integer", None, None),
@@ -396,32 +394,23 @@ def local_mixing_time(
     t_max: int | None = None,
     lazy: bool = False,
     require_source: bool = False,
-    target: str = "uniform",
 ) -> LocalMixingResult:
     """Centralized local mixing time ``τ_s(β, ε)`` (Definition 2).
 
-    Default knobs give the *exact* value under the paper's uniform-target
-    semantics (regular graphs): every integer set size, every walk length,
-    threshold ``ε``.  To reproduce Algorithm 2's stopping rule exactly, use
-    ``sizes="grid", threshold_factor=4, t_schedule="doubling"``.
-
-    Parameters
-    ----------
-    target:
-        ``"uniform"`` — Algorithm 2's check ``Σ|p(u) − 1/R| < threshold``
-        (exact Definition 2 on regular graphs).  ``"degree"`` — a
-        degree-aware fixed-point heuristic for irregular graphs that
-        targets ``π_S(v) = d(v)/µ(S)`` (a documented deviation from the
-        paper's regular-graph setting; see docs/paper_map.md).  Both
-        targets are equally supported by the batched engine
-        (:func:`~repro.engine.batch.batched_local_mixing_times`), whose
-        per-source results are identical to this loop.
+    Default knobs give the *exact* value: every integer set size, every
+    walk length, threshold ``ε``, and the uniform target ``1/R`` on every
+    graph (the paper states Definition 2 for regular graphs; see
+    docs/paper_map.md).  To reproduce Algorithm 2's stopping rule
+    exactly, use ``sizes="grid", threshold_factor=4,
+    t_schedule="doubling"``.  The batched engine
+    (:func:`~repro.engine.batch.batched_local_mixing_times`) returns
+    per-source results identical to this loop.
     """
     _check_knobs(
         source=source, beta=beta, eps=eps, sizes=sizes,
         threshold_factor=threshold_factor, grid_factor=grid_factor,
         t_schedule=t_schedule, t_max=t_max, lazy=lazy,
-        require_source=require_source, target=target,
+        require_source=require_source,
     )
     if not 0 <= source < g.n:
         raise ValueError("source out of range")
@@ -434,7 +423,6 @@ def local_mixing_time(
     target_t = next(schedule, None)
     steps = 0
     checks = 0
-    degrees = g.degrees.astype(np.float64)
     for t, p in distribution_trajectory(g, source, lazy=lazy, t_max=t_max):
         if target_t is None:
             break
@@ -442,14 +430,10 @@ def local_mixing_time(
             continue
         target_t = next(schedule, None)
         steps += 1
-        if target == "uniform":
-            oracle = UniformDeviationOracle(p, source=source)
+        oracle = UniformDeviationOracle(p, source=source)
         for R in candidates:
             checks += 1
-            if target == "uniform":
-                s, _ = oracle.best_sum(R, require_source=require_source)
-            else:
-                s = _degree_target_best(p, degrees, R, source, require_source)
+            s, _ = oracle.best_sum(R, require_source=require_source)
             if s < threshold:
                 return LocalMixingResult(
                     time=t,
@@ -464,41 +448,6 @@ def local_mixing_time(
         f"(beta={beta}, eps={eps}, threshold={threshold})",
         last_length=t_max,
     )
-
-
-def _degree_target_best(
-    p: np.ndarray,
-    degrees: np.ndarray,
-    R: int,
-    source: int,
-    require_source: bool,
-    iters: int = 4,
-) -> float:
-    """Fixed-point heuristic for irregular graphs: choose S of size R
-    minimizing ``Σ_{v∈S} |p(v) − d(v)/µ(S)|`` where ``µ(S)`` depends on S.
-
-    Start from the mean-degree volume guess, select the R smallest residuals
-    (stable argsort, so exact ties break deterministically by node id — the
-    batched transcript in
-    :class:`~repro.engine.oracle.BatchedDegreeDeviationOracle` reproduces
-    the selection bitwise), recompute µ(S), repeat.  Exact when the graph is
-    regular (then it reduces to the uniform window).
-    """
-    mu = R * float(degrees.mean())
-    best = math.inf
-    for _ in range(iters):
-        resid = np.abs(p - degrees / mu)
-        if require_source:
-            resid = resid.copy()
-            resid[source] = -1.0  # force inclusion
-        idx = np.argsort(resid, kind="stable")[:R]
-        mu_new = float(degrees[idx].sum())
-        val = float(np.abs(p[idx] - degrees[idx] / mu_new).sum())
-        best = min(best, val)
-        if abs(mu_new - mu) < 1e-12:
-            break
-        mu = mu_new
-    return best
 
 
 def graph_local_mixing_time(
@@ -517,8 +466,8 @@ def graph_local_mixing_time(
     :func:`~repro.engine.batch.batched_local_mixing_times` call, which
     ``kwargs`` are forwarded to: one block trajectory and one batched
     screen replace the per-source loop, with per-source outputs identical
-    to :func:`local_mixing_time` for every knob combination —
-    ``target="degree"`` and ``require_source=True`` included.  For a
+    to :func:`local_mixing_time` for every knob combination,
+    ``require_source=True`` included.  For a
     sharded solve, take the maximum of
     :func:`~repro.parallel.api.parallel_local_mixing_times`."""
     from repro.engine import batched_local_mixing_times

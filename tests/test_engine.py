@@ -162,18 +162,6 @@ class TestBatchedLocalMixingTimes:
             local_mixing_time(g, s, 4.0, require_source=True) for s in srcs
         )
 
-    def test_degree_target_batched_identically(self):
-        # Lifted limit: the degree target runs on the batched transcript
-        # oracle (no per-source fallback) — identical to the loop.
-        g = gen.lollipop(8, 8)
-        batch = batched_local_mixing_times(
-            g, 2.0, sources=[0, 10], target="degree", lazy=True
-        )
-        assert _bits(batch) == _bits(
-            local_mixing_time(g, s, 2.0, target="degree", lazy=True)
-            for s in (0, 10)
-        )
-
     def test_convergence_error(self):
         g = gen.beta_barbell(4, 8)
         with pytest.raises(ConvergenceError):
@@ -336,14 +324,13 @@ class TestColumnTiles:
         threshold_factor=st.floats(1.0, 4.0),
         sizes=st.sampled_from(["all", "grid"]),
         require_source=st.booleans(),
-        target=st.sampled_from(["uniform", "degree"]),
         t_schedule=st.sampled_from(["all", "doubling"]),
         t_max=st.sampled_from([4, 300]),
         cpus=st.integers(2, 3),
     )
     def test_tiled_equals_untiled_and_loop(
         self, gi, data, lazy, threshold_factor, sizes, require_source,
-        target, t_schedule, t_max, cpus,
+        t_schedule, t_max, cpus,
     ):
         g, beta, force_lazy = TILE_GRAPHS[gi]
         # At least 3 tiles, uneven whenever the width does not divide n.
@@ -359,7 +346,6 @@ class TestColumnTiles:
             t_schedule=t_schedule,
             t_max=t_max,
             require_source=require_source,
-            target=target,
         )
 
         def solve(batch_size):
@@ -755,13 +741,12 @@ class TestScanWorkspace:
         gamma=st.sampled_from([0.1, 0.3, 0.9]),
         threshold_factor=st.floats(0.5, 3.0),
         require_source=st.booleans(),
-        target=st.sampled_from(["uniform", "degree"]),
         t_schedule=st.sampled_from(["all", "doubling"]),
         chunk=st.sampled_from([8, 97]),
         t_max=st.sampled_from([12, 400]),
     )
     def test_workspace_solve_equals_loop(
-        self, gi, data, gamma, threshold_factor, require_source, target,
+        self, gi, data, gamma, threshold_factor, require_source,
         t_schedule, chunk, t_max,
     ):
         g, beta, lazy = ANCHOR_GRAPHS[gi]
@@ -772,7 +757,6 @@ class TestScanWorkspace:
             t_schedule=t_schedule,
             t_max=t_max,
             require_source=require_source,
-            target=target,
         )
 
         def solve(gamma):

@@ -1,14 +1,14 @@
-"""Tests for the lifted batched-engine limits (ISSUE 3 tentpole).
+"""Tests for the batched engine's full knob space.
 
-Three limits used to force the batched drivers back onto the per-source
-loop: ``target="degree"``, ``require_source=True``, and the per-``R``
-bracket search in ``_solve_chunk`` (now the fused, search-free lower-bound
-prefilter).  These tests pin the load-bearing
-property of every lifted limit: **identical** outputs (LocalMixingResult
-equality — time, set size, bitwise deviation, threshold, both counters) to
-the per-source reference, on regular *and* irregular graphs, including
-node-churned dynamic snapshots, plus the degree-target
-:class:`~repro.dynamic.MixingTracker` against its from-scratch reference.
+Two limits used to force the batched drivers back onto the per-source
+loop: ``require_source=True`` and the per-``R`` bracket search in
+``_solve_chunk`` (now the fused, search-free lower-bound prefilter).
+These tests pin the load-bearing property: **identical** outputs
+(LocalMixingResult equality — time, set size, bitwise deviation,
+threshold, both counters) to the per-source reference, on regular *and*
+irregular graphs, including node-churned dynamic snapshots, plus the
+source-pinned :class:`~repro.dynamic.MixingTracker` against its
+from-scratch reference.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from repro.dynamic import (
     track_local_mixing,
 )
 from repro.engine import (
-    BatchedDegreeDeviationOracle,
     batched_local_mixing_profiles,
     batched_local_mixing_spectra,
     batched_local_mixing_times,
@@ -32,7 +31,6 @@ from repro.walks.distribution import distribution_trajectory
 from repro.walks.local_mixing import (
     UniformDeviationOracle,
     _candidate_sizes,
-    _degree_target_best,
     local_mixing_spectrum,
     local_mixing_time,
 )
@@ -40,11 +38,11 @@ from repro.walks.local_mixing import (
 EPS = 0.4
 T_MAX = 3000
 
-# Irregular graphs are where the degree target differs from the uniform
-# one: a star (maximal degree skew; bipartite, so lazy), a lollipop, and
-# the β-barbell (bridge endpoints have degree d+1).
+# Irregular graphs: a dumbbell, a lollipop, and the β-barbell (bridge
+# endpoints have degree d+1).  A star never mixes under the uniform
+# target at this ε: its center holds half the stationary mass.
 IRREGULAR = [
-    (gen.star_graph(10), 2.0, True),
+    (gen.dumbbell(4, 2), 2.0, False),
     (gen.lollipop(7, 5), 2.0, True),
     (gen.beta_barbell(3, 6), 3.0, False),
 ]
@@ -64,102 +62,32 @@ def _batch(g, beta, lazy, srcs=None, **kw):
     )
 
 
-class TestBatchedDegreeOracle:
-    """The vectorized transcript must be bitwise equal to the scalar
-    fixed-point heuristic, tie cases included."""
-
-    def test_bitwise_matches_scalar_heuristic(self):
-        rng = np.random.default_rng(3)
-        for trial in range(12):
-            n = int(rng.integers(6, 40))
-            k = int(rng.integers(1, 7))
-            d = rng.integers(1, 6, size=n).astype(np.float64)
-            P = rng.dirichlet(np.ones(n), size=k).T
-            if trial % 3 == 0:  # exact ties across rows and columns
-                P[: n // 2] = P[0]
-                P /= P.sum(axis=0)
-            srcs = rng.integers(0, n, size=k)
-            oracle = BatchedDegreeDeviationOracle(P, d, sources=srcs)
-            for R in {1, 2, n // 2, n}:
-                if R < 1:
-                    continue
-                for rs in (False, True):
-                    got = oracle.best_sums(R, require_source=rs)
-                    for j in range(k):
-                        ref = _degree_target_best(
-                            P[:, j], d, R, int(srcs[j]), rs
-                        )
-                        assert got[j] == ref
-
-    def test_grid_rows_match_per_size(self):
-        rng = np.random.default_rng(4)
-        P = rng.dirichlet(np.ones(20), size=5).T
-        d = rng.integers(1, 5, size=20).astype(np.float64)
-        oracle = BatchedDegreeDeviationOracle(P, d)
-        Rs = np.arange(1, 21)
-        grid = oracle.best_sums_grid(Rs)
-        for i, R in enumerate(Rs):
-            assert np.array_equal(grid[i], oracle.best_sums(int(R)))
-
-    def test_reduces_to_uniform_on_regular_graph(self):
-        g = gen.random_regular(18, 4, seed=5)
-        a = _batch(g, 3.0, False, target="degree")
-        b = _batch(g, 3.0, False, target="uniform")
-        assert [r.time for r in a] == [r.time for r in b]
-
-    def test_validation(self):
-        P = np.ones((6, 2)) / 6
-        d = np.ones(6)
-        with pytest.raises(ValueError, match="block"):
-            BatchedDegreeDeviationOracle(np.ones(6), d)
-        with pytest.raises(ValueError, match="length-n"):
-            BatchedDegreeDeviationOracle(P, np.ones(5))
-        with pytest.raises(ValueError, match="one source per column"):
-            BatchedDegreeDeviationOracle(P, d, sources=[0])
-        with pytest.raises(ValueError, match="out of range"):
-            BatchedDegreeDeviationOracle(P, d, sources=[0, 9])
-        oracle = BatchedDegreeDeviationOracle(P, d)
-        with pytest.raises(ValueError, match="out of range"):
-            oracle.best_sums(7)
-        with pytest.raises(ValueError, match="without sources"):
-            oracle.best_sums(2, require_source=True)
-        with pytest.raises(ValueError, match="non-empty"):
-            oracle.best_sums_grid(np.array([], dtype=np.int64))
-
-
-class TestDegreeTargetEquivalence:
+class TestIrregularEquivalence:
     """Batched vs the per-source loop on irregular graphs."""
 
     @pytest.mark.parametrize("g,beta,lazy", IRREGULAR, ids=lambda v: str(v))
     def test_identical_to_loop_all_sources(self, g, beta, lazy):
-        assert _batch(g, beta, lazy, target="degree") == _loop(
-            g, beta, lazy, target="degree"
-        )
+        assert _batch(g, beta, lazy) == _loop(g, beta, lazy)
 
     def test_node_churned_snapshots_identical(self):
-        # Node churn produces irregular intermediate topologies — exactly
-        # the workload the degree target exists for.
+        # Node churn produces irregular intermediate topologies.
         g = gen.random_regular(14, 4, seed=7)
         dyn = DynamicGraph(g)
         for upd in node_churn(g, 6, seed=9, attach=3):
             dyn.apply(upd)
             snap = dyn.snapshot()
-            assert _batch(snap, 3.0, False, target="degree") == _loop(
-                snap, 3.0, False, target="degree"
-            )
+            assert _batch(snap, 3.0, False) == _loop(snap, 3.0, False)
 
-    def test_degree_with_require_source(self):
+    def test_lollipop_require_source(self):
         g = gen.lollipop(6, 4)
-        got = _batch(g, 2.0, True, target="degree", require_source=True)
-        assert got == _loop(
-            g, 2.0, True, target="degree", require_source=True
-        )
+        got = _batch(g, 2.0, True, require_source=True)
+        assert got == _loop(g, 2.0, True, require_source=True)
 
-    def test_chunked_degree_equals_unchunked(self):
-        g = gen.star_graph(12)
-        full = _batch(g, 2.0, True, target="degree")
+    def test_chunked_equals_unchunked(self):
+        g = gen.lollipop(7, 5)
+        full = _batch(g, 2.0, True)
         chunked = batched_local_mixing_times(
-            g, 2.0, EPS, lazy=True, t_max=T_MAX, target="degree", batch_size=5
+            g, 2.0, EPS, lazy=True, t_max=T_MAX, batch_size=5
         )
         assert full == chunked
 
@@ -231,14 +159,16 @@ class TestPrefilterEquivalence:
     def test_fused_equals_loop(self, g, beta, lazy, kw):
         assert _batch(g, beta, lazy, **kw) == _loop(g, beta, lazy, **kw)
 
-    def test_validation(self):
+    def test_target_knob_is_gone(self):
         g = gen.cycle_graph(9)
-        with pytest.raises(ValueError, match="target"):
-            batched_local_mixing_times(g, 2.0, target="entropy")
+        with pytest.raises(TypeError, match="target"):
+            batched_local_mixing_times(g, 2.0, target="uniform")
+        with pytest.raises(TypeError, match="target"):
+            local_mixing_time(g, 0, 2.0, target="uniform")
 
 
-class TestDegreeTracker:
-    """Satellite: MixingTracker(target="degree") vs from-scratch."""
+class TestTrackerEquivalence:
+    """MixingTracker(require_source=True) vs from-scratch."""
 
     def _assert_trace_matches(self, base, updates, beta, **kw):
         trace = track_local_mixing(
@@ -258,36 +188,11 @@ class TestDegreeTracker:
             assert list(next(snaps).results) == ref, upd
         return trace
 
-    def test_degree_churn_trace_matches_from_scratch(self):
-        # Edge churn changes the degree vector, exercising the tracker's
-        # full-re-solve guard for the degree target.
-        g = gen.random_regular(16, 4, seed=21)
-        updates = edge_markovian_churn(g, 8, seed=23)
-        trace = self._assert_trace_matches(
-            g, updates, 3.0, target="degree"
-        )
-        assert trace.stats["snapshots"] == 9
-
-    def test_degree_tracker_memo_still_hits(self):
-        # add/remove round trip: same structure — the structural memo is
-        # target-safe (same graph → same degree vector → same results).
-        from repro.dynamic.graph import GraphUpdate
-
-        g = gen.lollipop(6, 4)
-        ups = [GraphUpdate("add", 0, 8), GraphUpdate("remove", 0, 8)]
-        trace = track_local_mixing(
-            g, ups, 2.0, EPS, lazy=True, t_max=T_MAX, target="degree"
-        )
-        assert trace.stats["memo_hits"] >= 1
-        assert list(trace.snapshots[2].results) == list(
-            trace.snapshots[0].results
-        )
-
     def test_require_source_tracker_matches_from_scratch(self):
         g = gen.random_regular(16, 4, seed=25)
         updates = edge_markovian_churn(g, 6, seed=27)
         self._assert_trace_matches(g, updates, 3.0, require_source=True)
 
-    def test_tracker_target_validation(self):
-        with pytest.raises(ValueError, match="target"):
-            MixingTracker(2.0, target="entropy")
+    def test_tracker_refuses_target(self):
+        with pytest.raises(TypeError, match="target"):
+            MixingTracker(2.0, target="uniform")

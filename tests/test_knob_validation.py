@@ -22,7 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic import MixingTracker
+from repro.constants import DEFAULT_EPS
 from repro.engine import (
+    batched_local_mixing_profiles,
     batched_local_mixing_times,
     batched_mixing_times,
     canonical_times_key,
@@ -34,7 +36,11 @@ from repro.service import GraphRegistry, MixingQuery, MixingService
 from repro.service.wire import WireServer
 from repro.service.wire import protocol
 from repro.walks import graph_mixing_time, mixing_time, set_mixing_time
-from repro.walks.local_mixing import local_mixing_time, size_grid
+from repro.walks.local_mixing import (
+    local_mixing_profile,
+    local_mixing_time,
+    size_grid,
+)
 
 BETA = 4.0
 EPS = 0.25
@@ -87,7 +93,6 @@ HOSTILE = [
     ("sizes", [True], TypeError),
     ("t_max", 20.5, TypeError),
     ("batch_size", True, TypeError),
-    ("target", None, TypeError),
 ]
 
 
@@ -172,6 +177,13 @@ class TestHostileValues:
         for door, outcome in got.items():
             assert outcome == expected, door
 
+    def test_no_door_takes_a_target(self, g):
+        """τ has one target, the uniform ``1/R``: no door has the knob."""
+        for door in DOORS:
+            outcome = _outcome(door, g, "target", "uniform")
+            assert outcome is not None and outcome[0] is TypeError, door
+            assert "target" in outcome[1], door
+
     def test_wire_gives_the_same_message(self, g):
         """The decoder delegates to the query model: a mistyped field is
         ``bad_request`` with the in-process message."""
@@ -190,6 +202,36 @@ class TestHostileValues:
             MixingQuery("g", 0, beta=BETA, priority=math.inf)
         with pytest.raises(ValueError, match="deadline"):
             MixingQuery("g", 0, beta=BETA, deadline=math.nan)
+
+
+# --------------------------------------------------------------------- #
+# The profile doors: t_max is the output length, grid_factor defaults
+# --------------------------------------------------------------------- #
+
+#: The two profile doors, one source each.
+PROFILE_DOORS = {
+    "local_mixing_profile": lambda g, **k: local_mixing_profile(
+        g, 0, BETA, **k
+    ),
+    "batched_local_mixing_profiles": lambda g, **k: (
+        batched_local_mixing_profiles(g, BETA, sources=[0], **k)[0]
+    ),
+}
+
+
+class TestProfileDoors:
+    @pytest.mark.parametrize("door", PROFILE_DOORS)
+    def test_t_max_none_is_refused_with_the_table_message(self, g, door):
+        with pytest.raises(TypeError) as e:
+            PROFILE_DOORS[door](g, t_max=None)
+        assert str(e.value) == "t_max must be an integer, got None"
+
+    @pytest.mark.parametrize("door", PROFILE_DOORS)
+    def test_grid_factor_none_is_the_default_eps(self, g, door):
+        call = PROFILE_DOORS[door]
+        got = call(g, sizes="grid", grid_factor=None, t_max=20)
+        want = call(g, sizes="grid", grid_factor=DEFAULT_EPS, t_max=20)
+        assert np.array_equal(got, want)
 
 
 # --------------------------------------------------------------------- #
@@ -340,7 +382,7 @@ _anything = st.one_of(
     st.integers(),
     st.floats(),
     st.text(max_size=6),
-    st.sampled_from(["all", "grid", "doubling", "uniform", "degree"]),
+    st.sampled_from(["all", "grid", "doubling"]),
     st.lists(st.one_of(st.integers(), st.floats(), st.booleans()),
              max_size=4),
     st.dictionaries(st.integers(), st.integers(), max_size=2),
@@ -372,7 +414,6 @@ _query_fields = st.fixed_dictionaries(
         "t_max": _field(st.one_of(st.none(), st.integers(0, 10**6))),
         "lazy": _field(st.booleans()),
         "require_source": _field(st.booleans()),
-        "target": _field(st.sampled_from(["uniform", "degree"])),
         "batch_size": _field(st.one_of(st.none(), st.integers(1, 64))),
         "deadline": _field(st.one_of(st.none(), st.floats(0.1, 10.0))),
         "priority": _field(st.integers(-5, 5)),
@@ -383,7 +424,7 @@ _query_fields = st.fixed_dictionaries(
 _VALID = dict(
     source=1, beta=BETA, eps=EPS, sizes="all", threshold_factor=1.0,
     grid_factor=None, t_schedule="all", t_max=None, lazy=False,
-    require_source=False, target="uniform", batch_size=None, deadline=None,
+    require_source=False, batch_size=None, deadline=None,
     priority=0,
 )
 

@@ -23,6 +23,18 @@ from repro.walks import (
 from repro.walks.local_mixing import UniformDeviationOracle, local_mixing_profile
 
 
+@pytest.fixture(
+    params=["cycle", "complete", "expander"], ids=["cycle9", "K8", "rr16"]
+)
+def regular_graph(request):
+    """The regular members of the ``nonbipartite_graph`` zoo."""
+    return {
+        "cycle": gen.cycle_graph(9),
+        "complete": gen.complete_graph(8),
+        "expander": gen.random_regular(16, 4, seed=7),
+    }[request.param]
+
+
 class TestOracleBruteForce:
     """The sorted-window oracle must equal subset enumeration exactly."""
 
@@ -138,24 +150,21 @@ class TestLocalMixingTime:
         t_mix = mixing_time(g, 0, DEFAULT_EPS)
         assert t_mix > 50 * t_local  # §2.3(d): the headline gap
 
-    def test_beta_one_equals_mixing_time(self, nonbipartite_graph):
+    def test_beta_one_equals_mixing_time(self, regular_graph):
         """§2.2: τ_s(1, ε) = τ_s^mix(ε).
 
-        The uniform target matches π only on regular graphs (the paper's §3
-        assumption); for the near-regular barbell the degree-aware target is
-        the faithful Definition 2 check (it reduces to ‖p_t − π‖₁ at R=n).
+        The uniform target ``1/n`` is π only on regular graphs (the paper's
+        §3 assumption), so the identity is checked there.
         """
-        g = nonbipartite_graph
-        target = "uniform" if g.is_regular else "degree"
-        res = local_mixing_time(g, 0, beta=1, target=target)
+        g = regular_graph
+        res = local_mixing_time(g, 0, beta=1)
         assert res.time == mixing_time(g, 0, DEFAULT_EPS)
 
-    def test_local_le_mixing(self, nonbipartite_graph):
-        g = nonbipartite_graph
-        target = "uniform" if g.is_regular else "degree"
+    def test_local_le_mixing(self, regular_graph):
+        g = regular_graph
         for beta in (1, 2, 4):
             assert (
-                local_mixing_time(g, 0, beta=beta, target=target).time
+                local_mixing_time(g, 0, beta=beta).time
                 <= mixing_time(g, 0, DEFAULT_EPS)
             )
 
@@ -213,12 +222,6 @@ class TestLocalMixingTime:
         res = local_mixing_time(g, 0, beta=4, require_source=True)
         assert res.time <= 3  # source's own clique is the witness
 
-    def test_degree_target_regular_matches_uniform(self, expander16):
-        g = expander16
-        a = local_mixing_time(g, 0, beta=2, target="uniform").time
-        b = local_mixing_time(g, 0, beta=2, target="degree").time
-        assert a == b
-
     def test_validation(self, cycle9):
         with pytest.raises(ValueError):
             local_mixing_time(cycle9, 0, beta=0.5)
@@ -232,8 +235,8 @@ class TestLocalMixingTime:
             local_mixing_time(cycle9, 0, beta=2, sizes=[0, 99])
         with pytest.raises(ValueError):
             local_mixing_time(cycle9, 0, beta=2, t_schedule="fibonacci")
-        with pytest.raises(ValueError):
-            local_mixing_time(cycle9, 0, beta=2, target="entropy")
+        with pytest.raises(TypeError, match="target"):
+            local_mixing_time(cycle9, 0, beta=2, target="uniform")
 
     def test_bipartite_needs_lazy(self, path8):
         with pytest.raises(BipartiteGraphError):

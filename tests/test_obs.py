@@ -504,20 +504,16 @@ def test_screen_counters_snapshot_merge_reset():
     assert prof.snapshot()["screen"] == {}
 
 
-@pytest.mark.parametrize(
-    "target,kernel", [("uniform", "best_sums"), ("degree", "best_sums_grid")]
-)
-def test_exact_verification_is_profiled(small_graph, target, kernel):
+def test_exact_verification_is_profiled(small_graph):
     # The verify stage shows up under its own kernel name instead of the
     # unattributed remainder, and timing it changes no result bit.
-    plain = batched_local_mixing_times(small_graph, BETA, target=target)
+    plain = batched_local_mixing_times(small_graph, BETA)
     before = kernel_profiler().snapshot()
     with observability(True):
-        traced = batched_local_mixing_times(small_graph, BETA, target=target)
+        traced = batched_local_mixing_times(small_graph, BETA)
     delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
-    if target == "uniform":
-        assert delta["screen"][KERNEL_LABEL]["flagged"] > 0
-    assert delta["kernels"][f"{KERNEL_LABEL}/{kernel}"]["calls"] > 0
+    assert delta["screen"][KERNEL_LABEL]["flagged"] > 0
+    assert delta["kernels"][f"{KERNEL_LABEL}/best_sums"]["calls"] > 0
     assert _result_bits(traced) == _result_bits(plain)
 
 

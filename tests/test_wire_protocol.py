@@ -71,7 +71,6 @@ _queries = st.builds(
     t_max=st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
     lazy=st.booleans(),
     require_source=st.booleans(),
-    target=st.sampled_from(["uniform", "degree"]),
     batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=512)),
     deadline=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e6,
                                             allow_nan=False)),
@@ -185,6 +184,24 @@ class TestStrictness:
             )
         assert e.value.code == "bad_request"
 
+    def test_v3_golden_body_gets_the_version_error(self):
+        # The v3 body: the v4 golden request plus the dropped field.
+        v3 = json.loads((DATA / "wire_golden_request.json").read_text())
+        v3["v"] = 3
+        v3["query"]["target"] = "uniform"
+        with pytest.raises(WireError, match="version") as e:
+            protocol.decode_request(v3)
+        assert e.value.code == "bad_request"
+
+    def test_target_field_rejected(self):
+        # Protocol v4 dropped the field: τ has one target.
+        req = protocol.encode_request(MixingQuery("g", 0, beta=4.0))
+        req["query"]["target"] = "uniform"
+        with pytest.raises(WireError) as e:
+            protocol.decode_request(req)
+        assert e.value.code == "bad_request"
+        assert str(e.value) == "unknown query fields: ['target']"
+
     def test_graph_object_refused_at_encode(self, expander16):
         with pytest.raises(WireError, match="registered name"):
             protocol.encode_query(MixingQuery(expander16, 0, beta=4.0))
@@ -253,7 +270,6 @@ class TestFieldTypes:
                     "t_max": st.one_of(st.none(), st.integers()),
                     "lazy": st.booleans(),
                     "require_source": st.booleans(),
-                    "target": st.sampled_from(["uniform", "degree"]),
                     "batch_size": st.one_of(st.none(), st.integers()),
                     "deadline": st.one_of(st.none(), _floats),
                     "priority": st.integers(),
