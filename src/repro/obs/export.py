@@ -45,7 +45,8 @@ __all__ = [
 #: completion time for external-log correlation).
 #: v3: record ``backend`` field removed (the engine has one kernel path).
 #: v4: record ``knobs`` lost its ``target`` key (τ has one target).
-EXPORT_VERSION = 4
+#: v5: record ``priority`` field removed (queries carry no priority).
+EXPORT_VERSION = 5
 
 #: Hard server-side bound on records per export payload (a request may
 #: ask for fewer, never more).
@@ -92,7 +93,6 @@ def record_to_dict(rec: QueryRecord, *, spans: bool = False) -> dict:
         "batch": dict(rec.batch) if rec.batch else None,
         "kernels": dict(rec.kernels),
         "stages": dict(rec.stages),
-        "priority": int(rec.priority),
         "deadline": rec.deadline,
         "unix_ts": float(rec.unix_ts),
     }

@@ -166,9 +166,8 @@ class QueryRecord:
     kernels: dict = field(default_factory=dict)
     #: Per-stage wall seconds (:func:`stages_from_span`).
     stages: dict = field(default_factory=dict)
-    #: Query priority and relative deadline as admitted (serving knobs —
-    #: they never change what was computed, but they explain scheduling).
-    priority: int = 0
+    #: Relative deadline as admitted (a serving knob — it never changes
+    #: what was computed, but it explains scheduling).
     deadline: float | None = None
     #: Unix wall-clock completion time (``time.time()``) so records
     #: correlate with external logs; exported as ``"unix_ts"``.

@@ -30,7 +30,7 @@ of exactness:
   ``await submit(query)`` / ``submit_many``, async context manager,
   graceful drain on shutdown; queries may carry per-query deadlines
   (answered in time or failed with a typed
-  :class:`~repro.service.errors.DeadlineExceededError`) and priorities.
+  :class:`~repro.service.errors.DeadlineExceededError`).
 * :mod:`repro.service.wire` — the *network* front door: an asyncio
   HTTP + WebSocket server (:class:`~repro.service.wire.WireServer`)
   speaking a versioned JSON protocol over the full query knob space,

@@ -22,9 +22,7 @@ by ``(graph, ExecutionKey)``, and flushes a group as one
 * the group reaches **max_batch** distinct sources (flushed immediately —
   a full block is ready), or
 * the service drains on shutdown (:meth:`QueryCoalescer.drain`) —
-  pending groups are then flushed in descending **priority** order (the
-  maximum priority of each group's queries), so urgent work is
-  dispatched first when everything must go at once.
+  pending groups are then flushed in arrival order.
 
 Correctness is inherited, not negotiated: the engine's loop-equivalence
 guarantee makes every per-source result of a batched call identical to
@@ -64,8 +62,7 @@ __all__ = ["QueryCoalescer"]
 class _Group:
     """One pending micro-batch: distinct sources (insertion-ordered, each
     with its waiters) plus the representative engine kwargs, the armed
-    flush timer, the earliest member deadline and the maximum member
-    priority."""
+    flush timer and the earliest member deadline."""
 
     __slots__ = (
         "graph",
@@ -74,7 +71,6 @@ class _Group:
         "timer",
         "window_end",
         "deadline",
-        "priority",
         "flush_at",
         "trace_id",
     )
@@ -89,8 +85,6 @@ class _Group:
         #: Earliest deadline among the group's queries (absolute loop
         #: time), or ``None`` while no member carries one.
         self.deadline: float | None = None
-        #: Maximum priority among the group's queries.
-        self.priority = 0
         #: Where the armed timer currently points (absolute loop time).
         self.flush_at: float | None = None
         #: Flight-recorder trace id of the group's most recent query
@@ -186,7 +180,6 @@ class QueryCoalescer:
         kwargs: dict,
         *,
         deadline: float | None = None,
-        priority: int = 0,
         trace_id: str | None = None,
     ) -> "asyncio.Future":
         """Admit one query and return the future its result will land on.
@@ -196,9 +189,8 @@ class QueryCoalescer:
         query may tighten it — ``deadline`` is an *absolute*
         ``loop.time()`` bound, and when ``deadline − window`` is earlier
         than the pending window expiry the timer is re-armed to it (the
-        deadline-aware flush).  ``priority`` raises the group's drain
-        priority (see :meth:`flush_all`); ``trace_id`` tags the group for
-        the batch latency histogram's exemplar (last query wins).  The
+        deadline-aware flush).  ``trace_id`` tags the group for the batch
+        latency histogram's exemplar (last query wins).  The
         ``max_batch``-th distinct source flushes the group synchronously
         (the solve itself still runs as a background task).
         """
@@ -210,8 +202,6 @@ class QueryCoalescer:
             self._groups[key] = group
         fut: asyncio.Future = loop.create_future()
         group.pending.setdefault(int(source), []).append(fut)
-        if priority > group.priority:
-            group.priority = int(priority)
         if trace_id is not None:
             group.trace_id = trace_id
         if deadline is not None and (
@@ -304,14 +294,9 @@ class QueryCoalescer:
     # ------------------------------------------------------------------ #
 
     def flush_all(self) -> None:
-        """Flush every pending group now (drain trigger), highest group
-        priority first — when everything must go at once, urgent batches
-        hit the solver queue ahead of background ones.  Running batches
-        are unaffected."""
-        by_priority = sorted(
-            self._groups.items(), key=lambda kv: -kv[1].priority
-        )
-        for key, _ in by_priority:
+        """Flush every pending group now (drain trigger), in the order the
+        groups arrived.  Running batches are unaffected."""
+        for key in list(self._groups):
             self._flush(key, "drain_flushes")
 
     async def drain(self) -> None:

@@ -87,16 +87,12 @@ class MixingQuery:
     #: :class:`~repro.service.errors.DeadlineExceededError` while the
     #: solve continues for its co-waiters and the cache.
     deadline: float | None = None
-    #: Scheduling priority (higher drains first on shutdown / bulk
-    #: flushes).  Like ``deadline``, never part of result or cache
-    #: identity.
-    priority: int = 0
 
     def __post_init__(self):
         # Types only: ranges are checked at submission (module docstring).
         _check_knob_types(
             source=self.source, **self.engine_kwargs(),
-            deadline=self.deadline, priority=self.priority,
+            deadline=self.deadline,
         )
 
     def engine_kwargs(self) -> dict:
@@ -116,13 +112,9 @@ class MixingQuery:
         the engine's own fail-fast errors on a bad knob)."""
         return canonical_times_key(g, **self.engine_kwargs())
 
-    def execution_key(self, g: Graph) -> ExecutionKey:
-        """The coalescing group key: semantics plus ``batch_size``."""
-        return ExecutionKey(self.semantic_key(g), self.batch_size)
-
 
 #: Field names forwarded verbatim to the batched engine driver.
 _ENGINE_KNOBS = tuple(
     f.name for f in fields(MixingQuery)
-    if f.name not in ("graph", "source", "deadline", "priority")
+    if f.name not in ("graph", "source", "deadline")
 )

@@ -229,9 +229,8 @@ class MixingService:
         early enough to give the solve a head start, and if the answer
         still is not ready in time only *this* waiter is released — the
         shared solve keeps running for its co-waiters and the result
-        cache.  Deadlines and ``priority`` never change what is computed
-        (they are absent from both the cache key and the coalescing
-        group).
+        cache.  A deadline never changes what is computed (it is absent
+        from both the cache key and the coalescing group).
 
         Every completed query — answered, deadline-expired, failed, or
         cancelled by a disconnecting wire client — leaves one
@@ -325,7 +324,6 @@ class MixingService:
             source,
             query.engine_kwargs(),
             deadline=deadline_at,
-            priority=query.priority,
             trace_id=tid,
         )
         self._inflight[cache_key] = fut
@@ -374,7 +372,6 @@ class MixingService:
             batch=batch,
             kernels=kernels_from_span(qspan),
             stages=stages_from_span(qspan),
-            priority=query.priority,
             deadline=query.deadline,
             unix_ts=time.time(),
             span=qspan,

@@ -6,7 +6,7 @@ raw asyncio streams (:mod:`repro.service.wire.http`), a versioned JSON
 protocol carries the full :class:`~repro.service.MixingQuery` knob space
 (:mod:`repro.service.wire.protocol`), and
 :class:`~repro.service.wire.server.WireServer` fronts the service with
-bounded admission with priority preemption, per-query deadlines threaded
+bounded admission, per-query deadlines threaded
 into the coalescer's flush timer, a verbatim Prometheus ``GET /metrics``
 endpoint, an SLO-aware ``/healthz`` (``?live=1`` bare-liveness fast
 path), flight-recorder debug endpoints (``/v1/debug/flight`` /

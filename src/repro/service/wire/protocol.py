@@ -5,14 +5,14 @@ WebSocket frames carry the *same* JSON objects) and by both ends of the
 wire (:class:`~repro.service.wire.WireServer` decodes with exactly the
 functions :class:`~repro.service.wire.WireClient` encodes with):
 
-* a **request** is ``{"v": 4, "op": "query", "id": ..., "query": {...}}``
+* a **request** is ``{"v": 5, "op": "query", "id": ..., "query": {...}}``
   where the ``query`` object carries the full
   :class:`~repro.service.MixingQuery` knob space — graph *by registered
   name* (objects cannot cross the wire; the server resolves names through
   its service's :class:`~repro.service.GraphRegistry`), source, and every
-  engine knob plus the serving-only ``deadline``/``priority``;
-* a **response** is ``{"v": 4, "id": ..., "ok": true, "result": {...}}``
-  or ``{"v": 4, "id": ..., "ok": false, "error": {"code": ...,
+  engine knob plus the serving-only ``deadline``;
+* a **response** is ``{"v": 5, "id": ..., "ok": true, "result": {...}}``
+  or ``{"v": 5, "id": ..., "ok": false, "error": {"code": ...,
   "message": ...}}`` with one stable error code (and HTTP status) per
   failure type.
 
@@ -26,7 +26,7 @@ protocol round-trip property tests (``tests/test_wire_protocol.py``)
 pin this over the whole knob space, and golden request/response fixtures
 pin the format itself against silent drift.
 
-Versioning: requests carry ``"v": 4`` (:data:`PROTOCOL_VERSION`); the
+Versioning: requests carry ``"v": 5`` (:data:`PROTOCOL_VERSION`); the
 server rejects other versions with ``bad_request`` instead of guessing.
 Version 2 dropped the v1 ``backend`` and ``prefilter`` query fields, which
 every v1 encoder sends, so a v1 client gets that typed version error.
@@ -34,6 +34,8 @@ Version 3 dropped the ``method`` query field the same way (τ has one
 method, the iterative block trajectory).
 Version 4 dropped the ``target`` query field (τ has one target, the
 uniform ``1/R`` of Definition 2).
+Version 5 dropped the ``priority`` query field (it never changed an
+answer; admission is a plain bound and drain runs in arrival order).
 Unknown fields are rejected too — a typo'd knob must fail loudly, not
 silently fall back to a default.  The decoder checks only JSON shape;
 field types are the query model's own check (the engine's knob table),
@@ -77,7 +79,7 @@ __all__ = [
 ]
 
 #: The one protocol version this build speaks.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Stable error codes → HTTP status.  The taxonomy mirrors
 #: :mod:`repro.service.errors` plus the request-shaped failures only the

@@ -54,17 +54,6 @@ degrades into fast, visible rejections rather than silent latency
 collapse.  Rejected queries consume no engine work.  While draining,
 new queries are answered ``shutting_down`` (503) instead.
 
-Under pressure, **priority preempts**: when the bound is full and the
-arriving query carries a higher ``priority`` than some admitted query
-still waiting, the lowest-priority waiter is released with
-``overloaded`` (429, counted in
-``repro_wire_priority_preempted_total``) and the new query takes its
-slot — so urgent traffic is not locked out by a backlog of background
-work.  Preemption releases only the wire waiter: a preempted query's
-underlying solve (shared with co-waiters and the result cache) keeps
-running, exactly like a deadline miss.  Priorities never change what is
-computed.
-
 Deadlines ride the query objects themselves
 (:attr:`~repro.service.MixingQuery.deadline`): the service threads them
 into the coalescer (deadline-aware flush) and answers late queries with
@@ -81,9 +70,10 @@ Lifecycle
 
 :meth:`WireServer.aclose` (or leaving the ``async with`` block) stops
 accepting connections, flips the draining flag (new queries on live
-connections are 503'd), waits for every in-flight query to be answered,
-closes WebSocket streams with a proper close frame, and — only then —
-returns.  The server does *not* own the service: composing
+connections are 503'd), waits for every in-flight query, HTTP and
+WebSocket alike, to be answered and its response written, closes
+WebSocket streams with a proper close frame, and — only then — returns.
+The server does *not* own the service: composing
 ``async with MixingService(...) as svc, WireServer(svc) as server:``
 drains the wire first and the coalescer second, so every admitted query
 is answered and owned executors shut down leak-free.
@@ -115,7 +105,6 @@ from repro.service.wire.http import (
     ws_encode_frame,
     ws_read_message,
 )
-from repro.walks.local_mixing import _is_integer
 
 __all__ = ["WireServer"]
 
@@ -156,12 +145,10 @@ class WireServer:
         self._draining = False
         self._pending = 0
         self._conn_tasks: set[asyncio.Task] = set()
+        # Every query being answered, HTTP or WebSocket: aclose() waits
+        # for these (answer and response write) before it cancels
+        # connections.
         self._query_tasks: set[asyncio.Task] = set()
-        # Admitted queries still waiting, keyed by a per-query token:
-        # token -> (priority, preempt future).  A higher-priority arrival
-        # under max_pending pressure resolves the lowest-priority entry's
-        # future instead of being 429'd itself.
-        self._admissions: dict[object, tuple[int, asyncio.Future]] = {}
 
         self.metrics = MetricsRegistry()
         self._requests = self.metrics.counter(
@@ -203,11 +190,6 @@ class WireServer:
         self._disconnects = self.metrics.counter(
             "repro_wire_client_disconnects_total",
             "Connections dropped by the peer with queries in flight.",
-        )
-        self._preempted = self.metrics.counter(
-            "repro_wire_priority_preempted_total",
-            "Admitted wire queries preempted (429) by a higher-priority "
-            "arrival under max_pending pressure.",
         )
         self._debug_requests = self.metrics.counter(
             "repro_wire_debug_requests_total",
@@ -296,7 +278,6 @@ class WireServer:
             "answered": self._answered.value,
             "expired": self._expired.value,
             "errored": self._errored.value,
-            "preempted": self._preempted.value,
             "queue_depth": self._pending,
             "connections": self._connections.value,
             "stream_subscribers": self._stream_subscribers.value,
@@ -307,47 +288,19 @@ class WireServer:
     # Query handling (transport-independent)
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _peek_priority(obj) -> int:
-        """The ``priority`` of a not-yet-decoded request envelope (0 on
-        any malformation, a non-integer priority included — a bad request
-        never preempts anyone; it fails in ``decode_request`` after
-        admission)."""
-        if isinstance(obj, dict) and isinstance(obj.get("query"), dict):
-            priority = obj["query"].get("priority", 0)
-            if _is_integer(priority):
-                return priority
-        return 0
-
-    def _try_preempt(self, priority: int) -> bool:
-        """Under ``max_pending`` pressure: release the lowest-priority
-        admitted waiter whose priority is strictly below ``priority``
-        (its wire answer becomes ``overloaded``; its underlying solve
-        keeps running for co-waiters and the cache).  True when a victim
-        was found — the caller's query then takes the freed slot."""
-        victim_token, victim_priority = None, priority
-        for token, (pri, fut) in self._admissions.items():
-            if pri < victim_priority and not fut.done():
-                victim_token, victim_priority = token, pri
-        if victim_token is None:
-            return False
-        _, fut = self._admissions.pop(victim_token)
-        fut.set_result(None)
-        self._preempted.inc()
-        return True
+    def _track(self, coro) -> asyncio.Task:
+        """Run one query's answer (and its response write) as a task that
+        :meth:`aclose` waits for before it cancels any connection."""
+        task = asyncio.ensure_future(coro)
+        self._query_tasks.add(task)
+        task.add_done_callback(self._query_tasks.discard)
+        return task
 
     async def _answer(self, payload: bytes, transport: str) -> tuple[dict, int]:
         """Decode, admit and answer one protocol request; returns
         ``(response_object, http_status)``.  Never raises — every failure
         mode maps to a typed error envelope, and the counters account for
-        the query exactly once.
-
-        Admission under pressure prefers priority: a full queue first
-        tries :meth:`_try_preempt` with the arrival's priority and only
-        then rejects with 429.  (While the preempted waiter unwinds,
-        ``_pending`` may transiently read ``max_pending + 1`` — the
-        preemptor is admitted in the same loop turn its victim is
-        released.)"""
+        the query exactly once."""
         self._requests.inc()
         req_id = None
         try:
@@ -355,9 +308,7 @@ class WireServer:
             req_id = obj.get("id") if isinstance(obj, dict) else None
             if self._draining:
                 raise ServiceClosedError("server is draining")
-            if self._pending >= self.max_pending and not self._try_preempt(
-                self._peek_priority(obj)
-            ):
+            if self._pending >= self.max_pending:
                 raise OverloadedError(
                     f"{self._pending} queries in flight (bound "
                     f"{self.max_pending}); retry with backoff"
@@ -374,30 +325,11 @@ class WireServer:
         self._pending += 1
         self._queue_depth.set(self._pending)
         tid = self.service.flight.next_trace_id()
-        token = object()
-        preempt_fut = asyncio.get_running_loop().create_future()
         t0 = time.perf_counter()
         try:
             with trace("wire_request", transport=transport):
                 req_id, query = protocol.decode_request(obj)
-                self._admissions[token] = (query.priority, preempt_fut)
-                submit = asyncio.ensure_future(
-                    self.service.submit(query, trace_id=tid)
-                )
-                await asyncio.wait(
-                    {submit, preempt_fut},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if preempt_fut.done() and not submit.done():
-                    # Only this waiter is released; the shared solve is
-                    # shielded inside the service and keeps running.
-                    submit.cancel()
-                    await asyncio.gather(submit, return_exceptions=True)
-                    raise OverloadedError(
-                        "preempted by a higher-priority query; retry "
-                        "with backoff"
-                    )
-                result = await submit
+                result = await self.service.submit(query, trace_id=tid)
             self._answered.inc()
             return protocol.encode_response(req_id, result), 200
         except BaseException as exc:
@@ -411,7 +343,6 @@ class WireServer:
                 protocol.ERROR_STATUS[code],
             )
         finally:
-            self._admissions.pop(token, None)
             self._pending -= 1
             self._queue_depth.set(self._pending)
             self._latency.observe(time.perf_counter() - t0, exemplar=tid)
@@ -488,26 +419,38 @@ class WireServer:
                 self._count_conn(conn_state)
                 await self._ws_session(reader, writer, request)
                 return
-            if not self._is_observe_only(request.path.split("?", 1)[0]):
+            path = request.path.split("?", 1)[0]
+            if not self._is_observe_only(path):
                 self._count_conn(conn_state)
             keep_alive = (
                 request.header("connection").lower() != "close"
                 and not self._draining
             )
-            try:
-                status, body, ctype = await self._route(request)
-            except Exception as exc:  # noqa: BLE001 - answered as 500
-                status, body, ctype = self._error_route(
-                    500, "internal", f"{type(exc).__name__}: {exc}"
-                )
-            writer.write(
-                render_response(
-                    status, body, content_type=ctype, keep_alive=keep_alive
-                )
-            )
-            await writer.drain()
+            respond = self._respond(request, writer, keep_alive)
+            if path == "/v1/query":
+                # A query is answered through drain, like a WS frame.
+                await self._track(respond)
+            else:
+                await respond
             if not keep_alive:
                 return
+
+    async def _respond(
+        self, request: Request, writer, keep_alive: bool
+    ) -> None:
+        """Route one plain-HTTP request and write its response."""
+        try:
+            status, body, ctype = await self._route(request)
+        except Exception as exc:  # noqa: BLE001 - answered as 500
+            status, body, ctype = self._error_route(
+                500, "internal", f"{type(exc).__name__}: {exc}"
+            )
+        writer.write(
+            render_response(
+                status, body, content_type=ctype, keep_alive=keep_alive
+            )
+        )
+        await writer.drain()
 
     async def _route(self, request: Request) -> tuple[int, bytes, str]:
         """Dispatch one plain-HTTP request → (status, body, content type)."""
@@ -546,7 +489,7 @@ class WireServer:
         drain flag, queue occupancy, the SLO verdict, and a
         rolling-window summary."""
         params = parse_qs(request.path.partition("?")[2])
-        if params.get("live"):
+        if params.get("live", [""])[-1] == "1":
             return protocol.dumps({"status": "ok"})
         engine = self.service.slo_engine
         verdict = engine.evaluate().to_dict() if engine is not None else None
@@ -741,11 +684,9 @@ class WireServer:
                 )
                 if opcode == OP_CLOSE:
                     break
-                task = asyncio.ensure_future(answer_one(payload))
+                task = self._track(answer_one(payload))
                 inflight.add(task)
-                self._query_tasks.add(task)
                 task.add_done_callback(inflight.discard)
-                task.add_done_callback(self._query_tasks.discard)
         except (ConnectionError, asyncio.IncompleteReadError):
             if inflight:
                 self._disconnects.inc()

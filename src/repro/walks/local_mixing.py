@@ -287,7 +287,6 @@ _KNOB_RULES = {
     "require_source": ("a bool", None, None),
     "batch_size": ("an integer", lambda v: v >= 1, "batch_size must be >= 1"),
     "deadline": ("a finite real number", None, None),
-    "priority": ("an integer", None, None),
     "method": ("a string", lambda v: v in ("auto", "iterative", "spectral"),
                "unknown method {!r}"),
 }

@@ -353,7 +353,6 @@ class TestExport:
             batch={"sources": 2, "trigger": "window_flushes"},
             kernels={"float64/step": {"calls": 3, "seconds": 2**-29}},
             stages={"engine_solve": 5e-324},  # smallest subnormal
-            priority=2,
             deadline=0.25,
             unix_ts=1.7e308,
         )

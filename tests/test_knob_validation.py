@@ -198,8 +198,6 @@ class TestHostileValues:
         """A query object checks types only: a well-typed value out of
         range is refused at submission, where it is recorded."""
         MixingQuery("g", -1, beta=0.5, eps=2.0, t_max=-1, batch_size=0)
-        with pytest.raises(TypeError, match="priority"):
-            MixingQuery("g", 0, beta=BETA, priority=math.inf)
         with pytest.raises(ValueError, match="deadline"):
             MixingQuery("g", 0, beta=BETA, deadline=math.nan)
 
@@ -416,7 +414,6 @@ _query_fields = st.fixed_dictionaries(
         "require_source": _field(st.booleans()),
         "batch_size": _field(st.one_of(st.none(), st.integers(1, 64))),
         "deadline": _field(st.one_of(st.none(), st.floats(0.1, 10.0))),
-        "priority": _field(st.integers(-5, 5)),
     }
 )
 
@@ -425,7 +422,6 @@ _VALID = dict(
     source=1, beta=BETA, eps=EPS, sizes="all", threshold_factor=1.0,
     grid_factor=None, t_schedule="all", t_max=None, lazy=False,
     require_source=False, batch_size=None, deadline=None,
-    priority=0,
 )
 
 

@@ -217,6 +217,32 @@ class TestDrain:
 
         asyncio.run(main())
 
+    def test_drain_answers_inflight_http_query(
+        self, expander, expander_direct
+    ):
+        """aclose() racing a ``POST /v1/query``: the HTTP answer is
+        awaited and written before connections are cancelled, so the
+        in-flight query gets its bitwise answer, not a 500."""
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.05) as svc:
+                slow_solver(svc, 0.1)
+                server = await WireServer(svc).start()
+                fut = asyncio.ensure_future(
+                    http_query(server.host, server.port, wire_query(0))
+                )
+                await asyncio.sleep(0.02)  # admitted, solve in flight
+                await server.aclose()
+                assert await fut == expander_direct[0]
+                stats = server.stats()
+                check_accounting(stats)
+                assert stats["answered"] == 1
+                assert [r.outcome for r in svc.flight.records()] == ["ok"]
+                assert_no_leaks(svc, server)
+
+        asyncio.run(main())
+
     def test_queries_during_drain_get_shutting_down(
         self, expander, expander_direct
     ):
@@ -447,16 +473,12 @@ class TestBackpressure:
 
         asyncio.run(main())
 
-
-# --------------------------------------------------------------------- #
-# Priority preemption under admission pressure
-# --------------------------------------------------------------------- #
-
-
-class TestPriorityPreemption:
-    def test_equal_priority_never_preempts(self, expander, expander_direct):
-        """A full queue plus an equal-priority arrival is a plain 429:
-        preemption needs *strictly* higher priority."""
+    def test_full_queue_is_plain_429_and_depth_stays_bounded(
+        self, expander, expander_direct
+    ):
+        """A full queue plus one more arrival is a plain 429: the
+        admitted waiter keeps its slot and its bitwise answer, and the
+        queue depth never reads more than ``max_pending``."""
 
         async def main():
             reg = make_registry(expander)
@@ -470,139 +492,18 @@ class TestPriorityPreemption:
                             client.submit(wire_query(0))
                         )
                         await asyncio.sleep(0.02)  # parked is admitted
+                        assert server.stats()["queue_depth"] == 1
                         with pytest.raises(OverloadedError):
                             await client.submit(wire_query(1))
+                        assert server.stats()["queue_depth"] == 1
                         assert await parked == expander_direct[0]
                     stats = server.stats()
                 assert_no_leaks(svc, server)
             check_accounting(stats)
-            assert stats["preempted"] == 0
             assert stats["rejected"] == 1
-            assert stats["answered"] == 1
+            assert stats["admitted"] == stats["answered"] == 1
 
         asyncio.run(main())
-
-    def test_higher_priority_preempts_lowest_waiter(
-        self, expander, expander_direct
-    ):
-        """Queue full of priority-0 work: a priority-5 arrival takes the
-        slot — the victim gets the typed 429, the preemptor is answered
-        bitwise, the counter moves, and the accounting still closes
-        (the victim is admitted + errored, never un-counted)."""
-
-        async def main():
-            reg = make_registry(expander)
-            async with MixingService(registry=reg, window=0.05) as svc:
-                slow_solver(svc, 0.2)
-                async with WireServer(svc, max_pending=1) as server:
-                    async with WireClient(
-                        server.host, server.port
-                    ) as client:
-                        victim = asyncio.ensure_future(
-                            client.submit(wire_query(0))
-                        )
-                        await asyncio.sleep(0.02)  # victim is admitted
-                        urgent = await client.submit(
-                            wire_query(1, priority=5)
-                        )
-                        assert urgent == expander_direct[1]
-                        with pytest.raises(OverloadedError):
-                            await victim
-                    stats = server.stats()
-                    flight = svc.flight.records()
-                assert_no_leaks(svc, server)
-            check_accounting(stats)
-            assert stats["preempted"] == 1
-            assert stats["rejected"] == 0  # the victim *was* admitted
-            assert stats["admitted"] == 2
-            assert stats["answered"] == 1
-            assert stats["errored"] == 1
-            # The preempted query still left a flight record — its wire
-            # waiter was cancelled, which the recorder keeps as a typed
-            # error outcome next to the preemptor's ok.
-            outcomes = sorted(r.outcome for r in flight)
-            assert outcomes == ["error:CancelledError", "ok"]
-
-        asyncio.run(main())
-
-    def test_preemptor_cannot_be_preempted_by_lower(self, expander):
-        """Priorities are compared against *waiting admitted* queries:
-        after a priority-5 query takes the slot, a late priority-1
-        arrival gets 429 instead of bouncing the higher one."""
-
-        async def main():
-            reg = make_registry(expander)
-            async with MixingService(registry=reg, window=0.05) as svc:
-                slow_solver(svc, 0.25)
-                async with WireServer(svc, max_pending=1) as server:
-                    async with WireClient(
-                        server.host, server.port
-                    ) as client:
-                        high = asyncio.ensure_future(
-                            client.submit(wire_query(0, priority=5))
-                        )
-                        await asyncio.sleep(0.02)
-                        with pytest.raises(OverloadedError):
-                            await client.submit(wire_query(1, priority=1))
-                        assert await high is not None
-                    stats = server.stats()
-                assert_no_leaks(svc, server)
-            check_accounting(stats)
-            assert stats["preempted"] == 0
-            assert stats["rejected"] == 1
-
-        asyncio.run(main())
-
-
-    def test_malformed_priority_never_preempts(
-        self, expander, expander_direct
-    ):
-        """A request whose ``priority`` is not an integer (the string
-        ``"9"``) peeks as priority 0: under a full queue it is refused
-        with 429 and the admitted waiter keeps its slot and its answer."""
-        from repro.service.wire import http as wire_http
-        from repro.service.wire import protocol
-
-        req = protocol.encode_request(wire_query(1), id=1)
-        req["query"]["priority"] = "9"
-
-        async def main():
-            reg = make_registry(expander)
-            async with MixingService(registry=reg, window=0.05) as svc:
-                slow_solver(svc, 0.2)
-                async with WireServer(svc, max_pending=1) as server:
-                    async with WireClient(
-                        server.host, server.port
-                    ) as client:
-                        parked = asyncio.ensure_future(
-                            client.submit(wire_query(0))
-                        )
-                        await asyncio.sleep(0.02)  # parked is admitted
-                        reader, writer = await asyncio.open_connection(
-                            server.host, server.port
-                        )
-                        writer.write(
-                            wire_http.render_request(
-                                "POST", "/v1/query",
-                                host=f"{server.host}:{server.port}",
-                                body=protocol.dumps(req),
-                                extra_headers=(("Connection", "close"),),
-                            )
-                        )
-                        await writer.drain()
-                        response = await wire_http.read_response(reader)
-                        writer.close()
-                        assert await parked == expander_direct[0]
-                    stats = server.stats()
-                assert_no_leaks(svc, server)
-            return response, stats
-
-        response, stats = asyncio.run(main())
-        check_accounting(stats)
-        assert response.method == "429"
-        assert stats["preempted"] == 0
-        assert stats["rejected"] == 1
-        assert stats["answered"] == 1
 
 
 # --------------------------------------------------------------------- #

@@ -74,7 +74,6 @@ _queries = st.builds(
     batch_size=st.one_of(st.none(), st.integers(min_value=1, max_value=512)),
     deadline=st.one_of(st.none(), st.floats(min_value=1e-6, max_value=1e6,
                                             allow_nan=False)),
-    priority=st.integers(min_value=-100, max_value=100),
 )
 
 _results = st.builds(
@@ -138,14 +137,14 @@ class TestRoundTrips:
         assert set(obj) == {"graph"} | set(protocol._QUERY_FIELDS)
 
     def test_decoded_query_canonicalizes_identically(self, expander16):
-        """A query that crossed the wire lands on the same semantic and
-        execution keys as the in-process original — same cache line,
+        """A query that crossed the wire lands on the same semantic key
+        and ``batch_size`` as the in-process original — same cache line,
         same coalescing group."""
         q = MixingQuery("g", 5, beta=4.0, eps=0.25, sizes=(4, 8, 12),
                         batch_size=3)
         rt = protocol.decode_query(protocol.encode_query(q))
         assert rt.semantic_key(expander16) == q.semantic_key(expander16)
-        assert rt.execution_key(expander16) == q.execution_key(expander16)
+        assert rt.batch_size == q.batch_size
 
 
 # --------------------------------------------------------------------- #
@@ -184,23 +183,31 @@ class TestStrictness:
             )
         assert e.value.code == "bad_request"
 
-    def test_v3_golden_body_gets_the_version_error(self):
-        # The v3 body: the v4 golden request plus the dropped field.
-        v3 = json.loads((DATA / "wire_golden_request.json").read_text())
-        v3["v"] = 3
-        v3["query"]["target"] = "uniform"
+    @pytest.mark.parametrize(
+        "version,dropped",
+        [(3, {"target": "uniform", "priority": 7}), (4, {"priority": 7})],
+        ids=["v3", "v4"],
+    )
+    def test_old_golden_body_gets_the_version_error(self, version, dropped):
+        # An old body: the golden request plus the fields it still sent.
+        old = json.loads((DATA / "wire_golden_request.json").read_text())
+        old["v"] = version
+        old["query"].update(dropped)
         with pytest.raises(WireError, match="version") as e:
-            protocol.decode_request(v3)
+            protocol.decode_request(old)
         assert e.value.code == "bad_request"
 
-    def test_target_field_rejected(self):
-        # Protocol v4 dropped the field: τ has one target.
+    @pytest.mark.parametrize(
+        "field,value", [("target", "uniform"), ("priority", 7)]
+    )
+    def test_dropped_field_rejected(self, field, value):
+        # v4 dropped ``target`` (τ has one target), v5 ``priority``.
         req = protocol.encode_request(MixingQuery("g", 0, beta=4.0))
-        req["query"]["target"] = "uniform"
+        req["query"][field] = value
         with pytest.raises(WireError) as e:
             protocol.decode_request(req)
         assert e.value.code == "bad_request"
-        assert str(e.value) == "unknown query fields: ['target']"
+        assert str(e.value) == f"unknown query fields: [{field!r}]"
 
     def test_graph_object_refused_at_encode(self, expander16):
         with pytest.raises(WireError, match="registered name"):
@@ -241,7 +248,7 @@ _HOSTILE_FIELDS = [
     ("t_max", "20.5"),
     ("batch_size", "true"),
     ("deadline", "NaN"),
-    ("priority", "Infinity"),
+    ("deadline", "Infinity"),
 ]
 
 
@@ -272,7 +279,6 @@ class TestFieldTypes:
                     "require_source": st.booleans(),
                     "batch_size": st.one_of(st.none(), st.integers()),
                     "deadline": st.one_of(st.none(), _floats),
-                    "priority": st.integers(),
                 }.items()
             }
         )
@@ -291,7 +297,7 @@ class TestFieldTypes:
             assert protocol.encode_query(got) == query
 
     def test_flight_endpoint_survives_a_hostile_query(self, expander16):
-        """``"priority": Infinity`` is refused at decode, so it leaves no
+        """``"deadline": Infinity`` is refused at decode, so it leaves no
         flight record that the listing cannot export: the listing still
         answers 200."""
 
@@ -308,7 +314,7 @@ class TestFieldTypes:
                             wire_http.render_request(
                                 "POST", "/v1/query",
                                 host=f"{server.host}:{server.port}",
-                                body=_hostile_request("priority", "Infinity"),
+                                body=_hostile_request("deadline", "Infinity"),
                                 extra_headers=(("Connection", "close"),),
                             )
                         )
@@ -339,7 +345,7 @@ class TestGoldenFixtures:
         assert req_id == "golden-1"
         assert query == MixingQuery(
             "expander", 3, beta=4.0, eps=0.25, t_max=3000,
-            deadline=2.5, priority=7,
+            deadline=2.5,
         )
         # Re-encoding reproduces the golden object exactly.
         assert protocol.encode_request(query, id=req_id) == golden

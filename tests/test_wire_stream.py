@@ -350,6 +350,30 @@ class TestHealthz:
         assert full["window"]["errors"] == 0
         assert full["window"]["quantiles"]["p50"] is not None
 
+    def test_live_zero_returns_full_body(self, expander, expander_direct):
+        """Only ``live=1`` is the liveness probe: ``live=0`` asks for
+        the full body, telemetry included, like a bare ``/healthz``."""
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.0) as svc:
+                async with WireServer(svc) as server:
+                    r = await _one_query(server, wire_query(3))
+                    _s, off = await http_get(
+                        server.host, server.port, "/healthz?live=0"
+                    )
+                    _s, full = await http_get(
+                        server.host, server.port, "/healthz"
+                    )
+            return r, protocol.loads(off), protocol.loads(full)
+
+        r, off, full = asyncio.run(main())
+        assert r == expander_direct[3]
+        assert off.keys() == full.keys()
+        assert {"slo", "window"} <= off.keys()
+        assert off["slo"] is None
+        assert off["window"]["count"] == 1
+
 
 # --------------------------------------------------------------------- #
 # obs_top dashboard
