@@ -29,9 +29,10 @@ batching idea of Das Sarma et al. and Molla–Pandurangan:
   :func:`~repro.engine.batch.batched_local_mixing_profiles` (deviation
   profiles behind ``local_mixing_profile``) follow the same contract.
 
-Both hot loops — block propagation (``A @ P``) and the float64 sorted
-deviation scan of :mod:`repro.engine.oracle` — are plain functions the
-drivers call directly; while observability is enabled each driver call
+Both hot loops — block propagation (``A @ P``, scipy's CSR kernel
+called by :func:`~repro.engine.propagator.csr_step_block`) and the
+float64 sorted deviation scan of :mod:`repro.engine.oracle` — are plain
+functions the drivers call directly; while observability is enabled each driver call
 binds them once to :class:`~repro.obs.KernelProfiler` timing closures.
 
 τ computations have one method, the iterative block trajectory.  Only the

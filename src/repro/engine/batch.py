@@ -46,10 +46,12 @@ by the exact constrained oracle on the column).  Nothing falls back to a
 per-source trajectory loop.
 
 Every driver runs the float64 kernels of :mod:`repro.engine.oracle` and
-the ``A @ P`` block step directly.  While observability is enabled, each
-driver call binds them once to :class:`~repro.obs.KernelProfiler` timing
-closures (:func:`_kernels`), so the disabled cost is one boolean check per
-call.
+the ``A @ P`` block step (:func:`~repro.engine.propagator.csr_step_block`)
+directly; the screen's size operands are a
+:class:`~repro.engine.oracle.ScreenGrid` built once per solve.  While
+observability is enabled, each driver call binds the kernels once to
+:class:`~repro.obs.KernelProfiler` timing closures (:func:`_kernels`), so
+the disabled cost is one boolean check per call.
 
 **Column tiles.**  A column of the block is one source's walk and never
 reads another column, so :func:`batched_local_mixing_times` splits its
@@ -70,7 +72,6 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ThreadPoolExecutor
-from operator import matmul
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,10 +82,11 @@ from repro.graphs.base import Graph
 from repro.engine.oracle import (
     deviation_lower_bounds_kernel,
     exact_best_sums_kernel,
+    screen_grid,
     sorted_scan_arrays,
     split_points_kernel,
 )
-from repro.engine.propagator import BlockPropagator
+from repro.engine.propagator import BlockPropagator, csr_step_block
 from repro.obs import (
     default_registry,
     kernel_profiler,
@@ -190,7 +192,7 @@ class _Kernels(NamedTuple):
 
 
 _PLAIN_KERNELS = _Kernels(
-    matmul,
+    csr_step_block,
     sorted_scan_arrays,
     split_points_kernel,
     deviation_lower_bounds_kernel,
@@ -207,7 +209,7 @@ def _kernels() -> _Kernels:
         return _PLAIN_KERNELS
     prof = kernel_profiler()
     return _Kernels(
-        prof.timed("step_block", matmul),
+        prof.timed("step_block", csr_step_block),
         prof.timed("sorted_scan", sorted_scan_arrays),
         prof.timed("split_points", split_points_kernel),
         prof.timed("deviation_lower_bounds", deviation_lower_bounds_kernel),
@@ -518,6 +520,20 @@ def _size_anchors(Rs: np.ndarray, gamma: float):
     return first, last - first + 1, delta
 
 
+def _first_per_column(cols: np.ndarray) -> np.ndarray:
+    """Positions of each column's first entry in ``cols``, in ascending
+    column order (``np.unique(cols, return_index=True)[1]``, without its
+    generic dispatch)."""
+    if cols.size < 2:
+        return np.arange(cols.size)
+    order = cols.argsort(kind="stable")
+    sc = cols[order]
+    first = np.empty(sc.size, dtype=bool)
+    first[0] = True
+    np.not_equal(sc[1:], sc[:-1], out=first[1:])
+    return order[first]
+
+
 def _solve_chunk(
     g: Graph,
     chunk: list[int],
@@ -558,6 +574,11 @@ def _solve_chunk(
     inv_r = 1.0 / Rs
     gamma = threshold * _ANCHOR_SHARE
     anchors = _size_anchors(Rs, gamma)
+    # The screen's size operands, built once per solve.
+    grid = screen_grid(Rs, inv_r, g.n, len(chunk))
+    if anchors is not None:
+        anc, own, delta = anchors
+        anc_grid, delta = grid.take(anc), delta[:, None]
     col_pos = np.arange(len(chunk))  # chunk position per live column
     credit = np.zeros(len(chunk))  # proven no-hit margin per live column
     # The tile's scan workspace (sorted, prefix).
@@ -569,7 +590,7 @@ def _solve_chunk(
             return
         P_prev = prop.block
         P = prop.advance_to(t)
-        cred = np.flatnonzero(credit > 0)
+        cred = (credit > 0).nonzero()[0]
         if cred.size:  # charge the measured L1 drift, rounded down
             # The live block's diff, in the sorted buffer (this step's scan
             # refills it).  numpy sums a block's columns sequentially but a
@@ -577,28 +598,30 @@ def _solve_chunk(
             # alone: each drift keeps the bits of a credited-only block.
             diff = np.subtract(P, P_prev, out=flat[: P.size].reshape(P.shape))
             drift = np.abs(diff, out=diff).sum(axis=0)
-            if cred.size < col_pos.size:
+            if cred.size == col_pos.size:  # every column: in place
+                np.subtract(credit, drift, out=credit)
+                np.nextafter(credit, -np.inf, out=credit)
+            else:
                 drift = drift[cred] if cred.size > 1 else diff[:, cred[0]].sum()
-            credit[cred] = np.nextafter(credit[cred] - drift, -np.inf)
+                credit[cred] = np.nextafter(credit[cred] - drift, -np.inf)
         P_prev = None
-        need = np.flatnonzero(credit <= 0)  # columns to screen this step
+        need = (credit <= 0).nonzero()[0]  # columns to screen this step
         if screen_record is not None:
             screen_record(0, 0, (col_pos.size - need.size) * n_cand)
         if need.size == 0:
             continue
         sub = None if need.size == col_pos.size else need
         S, pre = kernels.sorted_scan(P, sub, work)
-        Rs_s, inv_s, rows, floor = Rs, inv_r, None, np.inf
+        grid_s, rows, floor = grid, None, np.inf
         if anchors is not None:
-            anc, own, delta = anchors
-            k0a = kernels.split_points(S, inv_r[anc])
-            lba = kernels.deviation_lower_bounds(pre, Rs[anc], inv_r[anc], k0a)
-            lba -= delta[:, None]  # D_R ≥ D_a − (R − a)/R on a's interval
+            k0a = kernels.split_points(S, anc_grid.c)
+            lba = kernels.deviation_lower_bounds(pre, anc_grid, k0a)
+            lba -= delta  # D_R ≥ D_a − (R − a)/R on a's interval
             flag = lba < cutoff + slack
             credit[need] = lba.min(axis=0) - cutoff - slack
-            fine = np.flatnonzero(flag.any(axis=0))
+            fine = flag.any(axis=0).nonzero()[0]
             out = ~flag.any(axis=1)  # anchors that certify every column
-            rows = np.flatnonzero(np.repeat(~out, own))
+            rows = np.repeat(~out, own).nonzero()[0]
             if screen_record is not None:
                 screen_record(0, 0, need.size * n_cand - fine.size * rows.size)
             if fine.size == 0:
@@ -610,14 +633,15 @@ def _solve_chunk(
                     if i < j:
                         S[i], pre[i] = S[j], pre[j]
                 need, S, pre = need[fine], S[: fine.size], pre[: fine.size]
-            Rs_s, inv_s = Rs[rows], inv_r[rows]
+            grid_s = grid.take(rows)
         if not in_block:
             live_nodes = [chunk[int(i)] for i in col_pos[need]]
+        Rs_s, inv_s = grid_s.R, grid_s.c
         k0_all = kernels.split_points(S, inv_s)
         # One search-free kernel call for the whole (R, column) grid; valid
         # for the constrained minimum too (pinning the source can only
         # increase it).
-        bounds = kernels.deviation_lower_bounds(pre, Rs_s, inv_s, k0_all)
+        bounds = kernels.deviation_lower_bounds(pre, grid_s, k0_all)
         hits = bounds < cutoff
         if screen_record is not None:
             screen_record(hits.size, int(np.count_nonzero(hits)))
@@ -627,8 +651,8 @@ def _solve_chunk(
             r_idx, cols = np.nonzero(hits)
             vals = kernels.best_sums(pre, Rs_s, inv_s, k0_all, r_idx, cols)
             bounds[r_idx, cols] = vals
-            ok = np.flatnonzero(vals < threshold)
-            first = ok[np.unique(cols[ok], return_index=True)[1]]
+            ok = (vals < threshold).nonzero()[0]
+            first = ok[_first_per_column(cols[ok])]
             found = zip(cols[first], r_idx[first], vals[first].tolist())
         else:
             for col in map(int, np.flatnonzero(hits.any(axis=0))):
@@ -893,6 +917,7 @@ def batched_local_mixing_spectra(
     cutoff = eps * (1.0 + _VERIFY_SLACK)
     Rs = np.asarray(sizes, dtype=np.int64)
     inv_r = 1.0 / Rs
+    grid = screen_grid(Rs, inv_r, g.n, len(src))
     out: list[dict[int, int | float]] = [{} for _ in src]
     col_pos = np.arange(len(src))
     # unresolved[c, r]: column c has not yet mixed at sizes[r].
@@ -908,7 +933,7 @@ def batched_local_mixing_spectra(
             P = prop.advance_to(t)
             S, pre = kernels.sorted_scan(P, None, work)
             k0_all = kernels.split_points(S, inv_r)
-            bounds = kernels.deviation_lower_bounds(pre, Rs, inv_r, k0_all)
+            bounds = kernels.deviation_lower_bounds(pre, grid, k0_all)
             live = unresolved[col_pos]
             hits = live.T & (bounds < cutoff)
             if kernels.screen is not None:

@@ -6,8 +6,10 @@ The kernels here serve **all k columns at once**:
 :func:`sorted_scan_arrays` sorts them, :func:`split_points_kernel` finds
 where each crosses ``1/R``, :func:`deviation_lower_bounds_kernel` bounds
 ``min_{|S|=R} Σ_{u∈S} |p(u) − 1/R|`` for every ``(R, column)`` pair
-without a scan (the drivers' screen), and :func:`exact_best_sums_kernel`
-evaluates the flagged pairs' minima bitwise as the per-source scan does.
+without a scan (the drivers' screen; its size-only operands are a
+:class:`ScreenGrid` a solve builds once with :func:`screen_grid`), and
+:func:`exact_best_sums_kernel` evaluates the flagged pairs' minima
+bitwise as the per-source scan does.
 
 Shapes: the walk block ``P`` is ``(n, k)``, one column per source.  The
 scan is source-major: ``sorted`` is ``(k, n)``, one contiguous ascending
@@ -41,11 +43,15 @@ bitwise-identical to the per-source loop still need the exact verifier.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "sorted_scan_arrays",
     "split_points_kernel",
+    "ScreenGrid",
+    "screen_grid",
     "deviation_lower_bounds_kernel",
     "exact_best_sums_kernel",
 ]
@@ -143,7 +149,8 @@ def exact_best_sums_kernel(
         R = np.repeat(Rs[r], w)
         # d = clip(k0, start, start + R) - start, the entries below c.
         d = np.repeat(k0[r, cols[a:b]] + offs, w) - pos
-        np.clip(d, 0, R, out=d)
+        np.maximum(d, 0, out=d)  # an integer clip costs more
+        np.minimum(d, R, out=d)
         i_s = np.repeat(cols[a:b] * (n + 1) - offs, w) + pos
         p_s, p_k, p_e = flat[i_s], flat[i_s + d], flat[i_s + R]
         c = np.repeat(cs[r], w)
@@ -155,14 +162,51 @@ def exact_best_sums_kernel(
     return out
 
 
+class ScreenGrid(NamedTuple):
+    """The operands of :func:`deviation_lower_bounds_kernel` that depend
+    only on the set sizes, for one size list on an ``n``-node block of at
+    most ``k`` columns.  A driver builds its grids once per solve with
+    :func:`screen_grid`; size-indexed fields are ``(sizes,)`` or
+    ``(sizes, 1)`` columns, so :meth:`take` restricts a grid to some of its
+    sizes."""
+
+    R: np.ndarray  # (sizes,) int64
+    c: np.ndarray  # (sizes,) float64: c = 1/R as the caller gave it
+    n_minus_R: np.ndarray  # (sizes,) int64: n − R
+    R_col: np.ndarray  # (sizes, 1) int64
+    c_col: np.ndarray  # (sizes, 1) float64
+    target: np.ndarray  # (sizes, 1) float64: cR (≈ 1, kept in float)
+    n_minus_R_col: np.ndarray  # (sizes, 1) int64
+    #: ``(1, k)`` row offsets ``j·(n+1)`` into the flat ``(k, n+1)`` prefix
+    #: block; a narrower block uses its first columns.
+    base: np.ndarray
+
+    def take(self, rows: np.ndarray) -> "ScreenGrid":
+        """The grid of the sizes at positions ``rows``."""
+        return ScreenGrid(*(f[rows] for f in self[:-1]), self.base)
+
+
+def screen_grid(Rs: np.ndarray, cs: np.ndarray, n: int, k: int) -> ScreenGrid:
+    """The :class:`ScreenGrid` of sizes ``Rs`` with targets ``cs = 1/Rs``
+    for blocks of ``n`` nodes and at most ``k`` columns."""
+    R = np.asarray(Rs, dtype=np.int64)
+    c = np.asarray(cs, dtype=np.float64)
+    R_col, c_col = R[:, None], c[:, None]
+    nR_col = n - R_col
+    return ScreenGrid(
+        R, c, nR_col[:, 0], R_col, c_col, c_col * R_col, nR_col,
+        np.arange(0, k * (n + 1), n + 1)[None, :],
+    )
+
+
 def deviation_lower_bounds_kernel(
-    pre: np.ndarray, Rs: np.ndarray, cs: np.ndarray, k0: np.ndarray
+    pre: np.ndarray, grid: ScreenGrid, k0: np.ndarray
 ) -> np.ndarray:
     """Search-free per-``(R, column)`` lower bounds on the window minima:
-    a ``(len(Rs), k)`` array with entry ``[i, j] ≤ min_start
-    Σ_{u∈window} |p_j(u) − cs[i]|``, in ``O(1)`` per pair straight from
-    the prefix sums (``cs = 1/Rs``, ``k0`` its :func:`split_points_kernel`
-    splits).
+    a ``(sizes, k)`` array with entry ``[i, j] ≤ min_start
+    Σ_{u∈window} |p_j(u) − c_i|`` over the sizes ``R_i`` of ``grid``
+    (``c_i = 1/R_i``), in ``O(1)`` per pair straight from the prefix sums
+    (``k0`` the :func:`split_points_kernel` splits of the ``c_i``).
 
     Three bounds are combined, each valid for *every* window of the
     sorted column: (a) ``Σ|p − c| ≥ |mass(S) − cR|``, and window masses
@@ -177,24 +221,25 @@ def deviation_lower_bounds_kernel(
     ``(t, R)`` pair: it trades a handful of extra exact verifications
     for skipping the per-pair window search entirely."""
     k, n = pre.shape[0], pre.shape[1] - 1
-    Rs = np.asarray(Rs, dtype=np.int64)
-    R_col = Rs[:, None]
-    c_col = np.asarray(cs, dtype=np.float64)[:, None]
+    R_col, c_col, target, nR_col = (
+        grid.R_col, grid.c_col, grid.target, grid.n_minus_R_col
+    )
     # Gathers that depend only on R are column takes; the k0-dependent
     # ones index the flat prefix block, where row j starts at j·(n+1).
     flat = pre.ravel()
-    base = np.arange(0, k * (n + 1), n + 1)[None, :]
-    target = c_col * R_col  # cR (≈ 1, kept in float for safety)
-    rest = pre.T[n - Rs]  # mass outside the heaviest window
+    base = grid.base[:, :k]
+    rest = pre.T[grid.n_minus_R]  # mass outside the heaviest window
     top = pre[:, n][None, :] - rest  # heaviest window mass
-    bot = pre.T[Rs]  # lightest window mass
+    bot = pre.T[grid.R]  # lightest window mass
     # (a) |mass − cR| over the feasible mass range.
     b_mass = np.maximum(target - top, bot - target)
-    # (b) below-c part of the rightmost window.
-    m2 = np.clip(k0 - (n - R_col), 0, R_col)
-    b_below = c_col * m2 - (flat[((n - R_col) + m2) + base] - rest)
+    # (b) below-c part of the rightmost window: m2 = clip(k0 − (n − R),
+    # 0, R), spelled maximum-then-minimum (an integer clip costs more).
+    m2 = np.maximum(k0 - nR_col, 0)
+    np.minimum(m2, R_col, out=m2)
+    b_below = c_col * m2 - (flat[(nR_col + m2) + base] - rest)
     # (c) above-c part of the leftmost window.
     a3 = np.minimum(k0, R_col)
     b_above = (bot - flat[a3 + base]) - c_col * (R_col - a3)
     out = np.maximum(b_mass, np.maximum(b_below, b_above))
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)

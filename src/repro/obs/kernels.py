@@ -1,9 +1,11 @@
 """Kernel-level profiling of the engine's hot loops.
 
 While observability is enabled, every batched engine driver call binds
-its kernels once with :meth:`KernelProfiler.timed` (``step_block``,
-``sorted_scan``, ``split_points``, ``deviation_lower_bounds`` and
-``best_sums`` — the exact verifier), recording per-kernel call counts
+its kernels once with :meth:`KernelProfiler.timed` (``step_block`` — the
+direct CSR step :func:`~repro.engine.propagator.csr_step_block`, the same
+function an untraced solve calls — ``sorted_scan``, ``split_points``,
+``deviation_lower_bounds`` and ``best_sums`` — the exact verifier),
+recording per-kernel call counts
 and seconds into the process-global
 :func:`~repro.obs.metrics.default_registry`:
 

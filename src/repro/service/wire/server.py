@@ -144,6 +144,7 @@ class WireServer:
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
         self._pending = 0
+        self._pending_max = 0  # high-water mark of _pending
         self._conn_tasks: set[asyncio.Task] = set()
         # Every query being answered, HTTP or WebSocket: aclose() waits
         # for these (answer and response write) before it cancels
@@ -269,7 +270,9 @@ class WireServer:
 
     def stats(self) -> dict:
         """Wire counters as one dict: requests / admitted / rejected /
-        answered / expired / errored, current queue depth and open
+        answered / expired / errored, current queue depth, its high-water
+        mark since start (``queue_depth_max``, kept at admission, so it
+        counts queries admitted and answered between two samples) and open
         connections."""
         return {
             "requests": self._requests.value,
@@ -279,6 +282,7 @@ class WireServer:
             "expired": self._expired.value,
             "errored": self._errored.value,
             "queue_depth": self._pending,
+            "queue_depth_max": self._pending_max,
             "connections": self._connections.value,
             "stream_subscribers": self._stream_subscribers.value,
             "stream_frames": self._stream_frames.value,
@@ -323,6 +327,7 @@ class WireServer:
         # Past admission: exactly one of answered/expired/errored.
         self._admitted.inc()
         self._pending += 1
+        self._pending_max = max(self._pending_max, self._pending)
         self._queue_depth.set(self._pending)
         tid = self.service.flight.next_trace_id()
         t0 = time.perf_counter()

@@ -11,6 +11,7 @@ import pytest
 from repro.engine.oracle import (
     deviation_lower_bounds_kernel,
     exact_best_sums_kernel,
+    screen_grid,
     sorted_scan_arrays,
     split_points_kernel,
 )
@@ -121,7 +122,7 @@ class TestSourceMajorLayout:
         )
         assert _same_bytes(k0, want_k0.astype(np.int64))
         assert _same_bytes(
-            deviation_lower_bounds_kernel(pre, Rs, cs, k0),
+            deviation_lower_bounds_kernel(pre, screen_grid(Rs, cs, n, k), k0),
             _colmajor_lower_bounds(pre_col, Rs, cs, k0),
         )
         flags = np.random.default_rng(seed).random((n, k)) < 0.6

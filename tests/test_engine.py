@@ -33,6 +33,7 @@ from repro.engine import (
     batched_local_mixing_times,
     batched_mixing_times,
 )
+from repro.engine.propagator import csr_step_block
 from repro.engine.oracle import (
     exact_best_sums_kernel,
     sorted_scan_arrays,
@@ -41,6 +42,7 @@ from repro.engine.oracle import (
 from repro.constants import DEFAULT_EPS
 from repro.errors import BipartiteGraphError, ConvergenceError
 from repro.graphs import generators as gen
+from repro.spectral.transition import walk_operator
 from repro.walks import distribution_at, mixing_time
 from repro.walks.distribution import distribution_trajectory
 from repro.walks.local_mixing import (
@@ -58,6 +60,13 @@ FAMILIES = [
     (gen.cycle_graph(15), 3.0, False),
     (gen.path_graph(12), 4.0, True),
 ]
+
+
+def _same_bits(a, b):
+    """Same shape and the same IEEE-754 bytes (``-0.0`` is not ``0.0``)."""
+    return a.shape == b.shape and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
 
 
 def _loop_results(g, beta, lazy, **kwargs):
@@ -110,6 +119,99 @@ class TestBlockPropagator:
         assert prop.k == 1
         assert prop.sources.tolist() == [7]
         assert np.array_equal(prop.block[:, 0], expected)
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_direct_step_is_matmul_bitwise(self, lazy, k):
+        # The step calls scipy's CSR kernel itself; pin it to ``A @ P`` so
+        # a scipy release that changes either fails here, not downstream.
+        g = gen.random_regular(30, 4, seed=3)
+        A = walk_operator(g, lazy=lazy)
+        prop = BlockPropagator(g, range(0, 2 * k, 2), lazy=lazy)
+        for _ in range(6):
+            before = prop.block.copy()
+            assert _same_bits(prop.step(), A @ before)
+        for keep in ([k - 1, 0], [0]) if k > 1 else ([0],):
+            prop.drop_columns(np.array(keep))
+            for _ in range(3):
+                before = prop.block.copy()
+                assert _same_bits(prop.step(), A @ before)
+        # Arbitrary values into a dirty output buffer.
+        P = np.random.default_rng(k).random((g.n, k))
+        out = np.full_like(P, np.nan)
+        assert csr_step_block(A, P, out) is out
+        assert _same_bits(out, A @ P)
+
+    def test_advance_to_keeps_the_callers_block(self):
+        # The τ driver holds the block from before a multi-step advance
+        # (the doubling schedule) to charge drift credit against it.
+        g = gen.path_graph(10)
+        prop = BlockPropagator(g, [0, 4], lazy=True)
+        for t in (1, 2, 4, 8, 9, 16, 32):
+            held = prop.block
+            kept = held.copy()
+            P = prop.advance_to(t)
+            assert _same_bits(held, kept)
+            assert not np.shares_memory(P, held)
+            for j, s in enumerate((0, 4)):
+                assert _same_bits(P[:, j], distribution_at(g, s, t, lazy=True))
+        # A lone step reuses the block from two steps back.
+        two_back = prop.block
+        prop.step()
+        assert np.shares_memory(prop.step(), two_back)
+
+    def test_doubling_schedule_with_drift_credit_matches_loop(self):
+        # Lazy P_40 under the doubling schedule: drift credit skips whole
+        # screening steps (fewer scans than advances), so the drift of a
+        # multi-step advance is charged against the caller's older block.
+        g = gen.path_graph(40)
+        counts = {"scan": 0, "advance": 0}
+
+        def counting_scan(*args):
+            counts["scan"] += 1
+            return engine_batch.sorted_scan_arrays(*args)
+
+        class CountingPropagator(BlockPropagator):
+            def advance_to(self, t):
+                counts["advance"] += 1
+                return super().advance_to(t)
+
+        kernels = engine_batch._PLAIN_KERNELS._replace(
+            sorted_scan=counting_scan
+        )
+        with mock.patch.object(engine_batch, "_kernels", lambda: kernels), \
+                mock.patch.object(
+                    engine_batch, "BlockPropagator", CountingPropagator
+                ):
+            batched = batched_local_mixing_times(
+                g, 4.0, lazy=True, t_schedule="doubling"
+            )
+        assert 0 < counts["scan"] < counts["advance"]
+        assert _bits(batched) == _bits(
+            _loop_results(g, 4.0, True, t_schedule="doubling")
+        )
+
+    def test_no_block_product_goes_through_scipy_dispatch(self, monkeypatch):
+        # Count gate: the step is the direct kernel call, so a solve sends
+        # no dense operand through scipy's Python matmul dispatch (the
+        # lazy operator's one ``* 0.5`` scalar product is not a step).
+        from scipy.sparse import _base
+
+        dispatch = _base._spbase._matmul_dispatch
+        dense = []
+
+        def counting(self, other):
+            if isinstance(other, np.ndarray):
+                dense.append(other.shape)
+            return dispatch(self, other)
+
+        monkeypatch.setattr(_base._spbase, "_matmul_dispatch", counting)
+        g = gen.path_graph(40)
+        walk_operator(g, lazy=True) @ np.ones((g.n, 2))
+        assert dense == [(g.n, 2)]  # the spy sees a plain ``A @ P``
+        dense.clear()
+        batched_local_mixing_times(g, 4.0, lazy=True)
+        assert dense == []
 
     def test_rewind_rejected(self):
         prop = BlockPropagator(gen.cycle_graph(9), [0])
@@ -606,7 +708,8 @@ class TestSizeAnchors:
         S, pre = sorted_scan_arrays(P)
         inv = 1.0 / Rs[anc]
         lb = oracle_mod.deviation_lower_bounds_kernel(
-            pre, Rs[anc], inv, split_points_kernel(S, inv)
+            pre, oracle_mod.screen_grid(Rs[anc], inv, n, k),
+            split_points_kernel(S, inv),
         )
         cert = lb - delta[:, None] - engine_batch._CREDIT_SLACK * n
         for j in range(k):
@@ -854,7 +957,8 @@ def _bounds_and_minima(P):
     Rs = np.arange(1, P.shape[0] + 1)
     cs = 1.0 / Rs
     lb = oracle_mod.deviation_lower_bounds_kernel(
-        pre, Rs, cs, split_points_kernel(S, cs)
+        pre, oracle_mod.screen_grid(Rs, cs, *P.shape),
+        split_points_kernel(S, cs),
     )
     exact = np.array(
         [[_scan_best(S[j], pre[j], R) for j in range(P.shape[1])] for R in Rs]

@@ -473,6 +473,40 @@ class TestBackpressure:
 
         asyncio.run(main())
 
+    def test_queue_depth_max_is_the_admission_high_water_mark(
+        self, expander, expander_direct
+    ):
+        """A burst of concurrent queries against a slow service is all in
+        flight at once: ``queue_depth_max`` keeps that depth after the
+        queue has drained, and a later lone query does not lower it."""
+
+        async def main():
+            reg = make_registry(expander)
+            async with MixingService(registry=reg, window=0.05) as svc:
+                slow_solver(svc, 0.2)
+                async with WireServer(svc, max_pending=8) as server:
+                    assert server.stats()["queue_depth_max"] == 0
+                    async with WireClient(
+                        server.host, server.port
+                    ) as client:
+                        outcomes = await asyncio.gather(
+                            *(client.submit(wire_query(s)) for s in range(5))
+                        )
+                        burst = server.stats()
+                        assert await client.submit(wire_query(5)) == (
+                            expander_direct[5]
+                        )
+                    stats = server.stats()
+                assert_no_leaks(svc, server)
+            check_accounting(stats)
+            assert outcomes == expander_direct[:5]
+            assert burst["queue_depth"] == 0
+            assert burst["queue_depth_max"] == 5
+            assert stats["queue_depth_max"] == 5
+            assert stats["admitted"] == stats["answered"] == 6
+
+        asyncio.run(main())
+
     def test_full_queue_is_plain_429_and_depth_stays_bounded(
         self, expander, expander_direct
     ):
