@@ -7,10 +7,11 @@ Claims (parallel subsystem):
    bookkeeping counters — to the serial ``batched_local_mixing_times`` on
    the all-sources workload, for every tested worker count;
 2. both sides propagate column tiles of at most ``_TILE_BYTES`` of block:
-   the serial call holds one tile per tile thread, each worker one tile
-   of its own source shard at a time (reported in the table from
-   ``_tile_plan`` — a structural property of the tiling, not a
-   measurement);
+   the serial call (``batch_size`` of one tile's width, so its tiles run
+   inline in this process, never on the engine's tile pool) holds one
+   tile at a time, and so does each worker process for its own source
+   shard (reported in the table from ``_tile_plan`` — a structural
+   property of the tiling, not a measurement);
 3. on a machine with ≥ 4 usable cores, 4 workers give ≥ 2× wall-clock on
    the 1200-node all-sources workload.  The speedup assertion is gated on
    the *schedulable* core count (CPU affinity where the OS exposes it, so
@@ -35,20 +36,25 @@ BETA = 4
 WORKER_COUNTS = (1, 2, 4)
 
 
-def _block_mib(k: int, n: int, threads: int | None = None) -> float:
+def _tile_width(k: int, n: int) -> int:
+    """Columns of the widest tile of a ``k``-source call on ``n`` nodes."""
+    return max(hi - lo for lo, hi in _tile_plan(k, n, None)[0])
+
+
+def _block_mib(k: int, n: int) -> float:
     """MiB of walk block one process holds at once while solving ``k``
-    sources: its widest column tile on each of its tile threads (one in a
-    shard worker)."""
-    tiles, planned = _tile_plan(k, n, None)
-    width = max(hi - lo for lo, hi in tiles)
-    return n * width * (threads or planned) * 8 / 2**20
+    sources one tile at a time: its widest column tile."""
+    return n * _tile_width(k, n) * 8 / 2**20
 
 
 def run_compare(n: int, d: int, seed: int = 1, reporter=None):
     rep = reporter if reporter is not None else BenchReporter("s1")
     g = random_regular(n, d, seed=seed)
     with rep.section("serial"):
-        serial = batched_local_mixing_times(g, BETA)
+        # One tile's width in flight: every tile inline, in this process.
+        serial = batched_local_mixing_times(
+            g, BETA, batch_size=_tile_width(g.n, g.n)
+        )
     rows = []
     results = {}
     for w in WORKER_COUNTS:
@@ -99,7 +105,7 @@ def test_s1_sharded_engine(record_table, quick_mode):
     for w, t_w, shard_sizes, split in rows:
         table_rows.append(
             [f"W={w}", f"{t_w:.2f}", f"{t_serial / t_w:.2f}x",
-             f"{_block_mib(max(shard_sizes), g.n, threads=1):.1f}",
+             f"{_block_mib(max(shard_sizes), g.n):.1f}",
              "+".join(str(s) for s in shard_sizes), split]
         )
         if not quick_mode and w == 4 and cores >= 4:

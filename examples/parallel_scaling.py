@@ -7,8 +7,9 @@ This demo runs the same three workloads serial and sharded and checks —
 in the script itself — that parallelism changed nothing but wall-clock:
 
 1. **All-sources tau(beta, eps)** on a random regular graph: the serial
-   batched engine vs ``parallel_local_mixing_times`` at several worker
-   counts.  Results compare equal element-for-element (the
+   batched engine (its 200 sources are one column tile, so the call runs
+   inline on this thread, not on the engine's tile pool) vs
+   ``parallel_local_mixing_times`` at several worker counts.  Results compare equal element-for-element (the
    loop-equivalence guarantee is worker-count independent), and each
    worker's dense block is ``n x ceil(k/W)`` instead of ``n x k``.
 

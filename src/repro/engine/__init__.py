@@ -39,7 +39,8 @@ binds them once to :class:`~repro.obs.KernelProfiler` timing closures.
 global mixing time (:func:`~repro.engine.batch.batched_mixing_times`)
 offers a spectral method; each call builds its own
 :class:`~repro.walks.distribution.SpectralPropagator`, so no dense
-eigenbasis outlives the call and the engine holds no process-wide state.
+eigenbasis outlives the call; the engine's one process-wide object is the
+pool multi-tile τ calls run on (see :mod:`repro.engine.batch`).
 """
 
 from repro.engine.propagator import BlockPropagator

@@ -57,13 +57,15 @@ the disabled cost is one boolean check per call.
 reads another column, so :func:`batched_local_mixing_times` splits its
 sources into contiguous, near-even tiles whose ``n × columns`` float64
 block fits :data:`_TILE_BYTES` (and with it the ``(candidates × columns)``
-screen grid: there are at most ``n`` candidates), and solves the tiles'
-trajectories concurrently on a thread pool owned by the call, one thread
-per usable CPU.  Sorting, scanning, the CSR mat-mat and the exact kernel
-are per-column computations, so a solve is bitwise the same
-for any tiling and any thread count.  A one-tile call runs inline and
-starts no thread; a multiprocessing child (a shard-pool worker) solves
-its tiles on its own thread only.
+screen grid: there are at most ``n`` candidates).  Sorting, scanning, the
+CSR mat-mat and the exact kernel are per-column computations, so a solve
+is bitwise the same for any tiling and any process count.  A call of two
+or more tiles runs them on the one process-wide
+:class:`~repro.parallel.ShardExecutor` (one process per usable CPU, made on
+first use, closed at interpreter exit), one contiguous run of tiles per
+process.  Other calls run their tiles inline on the calling thread: one
+tile, a multiprocessing child, one usable CPU, or the pool busy with
+another call's tiles (no call waits for another).
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -133,6 +134,7 @@ _ANCHOR_SHARE = 0.25
 #: on the ``all_sources`` workload (``n = 1000``: 8 tiles of 125).
 _TILE_BYTES = 1 << 20
 
+
 def _usable_cpus() -> int:
     """CPUs this process may run on (its affinity mask where the platform
     has one)."""
@@ -145,12 +147,13 @@ def _usable_cpus() -> int:
 def _tile_plan(
     k: int, n: int, batch_size: int | None
 ) -> tuple[list[tuple[int, int]], int]:
-    """``(tiles, threads)`` for a ``k``-source call on ``n`` nodes:
+    """``(tiles, workers)`` for a ``k``-source call on ``n`` nodes:
     contiguous near-even ``[lo, hi)`` tiles, each within
     :data:`_TILE_BYTES` of block and at most ``batch_size`` wide, and the
-    number of threads to run them on — capped so the columns in flight
-    never exceed ``batch_size``, and 1 in a multiprocessing child, whose
-    parent already spreads the work over processes."""
+    number of processes to run them on — capped so the columns in flight
+    never exceed ``batch_size``, and 1 (inline) in a multiprocessing child,
+    whose parent already spreads the work over processes, also while a
+    spawned child re-imports the parent's main module."""
     width = max(1, _TILE_BYTES // (8 * n))
     if batch_size is not None:
         width = min(width, batch_size)
@@ -158,22 +161,27 @@ def _tile_plan(
     tiles = [
         (k * i // n_tiles, k * (i + 1) // n_tiles) for i in range(n_tiles)
     ]
-    threads = 1
-    if n_tiles > 1 and multiprocessing.parent_process() is None:
-        threads = min(_usable_cpus(), n_tiles)
+    workers = 1
+    child = multiprocessing.parent_process() is not None or getattr(
+        multiprocessing.current_process(), "_inheriting", False
+    )
+    if n_tiles > 1 and not child:
+        workers = min(_usable_cpus(), n_tiles)
         if batch_size is not None:
-            threads = max(1, min(threads, batch_size // width))
-    return tiles, threads
+            workers = max(1, min(workers, batch_size // width))
+    return tiles, workers
 
 
-def _run_tiles(solve: Callable, tiles: list, threads: int) -> list:
-    """``[solve(lo, hi) for lo, hi in tiles]`` on ``threads`` threads of a
-    pool owned by this call (inline for one thread).  The first error is
-    re-raised and the tiles not yet started are cancelled."""
-    if threads == 1:
-        return [solve(lo, hi) for lo, hi in tiles]
-    with ThreadPoolExecutor(threads, thread_name_prefix="repro-tile") as ex:
-        return list(ex.map(solve, *zip(*tiles)))
+def _solve_tiles(g: Graph, src: list[int], tiles: list, args: tuple) -> list:
+    """``(position in src, result)`` of every source the ``tiles`` of
+    ``src`` resolve, in order on this thread (also a pool worker's run of
+    a pooled call's tiles); ``args`` are :func:`_solve_chunk`'s."""
+    kernels = _kernels()
+    return [
+        (lo + pos, res)
+        for lo, hi in tiles
+        for pos, res in _solve_chunk(g, src[lo:hi], *args, kernels=kernels)
+    ]
 
 
 class _Kernels(NamedTuple):
@@ -444,11 +452,12 @@ def batched_local_mixing_times(
 
     batch_size:
         Maximum number of source columns propagated at once, summed over
-        the threads (memory control for large graphs).  A solve always
+        the processes (memory control for large graphs).  A solve always
         runs as column tiles of at most :data:`_TILE_BYTES`
-        of block each, on up to one thread per usable CPU; a
+        of block each, on up to one pool process per usable CPU; a
         ``batch_size`` makes the tiles at most that wide and runs only as
-        many at once as fit in it.  Default: no cap beyond the tiles.
+        many at once as fit in it (one tile's width: inline, on the
+        calling thread).  Default: no cap beyond the tiles.
 
     Returns the results in ``sources`` order; every result is identical —
     same time, set size, bitwise-equal deviation and same bookkeeping
@@ -464,33 +473,21 @@ def batched_local_mixing_times(
         require_source=require_source, batch_size=batch_size,
     )
     threshold = eps * threshold_factor
-    kernels = _kernels()
+    args = (candidates, threshold, t_schedule, t_max, lazy, require_source)
+    tiles, workers = _tile_plan(len(src), g.n, batch_size)
+    from repro.parallel.executor import leased_tile_pool  # imports us
 
-    def solve_tile(lo: int, hi: int) -> list:
-        return list(
-            _solve_chunk(
-                g,
-                src[lo:hi],
-                candidates,
-                threshold,
-                t_schedule,
-                t_max,
-                lazy,
-                require_source=require_source,
-                kernels=kernels,
-            )
-        )
-
-    results: list[LocalMixingResult | None] = [None] * len(src)
-    tiles, threads = _tile_plan(len(src), g.n, batch_size)
-    with trace(
+    with leased_tile_pool(workers > 1) as pool, trace(
         "engine_solve", kind="times", sources=len(src), tiles=len(tiles),
-        workers=threads,
+        workers=workers if pool else 1,
     ) as _sp:
-        solved = _run_tiles(solve_tile, tiles, threads)
-    for (lo, _), tile in zip(tiles, solved):
-        for pos, res in tile:
-            results[lo + pos] = res
+        if pool is None:
+            solved = _solve_tiles(g, src, tiles, args)
+        else:
+            solved = pool.run_tiles(g, src, tiles, args, workers)
+    results: list[LocalMixingResult | None] = [None] * len(src)
+    for pos, res in solved:
+        results[pos] = res
     _observe_engine_span(_sp, "times")
     missing = [src[i] for i, r in enumerate(results) if r is None]
     if missing:
@@ -542,8 +539,8 @@ def _solve_chunk(
     t_schedule: str,
     t_max: int,
     lazy: bool,
-    *,
     require_source: bool = False,
+    *,
     kernels: _Kernels,
 ):
     """Yield ``(position_in_chunk, LocalMixingResult)`` as sources resolve.

@@ -10,8 +10,9 @@ and seconds into the process-global
 :func:`~repro.obs.metrics.default_registry`:
 
 * ``repro_kernel_calls_total{kernel}``
-* ``repro_kernel_seconds_total{kernel}`` — summed over the column-tile
-  threads that run kernels concurrently, so thread-seconds, not wall.
+* ``repro_kernel_seconds_total{kernel}`` — summed over the pool
+  processes that run a pooled call's column tiles concurrently, so
+  process-seconds, not wall.
 * ``repro_screen_pairs_total`` / ``repro_screen_flagged_total`` — how
   many (R, column) candidate pairs got a per-size screening bound vs were
   flagged for exact re-verification.
@@ -90,8 +91,8 @@ class KernelProfiler:
         )
         self._seconds = registry.counter(
             "repro_kernel_seconds_total",
-            "Thread-seconds spent inside engine kernels (summed over "
-            "tile threads).",
+            "Seconds spent inside engine kernels (summed over the "
+            "pool processes of a pooled solve).",
             labels=("kernel",),
         )
         self._screen = {

@@ -49,15 +49,18 @@ so cross-process kernel time aggregates into one trace.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing as mp
 import os
 import threading
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
+from contextlib import contextmanager
+from functools import partial
 from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
-from repro.engine.batch import batched_local_mixing_times
+from repro.engine import batch as engine_batch
 from repro.graphs.base import Graph
 from repro.obs import (
     MetricsRegistry,
@@ -152,32 +155,20 @@ def _attached(handle: SharedHandle) -> SharedCSR:
 
 def _solve_shard(
     handle: SharedHandle,
-    shard: list[int],
-    kwargs: dict,
+    solve: Callable,
+    sources: int,
     collect: bool = False,
 ):
-    """Worker kernel: one batched τ call on this worker's source shard,
-    returned as ``(worker_pid, results, obs)`` so the parent can attribute
-    the solve in :meth:`ShardExecutor.stats` — ``obs`` is ``None`` unless
-    the parent asked for span collection (``collect=True``: tracing was
-    enabled parent-side), in which case it is the worker's ``shard_solve``
+    """Worker kernel: one τ solve ``solve(graph)`` of ``sources`` sources
+    (a batched call on a shard, or the engine's tile solver on a run of a
+    pooled call's tiles), returned as ``(worker_pid, results, obs)`` for
+    :meth:`ShardExecutor.stats`.  ``obs`` is ``None`` unless the parent
+    traces (``collect=True``); then it is the worker's ``shard_solve``
     span as a :meth:`~repro.obs.trace.Span.to_dict` payload, carrying the
-    kernel-profile delta of exactly this solve in ``meta["kernels"]``.
-
-    The batched driver is reused as-is — the shard's block is exactly the
-    single-process engine's chunk for these sources, so per-source outputs
-    are bitwise those of the serial call (loop equivalence; the
-    observability scope only changes what is *recorded*)."""
-    # As a multiprocessing child, the engine runs this shard's column
-    # tiles on this thread only: the shard pool already spreads work
-    # over the CPUs.
+    kernel-profile delta of exactly this solve in ``meta["kernels"]``."""
     g = _attached(handle).graph
     if not collect:
-        return (
-            os.getpid(),
-            batched_local_mixing_times(g, sources=shard, **kwargs),
-            None,
-        )
+        return os.getpid(), solve(g), None
     # Scope observability around exactly this solve so the kernel-profile
     # delta attributes cleanly even on a warm reused worker.
     with observability(True):
@@ -185,12 +176,12 @@ def _solve_shard(
         before = profiler.snapshot()
         span = Span(
             "shard_solve", {"pid": os.getpid(), "kind": "times",
-                            "sources": len(shard)}
+                            "sources": sources}
         )
         # Ambient-scope the span so the engine's own engine_solve trace
         # nests under it instead of landing in the worker's root sink.
         with use_span(span):
-            out = batched_local_mixing_times(g, sources=shard, **kwargs)
+            out = solve(g)
         span.finish()
         span.meta["kernels"] = diff_kernel_snapshots(
             before, profiler.snapshot()
@@ -250,6 +241,7 @@ class ShardExecutor:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
         self.start_method = start_method or default_start_method()
+        self._pid = os.getpid()  # a fork of the maker must not close it
         # Start the resource tracker before any worker can fork: workers
         # forked without one each start a private tracker, which warns at
         # shutdown about segments the publisher has already unlinked.
@@ -371,15 +363,38 @@ class ShardExecutor:
         n_shards = self._resolve_shards(n_shards)
         src = [int(s) for s in sources]
         bounds = shard_bounds(len(src), n_shards)
+        return self._solve(g, [(
+            partial(
+                engine_batch.batched_local_mixing_times,
+                sources=src[lo:hi], **kwargs,
+            ),
+            hi - lo,
+        ) for lo, hi in bounds])
+
+    def run_tiles(self, g: Graph, src: list[int], tiles: list, args: tuple,
+                  n_shards: int) -> list:
+        """The engine's inline tile solver on ``tiles`` of ``src``, as
+        ``n_shards`` contiguous runs of tiles, one task each (so at most
+        ``n_shards`` tiles are in flight); returns the same pairs."""
+        self._check_open()
+        return self._solve(g, [(
+            partial(engine_batch._solve_tiles, src=src, tiles=tiles[lo:hi],
+                    args=args),
+            tiles[hi - 1][1] - tiles[lo][0],
+        ) for lo, hi in shard_bounds(len(tiles), n_shards)])
+
+    def _solve(self, g: Graph, tasks: list) -> list:
+        """Run ``(solve, sources)`` τ tasks through
+        :func:`_solve_shard` and concatenate their results in task order."""
         # Ask workers for their timelines only while the parent is
         # tracing; the shipped span dicts ride the normal result tuple.
         collect = observability_enabled()
         parts = self._dispatch(
-            _solve_shard,
-            g,
-            [(src[lo:hi], kwargs, collect) for lo, hi in bounds],
+            _solve_shard, g, [(*task, collect) for task in tasks]
         )
-        self._record_dispatch(bounds, (pid for pid, _, _ in parts))
+        self._record_dispatch(
+            [n for _, n in tasks], (pid for pid, _, _ in parts)
+        )
         if collect:
             self._ingest_worker_spans(obs for _, _, obs in parts)
         return [res for _, part, _ in parts for res in part]
@@ -422,7 +437,9 @@ class ShardExecutor:
         parts = self._dispatch(
             _map_shard, graph, [(fn, items[lo:hi]) for lo, hi in bounds]
         )
-        self._record_dispatch(bounds, (pid for pid, _ in parts))
+        self._record_dispatch(
+            [hi - lo for lo, hi in bounds], (pid for pid, _ in parts)
+        )
         return [res for _, part in parts for res in part]
 
     def _dispatch(
@@ -445,9 +462,9 @@ class ShardExecutor:
                 self._pins -= Counter(pins)
                 self._evict()  # what the pins held over the bound
 
-    def _record_dispatch(self, bounds, worker_pids) -> None:
-        """Fold one sharded call into the utilization counters."""
-        sizes = [hi - lo for lo, hi in bounds]
+    def _record_dispatch(self, sizes: list, worker_pids) -> None:
+        """Fold one sharded call (its tasks' item counts) into the
+        utilization counters."""
         with self._lock:
             self._calls.inc()
             self._tasks_dispatched.inc(len(sizes))
@@ -538,7 +555,8 @@ class ShardExecutor:
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
-            self.close()
+            if self._pid == os.getpid():
+                self.close()
         except Exception:
             pass
 
@@ -549,3 +567,43 @@ class ShardExecutor:
             f"start_method={self.start_method!r}, "
             f"published={len(self._published)}, {state})"
         )
+
+
+#: The pool multi-tile engine calls run on, made on first use.
+_tile_pool: ShardExecutor | None = None
+#: Held by the one call whose tiles are on the pool.
+_tile_pool_lease = threading.Lock()
+
+
+@contextmanager
+def leased_tile_pool(wanted: bool = True):
+    """Yield the process-wide tile pool for one call, or ``None`` (run
+    inline) when not ``wanted``, when another call holds it (never
+    waited for) or in a fork of the pool's maker."""
+    global _tile_pool
+    if not wanted or not _tile_pool_lease.acquire(blocking=False):
+        yield None
+        return
+    try:
+        if _tile_pool is None:
+            _tile_pool = ShardExecutor(engine_batch._usable_cpus())
+        yield _tile_pool if _tile_pool._pid == os.getpid() else None
+    except BrokenExecutor:  # a worker died: the next call makes a new pool
+        _tile_pool.close()
+        _tile_pool = None
+        raise
+    finally:
+        _tile_pool_lease.release()
+
+
+@atexit.register
+def _close_tile_pool() -> None:
+    """Interpreter-exit teardown of the tile pool: join its workers,
+    unlink its segments, and stop and reap the resource tracker (left
+    running, it outlives us as an unreaped zombie of whoever inherits it)."""
+    if _tile_pool is None or _tile_pool._pid != os.getpid():
+        return
+    _tile_pool.close()
+    tracker = resource_tracker._resource_tracker
+    if tracker._pid is not None:  # started here, not inherited
+        tracker._stop()

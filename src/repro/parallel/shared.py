@@ -29,6 +29,7 @@ memory lives until the last mapping closes) and a no-op on Windows.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -77,6 +78,7 @@ class SharedCSR:
         self._shm = shm
         self.handle = handle
         self.owner = owner
+        self._pid = os.getpid()  # a fork of the publisher never unlinks
         self._unlinked = False
         self._graph: Graph | None = None
 
@@ -155,7 +157,7 @@ class SharedCSR:
     def unlink(self) -> None:
         """Remove the segment from the OS namespace (publisher only;
         idempotent).  Existing mappings stay valid until closed."""
-        if not self.owner or self._unlinked:
+        if not self.owner or self._unlinked or self._pid != os.getpid():
             return
         self._unlinked = True
         try:

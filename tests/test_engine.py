@@ -8,10 +8,12 @@ probabilities, and a lazy path).
 """
 
 import math
+import os
+import signal
 import struct
-import sys
 import threading
 import time
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
 from unittest import mock
 
@@ -34,6 +36,7 @@ from repro.engine import (
     batched_mixing_times,
 )
 from repro.engine.propagator import csr_step_block
+from repro.parallel import executor as executor_mod
 from repro.engine.oracle import (
     exact_best_sums_kernel,
     sorted_scan_arrays,
@@ -388,12 +391,18 @@ class TestDriftCertificate:
 @contextmanager
 def _column_tiles(n, width, cpus=2):
     """Solve ``n``-node graphs in tiles of at most ``width`` columns on
-    ``cpus`` threads: the tile budget shrunk to ``width`` block columns,
-    and the CPU count pinned so the threaded path runs on any machine."""
+    ``cpus`` processes: the tile budget shrunk to ``width`` block columns,
+    and the CPU count pinned so the pooled path runs on any machine."""
     with mock.patch.object(
         engine_batch, "_TILE_BYTES", 8 * n * width
     ), mock.patch.object(engine_batch, "_usable_cpus", lambda: cpus):
         yield
+
+
+def _pooled_calls():
+    """Calls the process-wide tile pool has run so far."""
+    pool = executor_mod._tile_pool
+    return 0 if pool is None else pool.stats()["calls"]
 
 
 def _outcome_with_message(solve):
@@ -415,8 +424,9 @@ TILE_GRAPHS = [
 
 
 class TestColumnTiles:
-    """A call split into column tiles on several threads answers exactly
-    like one block: tiles never read each other's columns."""
+    """A call split into column tiles on the process pool answers exactly
+    like its tiles inline and like one block: tiles never read each
+    other's columns."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -428,11 +438,10 @@ class TestColumnTiles:
         require_source=st.booleans(),
         t_schedule=st.sampled_from(["all", "doubling"]),
         t_max=st.sampled_from([4, 300]),
-        cpus=st.integers(2, 3),
     )
-    def test_tiled_equals_untiled_and_loop(
+    def test_pooled_equals_inline_untiled_and_loop(
         self, gi, data, lazy, threshold_factor, sizes, require_source,
-        t_schedule, t_max, cpus,
+        t_schedule, t_max,
     ):
         g, beta, force_lazy = TILE_GRAPHS[gi]
         # At least 3 tiles, uneven whenever the width does not divide n.
@@ -457,120 +466,115 @@ class TestColumnTiles:
                 )
             )
 
-        with _column_tiles(g.n, width, cpus):
-            tiles, threads = engine_batch._tile_plan(g.n, g.n, batch_size)
+        with _column_tiles(g.n, width):
+            tiles, workers = engine_batch._tile_plan(g.n, g.n, batch_size)
             assert len(tiles) >= 3
-            tiled = solve(batch_size)
+            # batch_size 1 or one tile's width leaves room for one tile.
+            assert workers == (1 if batch_size in (1, width) else 2)
+            calls = _pooled_calls()
+            pooled = solve(batch_size)
+            assert _pooled_calls() == calls + (workers > 1)
             # The same tiles on the calling thread only.
             widest = max(hi - lo for lo, hi in tiles)
             assert engine_batch._tile_plan(g.n, g.n, widest) == (tiles, 1)
-            serial = solve(widest)
-        assert tiled == serial
+            inline = solve(widest)
+            assert _pooled_calls() == calls + (workers > 1)
+        assert pooled == inline
         whole = solve(None)
-        assert tiled == whole
-        if tiled[0] == "ConvergenceError":
+        assert pooled == whole
+        if pooled[0] == "ConvergenceError":
             return
         sample = data.draw(
             st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4,
                      unique=True),
             label="sample",
         )
-        assert [tiled[s] for s in sample] == _bits(
+        assert [pooled[s] for s in sample] == _bits(
             local_mixing_time(g, s, beta, **knobs) for s in sample
         )
 
     def test_plan_respects_budget_and_batch_size(self):
         for k, n in [(1000, 1000), (40, 3), (7, 50000), (1, 1)]:
             for batch_size in (None, 1, 3, 50, 400):
-                tiles, threads = engine_batch._tile_plan(k, n, batch_size)
+                tiles, workers = engine_batch._tile_plan(k, n, batch_size)
                 assert tiles[0][0] == 0 and tiles[-1][1] == k
                 assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
                 widest = max(hi - lo for lo, hi in tiles)
                 assert widest - min(hi - lo for lo, hi in tiles) <= 1
-                assert 1 <= threads <= len(tiles)
+                assert 1 <= workers <= len(tiles)
                 if widest > 1:
                     assert 8 * n * widest <= engine_batch._TILE_BYTES
                 if batch_size is not None:
-                    assert threads * widest <= batch_size
+                    assert workers * widest <= batch_size
 
-    def test_run_tiles_solves_each_tile_once(self):
-        # More threads than CPUs and a tiny switch interval: every tile is
-        # solved exactly once and lands in its own slot.
-        calls = []
-
-        def solve(lo, hi):
-            calls.append(lo)
-            return lo
-
-        prev = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = engine_batch._run_tiles(
-                solve, [(i, i + 1) for i in range(400)], 4
-            )
-        finally:
-            sys.setswitchinterval(prev)
-        assert out == list(range(400))
-        assert sorted(calls) == list(range(400))
-
-    def test_run_tiles_reraises_and_cancels_the_rest(self):
-        started = []
-
-        def solve(lo, hi):
-            started.append(lo)
-            if lo == 0:
-                raise ValueError("tile 0")
-            time.sleep(0.01)
-            return lo
-
-        with pytest.raises(ValueError, match="tile 0"):
-            engine_batch._run_tiles(
-                solve, [(i, i + 1) for i in range(50)], 2
-            )
-        # The tiles not yet started when tile 0 failed are cancelled.
-        assert len(started) < 10
-        assert engine_batch._run_tiles(solve, [(1, 2), (2, 3)], 2) == [1, 2]
+    def test_one_cpu_plans_inline(self, monkeypatch):
+        monkeypatch.setattr(engine_batch, "_usable_cpus", lambda: 1)
+        assert engine_batch._tile_plan(1000, 1000, None)[1] == 1
 
     def test_single_tile_runs_inline_without_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-tile call started a pool")
+        class NoLease:
+            def acquire(self, blocking=True):
+                raise AssertionError("a one-tile call leased the pool")
 
-        monkeypatch.setattr(engine_batch, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(executor_mod, "_tile_pool_lease", NoLease())
         batched_local_mixing_times(gen.cycle_graph(15), 3.0)
 
-    def test_call_does_not_wait_for_another_calls_tiles(self, monkeypatch):
-        # A call blocked in all of its tiles must not hold up a second
-        # call: each call's tiles run on threads of its own.
-        monkeypatch.setattr(engine_batch, "_usable_cpus", lambda: 2)
-        release = threading.Event()
-        blocked = threading.Barrier(3)
-
-        def slow(lo, hi):
-            blocked.wait(timeout=60)
-            release.wait(timeout=60)
-            return lo
-
-        first = threading.Thread(
-            target=engine_batch._run_tiles,
-            args=(slow, [(0, 1), (1, 2)], 2),
-        )
-        first.start()
-        try:
-            blocked.wait(timeout=60)  # both of its threads are busy
+    def test_busy_pool_runs_the_call_inline_without_waiting(self):
+        g, beta, lazy = TILE_GRAPHS[2]
+        with _column_tiles(g.n, 5):
+            want = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
             done = []
-            second = threading.Thread(
-                target=lambda: done.append(
-                    engine_batch._run_tiles(
-                        lambda lo, hi: lo, [(0, 1), (1, 2), (2, 3)], 2
+            # What a call whose tiles are on the pool holds.
+            with executor_mod.leased_tile_pool() as pool:
+                assert pool is not None
+                second = threading.Thread(
+                    target=lambda: done.append(
+                        _bits(batched_local_mixing_times(g, beta, lazy=lazy))
                     )
                 )
-            )
-            second.start()
-            second.join(timeout=30)
-            assert done == [[0, 1, 2]]
-        finally:
-            release.set()
-            first.join(timeout=60)
+                calls = _pooled_calls()
+                second.start()
+                second.join(timeout=60)
+                assert _pooled_calls() == calls
+        assert done == [want]
+
+    def test_raising_tile_reraises_and_pool_solves_again(self):
+        g, beta, lazy = TILE_GRAPHS[2]
+        # One tile of 3 holds an out-of-range node: only it raises.
+        src = list(range(g.n - 1)) + [g.n]
+        tiles = engine_batch._tile_plan(g.n, g.n, 8)[0]
+        args = (list(range(1, g.n + 1)), DEFAULT_EPS, "all", 50, True, False)
+        with pytest.raises(ValueError) as inline:
+            engine_batch._solve_tiles(g, src, tiles, args)
+        with executor_mod.leased_tile_pool() as pool:
+            with pytest.raises(ValueError) as pooled:
+                pool.run_tiles(g, src, tiles, args, 2)
+        assert str(pooled.value) == str(inline.value) == "source out of range"
+        want = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+        with _column_tiles(g.n, 5):
+            calls = _pooled_calls()
+            got = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+            assert _pooled_calls() == calls + 1
+        assert got == want
+
+    def test_dead_worker_fails_one_call_and_pool_restarts(self):
+        g, beta, lazy = TILE_GRAPHS[2]
+        want = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+        with _column_tiles(g.n, 5):
+            batched_local_mixing_times(g, beta, lazy=lazy)
+            pool = executor_mod._tile_pool._pool
+            pid, proc = next(iter(pool._processes.items()))
+            os.kill(pid, signal.SIGKILL)
+            proc.join(timeout=30)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with pytest.raises(BrokenExecutor):
+                batched_local_mixing_times(g, beta, lazy=lazy)
+            assert executor_mod._tile_pool is None
+            got = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+            assert executor_mod._tile_pool._pool is not pool
+        assert got == want
 
     def test_two_threads_solve_different_graphs(self):
         cases = [TILE_GRAPHS[0], TILE_GRAPHS[2]]

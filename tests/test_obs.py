@@ -444,7 +444,7 @@ def test_certified_pairs_cover_every_skipped_screen():
 
 def test_tiled_solve_counters_and_span(monkeypatch):
     # The same closed form on a solve split into 6 column tiles on two
-    # threads, whose engine_solve span records the split.
+    # pool processes, whose engine_solve span records the split.
     g = path_graph(40)
     n_cand = len(canonical_times_key(g, BETA, lazy=True).sizes)
     plain = batched_local_mixing_times(g, BETA, lazy=True)
@@ -468,7 +468,8 @@ def test_tiled_solve_counters_and_span(monkeypatch):
 def test_anchor_certified_pairs_close_the_count(monkeypatch):
     # Size anchors certify whole intervals of set sizes: those pairs are
     # counted as certified, only pairs given a per-size bound as screened,
-    # and the closed form still holds on a solve split into 3 tiles.
+    # and the closed form still holds on a solve split into 3 tiles on two
+    # pool processes.
     g = random_regular(300, 6, seed=4)
     n_cand = len(canonical_times_key(g, BETA).sizes)
     plain = batched_local_mixing_times(g, BETA)
@@ -488,7 +489,39 @@ def test_anchor_certified_pairs_close_the_count(monkeypatch):
     assert _result_bits(traced) == _result_bits(untraced)
     assert _result_bits(traced) == _result_bits(plain)
     (span,) = [s for s in recent_traces() if s.name == "engine_solve"]
-    assert span.meta["tiles"] == 3
+    assert (span.meta["tiles"], span.meta["workers"]) == (3, 2)
+
+
+def _traced_counts(solve):
+    """Kernel call counts and screen volumes of one traced solve."""
+    before = kernel_profiler().snapshot()
+    with observability(True):
+        out = solve()
+    delta = diff_kernel_snapshots(before, kernel_profiler().snapshot())
+    calls = {k: v["calls"] for k, v in delta["kernels"].items()}
+    return _result_bits(out), calls, delta["screen"][KERNEL_LABEL]
+
+
+def test_pooled_solve_counts_equal_inline(monkeypatch):
+    # Worker-side kernel calls and screen volumes fold into the parent's
+    # profiler exactly: a pooled solve counts what its tiles count inline.
+    g = random_regular(300, 6, seed=4)
+    monkeypatch.setattr(engine_batch, "_TILE_BYTES", 8 * g.n * 100)
+    monkeypatch.setattr(engine_batch, "_usable_cpus", lambda: 2)
+    pooled = _traced_counts(lambda: batched_local_mixing_times(g, BETA))
+    (span,) = [s for s in recent_traces() if s.name == "engine_solve"]
+    assert span.meta["workers"] == 2
+    assert len([c for c in span.children if c.name == "shard_solve"]) == 2
+    inline = _traced_counts(
+        lambda: batched_local_mixing_times(g, BETA, batch_size=100)
+    )
+    assert pooled == inline
+    assert set(pooled[1]) == {
+        f"{KERNEL_LABEL}/{k}" for k in (
+            "step_block", "sorted_scan", "split_points",
+            "deviation_lower_bounds", "best_sums",
+        )
+    }
 
 
 def test_screen_counters_snapshot_merge_reset():

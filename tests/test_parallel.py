@@ -338,11 +338,12 @@ def test_fork_pool_never_forks_under_a_held_tracker_lock():
     assert proc.returncode == 0, proc.stderr
 
 
-_FORK_AFTER_TILES_SCRIPT = """
-import struct
+_FORK_AFTER_POOLED_SCRIPT = """
+import os, struct, sys
+from multiprocessing import shared_memory
 from repro.engine import batch, batched_local_mixing_times
 from repro.graphs import generators as gen
-from repro.parallel import ShardExecutor, parallel_local_mixing_times
+from repro.parallel import ShardExecutor, executor, parallel_local_mixing_times
 
 def bits(results):
     return [(r.time, r.set_size, struct.pack("<d", r.deviation),
@@ -350,30 +351,50 @@ def bits(results):
 
 g = gen.random_regular(60, 4, seed=3)
 serial = bits(batched_local_mixing_times(g, 3.0))
-# 6-column tiles on two threads: the parent runs a threaded solve, and
+# 6-column tiles on two processes: the parent runs a pooled solve, and
 # each 30-source shard below is 5 tiles.
 batch._usable_cpus = lambda: 2
 batch._TILE_BYTES = 8 * g.n * 6
 assert batch._tile_plan(g.n, g.n, None)[1] == 2
 assert bits(batched_local_mixing_times(g, 3.0)) == serial
+assert executor._tile_pool.stats()["calls"] == 1
+pid = os.fork()
+if pid == 0:
+    # The fork inherits the pool object but none of its workers; its
+    # normal exit must not close the pool or unlink its segment.
+    try:
+        with executor.leased_tile_pool() as pool:
+            assert pool is None
+        ok = bits(batched_local_mixing_times(g, 3.0)) == serial
+    except BaseException:
+        ok = False
+    sys.exit(0 if ok else 1)
+assert os.waitpid(pid, 0)[1] == 0
+name = executor._tile_pool._published[g].handle.shm_name
+shared_memory.SharedMemory(name=name).close()  # still published
+h = gen.random_regular(60, 4, seed=4)
+assert bits(batched_local_mixing_times(h, 3.0)) == bits(
+    batched_local_mixing_times(h, 3.0, batch_size=6))
 with ShardExecutor(2, start_method="fork") as ex:
     sharded = parallel_local_mixing_times(g, 3.0, executor=ex)
 assert bits(sharded) == serial
+assert executor._tile_pool.stats()["calls"] == 2
 """
 
 
 @pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="needs fork"
 )
-def test_fork_pool_after_threaded_tiles_does_not_hang():
-    # Regression: fork workers inherited a process-wide tile pool object
-    # but none of its threads, so a worker queueing a tile on it waited
-    # forever.  A
-    # fresh interpreter in its own session, so a hang times out and the
-    # forked workers die with it.
+def test_fork_after_pooled_tiles_solves_inline():
+    # A fork of a process whose tiles ran on the process-wide pool must
+    # not queue tiles on that pool: its workers are the parent's children
+    # and never answer the fork.  Neither an os.fork child nor a fork
+    # pool's workers may hang, and the child's exit leaves the parent's
+    # pool and segments alone.  A fresh interpreter in its own session,
+    # so a hang times out and the forked processes die with it.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
     proc = subprocess.Popen(
-        [sys.executable, "-c", _FORK_AFTER_TILES_SCRIPT],
+        [sys.executable, "-c", _FORK_AFTER_POOLED_SCRIPT],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -385,8 +406,91 @@ def test_fork_pool_after_threaded_tiles_does_not_hang():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, 9)
         proc.communicate()
-        pytest.fail("sharded solve after a threaded solve hung")
+        pytest.fail("a fork after a pooled solve hung")
     assert proc.returncode == 0, stderr
+
+
+_POOLED_EXIT_SCRIPT = """
+# No main guard around the solve: a spawned worker re-imports this file
+# and must solve inline while it does.
+import atexit, multiprocessing, os, sys
+from multiprocessing import resource_tracker
+
+@atexit.register  # before repro's own exit hook, so it runs after it
+def probe():
+    left = multiprocessing.active_children()
+    if resource_tracker._resource_tracker._pid is not None or left:
+        sys.stderr.write(f"left running: tracker and {left}\\n")
+        sys.stderr.flush()
+        os._exit(3)
+
+from repro.engine import batch, batched_local_mixing_times
+from repro.graphs import generators as gen
+from repro.parallel import executor
+
+g = gen.random_regular(60, 4, seed=3)
+batch._usable_cpus = lambda: 2
+batch._TILE_BYTES = 8 * g.n * 6
+batched_local_mixing_times(g, 3.0)
+if __name__ == "__main__":
+    assert executor._tile_pool.stats()["calls"] == 1
+"""
+
+
+def _session_processes(sid):
+    """Pids of every process, zombies included, in session ``sid``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                if os.getsid(int(entry)) == sid:
+                    out.append(int(entry))
+            except OSError:  # exited meanwhile
+                pass
+    return out
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "method", [m for m in ("fork", "spawn") if m in mp.get_all_start_methods()]
+)
+def test_pooled_solve_leaves_nothing_behind_at_exit(method, tmp_path):
+    # The pool's workers, its segments and the resource tracker it
+    # started all end with the interpreter: nothing of its session
+    # outlives it, not even a zombie, and the tracker has no leak to warn
+    # about.
+    shm = "/dev/shm"
+    segments = (lambda: {f for f in os.listdir(shm) if f.startswith("psm_")}
+                if os.path.isdir(shm) else set)
+    before = segments()
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, sys.path)),
+        REPRO_PARALLEL_START_METHOD=method,
+    )
+    script = tmp_path / "pooled_exit.py"
+    script.write_text(_POOLED_EXIT_SCRIPT)
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, 9)
+        proc.communicate()
+        pytest.fail("a pooled solve's interpreter did not exit")
+    assert proc.returncode == 0, stderr
+    assert "resource_tracker" not in stderr, stderr
+    deadline = time.monotonic() + 10
+    while _session_processes(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _session_processes(proc.pid) == []
+    assert segments() - before == set()
 
 
 def _wait_for_file(path):
