@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from contextlib import suppress
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -479,12 +480,16 @@ def batched_local_mixing_times(
 
     with leased_tile_pool(workers > 1) as pool, trace(
         "engine_solve", kind="times", sources=len(src), tiles=len(tiles),
-        workers=workers if pool else 1,
     ) as _sp:
-        if pool is None:
+        solved = None
+        if pool is not None:
+            with suppress(OSError):  # no room to share the graph: inline
+                solved = pool.run_tiles(g, src, tiles, args, workers)
+        if solved is None:
+            workers = 1
             solved = _solve_tiles(g, src, tiles, args)
-        else:
-            solved = pool.run_tiles(g, src, tiles, args, workers)
+        if _sp is not None:
+            _sp.meta["workers"] = workers
     results: list[LocalMixingResult | None] = [None] * len(src)
     for pos, res in solved:
         results[pos] = res

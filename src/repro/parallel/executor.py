@@ -1,11 +1,12 @@
 """The sharded process-pool executor behind the parallel front doors.
 
 :class:`ShardExecutor` owns a persistent
-:class:`concurrent.futures.ProcessPoolExecutor` whose workers start with
-no initializer and are reused across calls — the pool survives any number
-of solves, graphs and snapshots.  Graphs travel to workers through
+:class:`concurrent.futures.ProcessPoolExecutor` whose workers are reused
+across calls — the pool survives any number of solves, graphs and
+snapshots.  Graphs travel to workers through
 :class:`~repro.parallel.shared.SharedCSR` segments published once per
-structure; tasks carry only the tiny
+structure (each worker keeps as many attached as its executor keeps
+published); tasks carry only the tiny
 :class:`~repro.parallel.shared.SharedHandle`.
 
 Determinism contract
@@ -53,6 +54,7 @@ import atexit
 import multiprocessing as mp
 import os
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, wait
 from contextlib import contextmanager
@@ -129,11 +131,19 @@ def shard_bounds(n_items: int, n_shards: int) -> list[tuple[int, int]]:
 
 #: Per-worker LRU of attached graph segments (keyed by segment name):
 #: keeps the worker-side ``Graph`` (and its warm ``cached_property`` state)
-#: alive across tasks, bounded so long snapshot streams do not pin stale
+#: alive across tasks, bounded (by its executor's ``max_published``, set
+#: in :func:`_init_worker`) so long snapshot streams do not pin stale
 #: mappings.  Entries are only mappings — the arrays live once in shared
 #: memory.
-_WORKER_CACHE_SIZE = 16
+_WORKER_CACHE_SIZE = MAX_PUBLISHED
 _worker_segments: "OrderedDict[str, SharedCSR]" = OrderedDict()
+
+
+def _init_worker(cache_size: int) -> None:
+    """Pool-worker initializer: keep as many attached graphs as the
+    executor keeps published."""
+    global _WORKER_CACHE_SIZE
+    _WORKER_CACHE_SIZE = cache_size
 
 
 def _attached(handle: SharedHandle) -> SharedCSR:
@@ -215,8 +225,11 @@ class ShardExecutor:
     start_method:
         Multiprocessing start method (default:
         :func:`default_start_method`).
+    max_published:
+        How many graph segments stay published (default
+        :data:`MAX_PUBLISHED`); each worker keeps as many attached.
 
-    At most :data:`MAX_PUBLISHED` graph segments stay published; least
+    At most ``max_published`` graph segments stay published; least
     recently used ones beyond the bound are unlinked.  A call's segment is
     pinned from publication until its futures resolve, so eviction never
     unlinks a segment a queued task still needs — the bound may be
@@ -234,6 +247,7 @@ class ShardExecutor:
         n_workers: int | None = None,
         *,
         start_method: str | None = None,
+        max_published: int = MAX_PUBLISHED,
     ):
         if n_workers is None:
             n_workers = os.cpu_count() or 1
@@ -247,9 +261,12 @@ class ShardExecutor:
         # shutdown about segments the publisher has already unlinked.
         resource_tracker.ensure_running()
         ctx = mp.get_context(self.start_method)
+        self.max_published = int(max_published)
         self._pool = ProcessPoolExecutor(
             max_workers=self.n_workers,
             mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(self.max_published,),
         )
         if self.start_method == "fork":
             # A fork pool forks every worker on its first submit.  Do it
@@ -257,7 +274,11 @@ class ShardExecutor:
             # another thread holds the resource tracker's lock (segment
             # create/unlink) inherits it held and deadlocks on its first
             # segment attach.
-            self._pool.submit(int).result()
+            try:
+                self._pool.submit(int).result()
+            except BaseException:  # e.g. no process could be forked
+                self._pool.shutdown(wait=True, cancel_futures=True)
+                raise
         #: Published segments keyed by graph, least recently used first.
         self._published: "OrderedDict[Graph, SharedCSR]" = OrderedDict()
         #: In-flight pin counts per graph (see :meth:`_publish`).
@@ -291,6 +312,7 @@ class ShardExecutor:
             "repro_executor_workers", "Configured pool size."
         ).set(self.n_workers)
         self._last_shard_sizes: list[int] = []
+        _executors.add(self)
 
     # -------------------------------------------------------------- #
     # Graph publication
@@ -323,9 +345,9 @@ class ShardExecutor:
 
     def _evict(self) -> None:
         """Unlink least recently used unpinned segments beyond
-        :data:`MAX_PUBLISHED` (caller holds the lock; the most recent
-        entry is never evicted)."""
-        excess = len(self._published) - MAX_PUBLISHED
+        ``max_published`` (caller holds the lock; the most recent entry is
+        never evicted)."""
+        excess = len(self._published) - self.max_published
         for key in list(self._published)[:-1]:
             if excess <= 0:
                 break
@@ -573,21 +595,42 @@ class ShardExecutor:
 _tile_pool: ShardExecutor | None = None
 #: Held by the one call whose tiles are on the pool.
 _tile_pool_lease = threading.Lock()
+#: The pid in which making the tile pool started the resource tracker.
+_tracker_started_in: int | None = None
+#: Every executor made in this process, to tell whether another is open.
+_executors: "weakref.WeakSet[ShardExecutor]" = weakref.WeakSet()
+
+
+def _make_tile_pool() -> ShardExecutor | None:
+    """The tile pool, made now (holding one graph at a time), or ``None``
+    where no processes or semaphores are to be had."""
+    global _tile_pool, _tracker_started_in
+    tracker = resource_tracker._resource_tracker
+    before = tracker._pid
+    try:
+        _tile_pool = ShardExecutor(engine_batch._usable_cpus(),
+                                   max_published=1)
+    except (OSError, NotImplementedError):
+        return None
+    finally:
+        if tracker._pid != before:
+            _tracker_started_in = os.getpid()
+    return _tile_pool
 
 
 @contextmanager
 def leased_tile_pool(wanted: bool = True):
     """Yield the process-wide tile pool for one call, or ``None`` (run
     inline) when not ``wanted``, when another call holds it (never
-    waited for) or in a fork of the pool's maker."""
+    waited for), in a fork of the pool's maker or where no pool can be
+    made."""
     global _tile_pool
     if not wanted or not _tile_pool_lease.acquire(blocking=False):
         yield None
         return
     try:
-        if _tile_pool is None:
-            _tile_pool = ShardExecutor(engine_batch._usable_cpus())
-        yield _tile_pool if _tile_pool._pid == os.getpid() else None
+        pool = _tile_pool or _make_tile_pool()
+        yield pool if pool and pool._pid == os.getpid() else None
     except BrokenExecutor:  # a worker died: the next call makes a new pool
         _tile_pool.close()
         _tile_pool = None
@@ -599,11 +642,13 @@ def leased_tile_pool(wanted: bool = True):
 @atexit.register
 def _close_tile_pool() -> None:
     """Interpreter-exit teardown of the tile pool: join its workers,
-    unlink its segments, and stop and reap the resource tracker (left
+    unlink its segments, and, if making it started the resource tracker
+    and no other executor is still open, stop and reap the tracker (left
     running, it outlives us as an unreaped zombie of whoever inherits it)."""
-    if _tile_pool is None or _tile_pool._pid != os.getpid():
-        return
-    _tile_pool.close()
-    tracker = resource_tracker._resource_tracker
-    if tracker._pid is not None:  # started here, not inherited
-        tracker._stop()
+    pid = os.getpid()
+    if _tile_pool is not None and _tile_pool._pid == pid:
+        _tile_pool.close()
+    if _tracker_started_in == pid and not any(
+        ex._pid == pid and not ex._closed for ex in _executors
+    ):
+        resource_tracker._resource_tracker._stop()

@@ -29,6 +29,7 @@ memory lives until the last mapping closes) and a no-op on Windows.
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -85,9 +86,15 @@ class SharedCSR:
     @classmethod
     def publish(cls, g: Graph) -> "SharedCSR":
         """Copy ``g``'s CSR arrays into a fresh shared segment (done once;
-        every worker maps the same physical pages afterwards)."""
+        every worker maps the same physical pages afterwards).  Raises
+        ``OSError`` (``ENOSPC``) when the shared-memory filesystem has
+        less room than the segment needs."""
         arrays = (g.indptr, g.indices)
         size = max(sum(a.nbytes for a in arrays), 1)
+        if os.path.isdir("/dev/shm"):  # Linux; a copy past a full one: SIGBUS
+            fs = os.statvfs("/dev/shm")
+            if fs.f_bavail * fs.f_frsize < size:
+                raise OSError(errno.ENOSPC, "/dev/shm has no room for it")
         shm = shared_memory.SharedMemory(create=True, size=size)
         specs = tuple((a.dtype.str, a.shape) for a in arrays)
         shared = cls(shm, SharedHandle(shm.name, specs, g.name), owner=True)

@@ -7,6 +7,7 @@ expander, the β-barbell, a cycle with its exactly-tied symmetric
 probabilities, and a lazy path).
 """
 
+import errno
 import math
 import os
 import signal
@@ -399,6 +400,11 @@ def _column_tiles(n, width, cpus=2):
         yield
 
 
+def _attached_graphs(_):
+    """How many graph segments this pool worker keeps attached."""
+    return len(executor_mod._worker_segments)
+
+
 def _pooled_calls():
     """Calls the process-wide tile pool has run so far."""
     pool = executor_mod._tile_pool
@@ -438,10 +444,11 @@ class TestColumnTiles:
         require_source=st.booleans(),
         t_schedule=st.sampled_from(["all", "doubling"]),
         t_max=st.sampled_from([4, 300]),
+        cpus=st.integers(2, 3),
     )
     def test_pooled_equals_inline_untiled_and_loop(
         self, gi, data, lazy, threshold_factor, sizes, require_source,
-        t_schedule, t_max,
+        t_schedule, t_max, cpus,
     ):
         g, beta, force_lazy = TILE_GRAPHS[gi]
         # At least 3 tiles, uneven whenever the width does not divide n.
@@ -466,11 +473,13 @@ class TestColumnTiles:
                 )
             )
 
-        with _column_tiles(g.n, width):
+        with _column_tiles(g.n, width, cpus):
             tiles, workers = engine_batch._tile_plan(g.n, g.n, batch_size)
             assert len(tiles) >= 3
-            # batch_size 1 or one tile's width leaves room for one tile.
-            assert workers == (1 if batch_size in (1, width) else 2)
+            # batch_size 1 or one tile's width leaves room for one tile,
+            # 2 · width + 1 for two; else one run of tiles per CPU.
+            room = {None: cpus, 1: 1, width: 1, 2 * width + 1: 2}
+            assert workers == min(room[batch_size], cpus, len(tiles))
             calls = _pooled_calls()
             pooled = solve(batch_size)
             assert _pooled_calls() == calls + (workers > 1)
@@ -556,6 +565,44 @@ class TestColumnTiles:
             got = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
             assert _pooled_calls() == calls + 1
         assert got == want
+
+    def test_no_pool_to_be_had_runs_inline(self, monkeypatch):
+        g, beta, lazy = TILE_GRAPHS[2]
+        want = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+
+        def no_processes(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(executor_mod, "_tile_pool", None)
+        monkeypatch.setattr(executor_mod, "ShardExecutor", no_processes)
+        with _column_tiles(g.n, 5):
+            assert engine_batch._tile_plan(g.n, g.n, None)[1] == 2
+            got = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+        assert got == want
+        assert executor_mod._tile_pool is None
+
+    def test_full_shared_memory_runs_inline(self, monkeypatch):
+        g, beta, lazy = TILE_GRAPHS[2]
+        want = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+        full = os.statvfs_result((4096, 4096, 1 << 20, 0, 0, 0, 0, 0, 0, 255))
+        with _column_tiles(g.n, 5):
+            with executor_mod.leased_tile_pool() as pool:  # made, warm
+                pool.release(g)
+            calls = _pooled_calls()
+            monkeypatch.setattr(os, "statvfs", lambda path: full)
+            got = _bits(batched_local_mixing_times(g, beta, lazy=lazy))
+            assert _pooled_calls() == calls
+        assert got == want
+
+    def test_tile_pool_keeps_one_graph(self):
+        cases = [TILE_GRAPHS[0], TILE_GRAPHS[2]]
+        with _column_tiles(max(g.n for g, _, _ in cases), 5):
+            for g, beta, lazy in cases:
+                batched_local_mixing_times(g, beta, lazy=lazy)
+            pool = executor_mod._tile_pool
+            assert pool.stats()["published_graphs"] == 1
+            kept = pool.map_items(_attached_graphs, range(8))
+        assert set(kept) <= {0, 1}
 
     def test_dead_worker_fails_one_call_and_pool_restarts(self):
         g, beta, lazy = TILE_GRAPHS[2]

@@ -11,6 +11,7 @@ and every shard boundary.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing as mp
 import os
 import subprocess
@@ -231,6 +232,19 @@ def test_shared_csr_roundtrip(reg):
         att.close()
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_shared_csr_refuses_a_full_tmpfs(reg, monkeypatch):
+    # Copying into a segment past a full tmpfs dies with SIGBUS, so a
+    # segment with no room is refused before it is made.
+    before = set(os.listdir("/dev/shm"))
+    room = os.statvfs_result((4096, 4096, 1 << 20, 0, 0, 0, 0, 0, 0, 255))
+    monkeypatch.setattr(os, "statvfs", lambda path: room)
+    with pytest.raises(OSError) as exc:
+        SharedCSR.publish(reg)
+    assert exc.value.errno == errno.ENOSPC
+    assert set(os.listdir("/dev/shm")) - before == set()
+
+
 def test_executor_close_unlinks_segments(reg):
     ex = ShardExecutor(1)
     res = parallel_local_mixing_times(reg, BETA, sources=[0, 1], executor=ex)
@@ -408,6 +422,55 @@ def test_fork_after_pooled_tiles_solves_inline():
         proc.communicate()
         pytest.fail("a fork after a pooled solve hung")
     assert proc.returncode == 0, stderr
+
+
+_FORK_MAKES_OWN_POOL_SCRIPT = """
+import os, struct, sys
+from multiprocessing import resource_tracker
+from repro.engine import batch, batched_local_mixing_times
+from repro.graphs import generators as gen
+from repro.parallel import executor
+
+def bits(results):
+    return [(r.time, r.set_size, struct.pack("<d", r.deviation),
+             r.steps_checked, r.sizes_checked) for r in results]
+
+g = gen.random_regular(60, 4, seed=3)
+serial = bits(batched_local_mixing_times(g, 3.0))
+batch._usable_cpus = lambda: 2
+batch._TILE_BYTES = 8 * g.n * 6
+resource_tracker.ensure_running()
+tracker = resource_tracker._resource_tracker._pid
+pid = os.fork()
+if pid == 0:
+    # No pool to inherit: the fork makes its own on the parent's tracker,
+    # and its exit must leave that tracker to the parent.
+    ok = bits(batched_local_mixing_times(g, 3.0)) == serial
+    sys.exit(0 if ok and executor._tile_pool._pid == os.getpid() else 1)
+assert os.waitpid(pid, 0)[1] == 0
+os.kill(tracker, 0)  # still running
+assert resource_tracker._resource_tracker._check_alive()
+assert bits(batched_local_mixing_times(g, 3.0)) == serial
+assert executor._tile_pool._pid == os.getpid()
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs fork"
+)
+def test_fork_that_makes_its_own_pool_leaves_the_tracker():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)),
+               REPRO_PARALLEL_START_METHOD="fork")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORK_MAKES_OWN_POOL_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=90,
+        env=env,
+        start_new_session=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Error" not in proc.stderr, proc.stderr
 
 
 _POOLED_EXIT_SCRIPT = """
